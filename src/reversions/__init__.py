@@ -7,7 +7,7 @@ points, isomorphism decisions with finite verified tables, and a CLI with
 SVG output.
 """
 
-from .action import Config, Side, act, halfplane_side, is_cycle, orbit, stab_contains
+from .action import Config, act, is_cycle, orbit
 from .classify import (
     ClassLabel,
     CycleLabel,

@@ -11,7 +11,7 @@ off-line point) is exactly the cycle test driving the classification.
 
 from __future__ import annotations
 
-import enum
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -28,13 +28,9 @@ from .words import Signature, Word, is_balanced, word_from_signature
 
 __all__ = [
     "Config",
-    "Side",
     "ActionError",
-    "NoOffLinePoint",
     "act",
-    "stab_contains",
     "orbit",
-    "halfplane_side",
     "is_cycle",
     "offline_test_point",
     "offline_test_points",
@@ -45,33 +41,19 @@ class ActionError(ValueError):
     pass
 
 
-class NoOffLinePoint(ActionError):
-    """The deterministic test-point sequence never left the interior line
-    (bounded retry exhausted; cannot happen for valid configurations)."""
-
-
-class Side(enum.Enum):
-    PLUS = 1
-    MINUS = -1
-    ON_LINE = 0
-
-
 @dataclass(frozen=True)
 class Config:
     """A circle with ordered interior points and a rational seed point on
     the circle.
 
-    `is_collinear` means all interior points lie on one line (vacuously true
-    for a single point, in which case there is no line); `is_ordered` means
-    the points are additionally monotone along that line, i.e. the tuple is
-    a valid code with each middle point between its neighbours.
+    Built by `classify.validate_config`, which guarantees that the points
+    lie on one line (vacuously for one or two points) and are monotone
+    along it, each middle point between its neighbours.
     """
 
     circle: Circle
     points: tuple
     base_point: Point
-    is_collinear: bool
-    is_ordered: bool
 
     @property
     def alphabet(self) -> int:
@@ -79,7 +61,7 @@ class Config:
 
     def line(self) -> tuple:
         """Two distinct points spanning the interior line (stored order)."""
-        if not self.is_collinear or len(self.points) < 2:
+        if len(self.points) < 2:
             raise ActionError("configuration has no interior line")
         return (self.points[0], self.points[1])
 
@@ -95,11 +77,6 @@ def act(config: Config, c: Point, g: Word) -> Point:
     for letter in g.letters:
         c = reversion(config.circle, config.points[letter - 1], c)
     return c
-
-
-def stab_contains(config: Config, c: Point, g: Word) -> bool:
-    """Exact fixed-point test: act(c, g) == c."""
-    return act(config, c, g) == c
 
 
 def orbit(config: Config, c: Point, max_word_length: int) -> set:
@@ -128,55 +105,25 @@ def orbit(config: Config, c: Point, max_word_length: int) -> set:
     return seen
 
 
-def halfplane_side(config: Config, p: Point) -> Side:
-    """Which side of the interior line p lies on; the sign is the exact
-    cross product against the stored point order."""
-    a, b = config.line()
-    s = (b - a).cross(p - a)
-    if s > 0:
-        return Side.PLUS
-    if s < 0:
-        return Side.MINUS
-    return Side.ON_LINE
-
-
-def _off_line_filter(config: Config):
-    """Predicate rejecting points on the interior line; with a single
-    interior point there is no line and nothing to avoid."""
-    if len(config.points) < 2:
-        return lambda p: True
-    a, b = config.line()
-    direction = b - a
-    return lambda p: direction.cross(p - a) != 0
-
-
 def offline_test_points(config: Config) -> Iterator[Point]:
     """Deterministic rational circle points off the interior line: chords
     through the base point with slopes 1, 1/2, 1/3, ...  Rational points are
     dense on the circle, so on-line hits are skipped and the stream is
-    effectively inexhaustible."""
-    keep = _off_line_filter(config)
-    k = 0
-    while True:
-        k += 1
+    effectively inexhaustible.  A single interior point has no line to
+    avoid."""
+    a, b = config.line() if len(config.points) > 1 else (None, None)
+    for k in itertools.count(1):
         try:
             p = rational_circle_point(config.circle, config.base_point, Fraction(1, k))
         except TangentDirection:
             continue
-        if keep(p):
+        if a is None or (b - a).cross(p - a) != 0:
             yield p
 
 
-def offline_test_point(config: Config, max_tries: int = 64) -> Point:
-    keep = _off_line_filter(config)
-    for k in range(1, max_tries + 1):
-        try:
-            p = rational_circle_point(config.circle, config.base_point, Fraction(1, k))
-        except TangentDirection:
-            continue
-        if keep(p):
-            return p
-    raise NoOffLinePoint(f"no off-line rational point in {max_tries} tries")
+def offline_test_point(config: Config) -> Point:
+    """The first point of `offline_test_points`."""
+    return next(offline_test_points(config))
 
 
 def is_cycle(config: Config, v: Signature) -> bool:
@@ -188,8 +135,6 @@ def is_cycle(config: Config, v: Signature) -> bool:
     signature.  Non-balanced vectors are rejected without evaluation: a
     fixing word must have even length, hence a balanced signature.
     """
-    if not (config.is_collinear and config.is_ordered):
-        raise ActionError("cycle test needs collinear, monotone interior points")
     if len(v) != config.alphabet:
         raise ActionError(f"vector length {len(v)} != alphabet {config.alphabet}")
     if not is_balanced(v):

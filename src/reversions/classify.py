@@ -63,8 +63,6 @@ __all__ = [
     "search_closing_config",
     "realize_by_bisection",
     "middle_point_residual",
-    "third_point_residual",
-    "count_sign_changes",
     "avoid_all_cycles",
 ]
 
@@ -163,7 +161,6 @@ def validate_config(circle: Circle, points, base_point: Optional[Point] = None) 
         if not in_open_disk(circle, p):
             raise ConfigValidationError(
                 "interiority", f"{p} is not strictly inside the circle")
-    is_coll = True
     if len(points) >= 3:
         a, b = points[0], points[1]
         for p in points[2:]:
@@ -179,7 +176,7 @@ def validate_config(circle: Circle, points, base_point: Optional[Point] = None) 
     elif not on_circle(circle, base_point):
         raise ConfigValidationError(
             "base_point", f"{base_point} is not on the circle")
-    return Config(circle, points, base_point, is_coll, True)
+    return Config(circle, points, base_point)
 
 
 def primitive_candidates(v2_max: int) -> Iterator[tuple]:
@@ -334,7 +331,7 @@ def search_closing_config(v: Signature) -> Optional[Config]:
 def _vertical_start_config(a: Fraction) -> Config:
     pts = (Point.of(Fraction(-1, 2), 0), Point(Fraction(a), Fraction(0)),
            Point.of(Fraction(1, 2), 0))
-    return Config(UNIT_CIRCLE, pts, Point.of(1, 0), True, True)
+    return Config(UNIT_CIRCLE, pts, Point.of(1, 0))
 
 
 def middle_point_residual(v: Signature, a: Fraction) -> Fraction:
@@ -343,21 +340,6 @@ def middle_point_residual(v: Signature, a: Fraction) -> Fraction:
     configuration realizes v."""
     config = _vertical_start_config(Fraction(a))
     return act(config, Point.of(0, 1), canonical_word(tuple(v))).x
-
-
-def third_point_residual(v: Signature, a: Fraction) -> Fraction:
-    """Same residual for the family with interior points (-1/2, 0), (0, 0)
-    and a moving third point (a, 0), a in (0, 1)."""
-    pts = (Point.of(Fraction(-1, 2), 0), Point.of(0, 0),
-           Point(Fraction(a), Fraction(0)))
-    config = Config(UNIT_CIRCLE, pts, Point.of(1, 0), True, True)
-    return act(config, Point.of(0, 1), canonical_word(tuple(v))).x
-
-
-def count_sign_changes(values) -> int:
-    """Strict sign alternations in a sequence, ignoring exact zeros."""
-    signs = [1 if x > 0 else -1 for x in values if x != 0]
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
 def realize_by_bisection(v: Signature, width_bound: Fraction,

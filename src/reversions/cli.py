@@ -24,6 +24,7 @@ from .action import Config, is_cycle, orbit
 from .classify import (
     ConfigValidationError,
     NoCycleUpTo,
+    SignChangeError,
     classify,
     default_base_point,
     format_label,
@@ -314,7 +315,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (ConfigParseError, ConfigValidationError, GeometryError,
-            UnverifiedCycle, OSError, ValueError) as exc:
+            SignChangeError, UnverifiedCycle, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

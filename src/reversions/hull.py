@@ -5,13 +5,12 @@ For collinear interior points the collinear hull inside circle-plus-points
 is just the points themselves together with the two ends of their chord;
 the two chord ends are irrational in general, so the hull is kept ordinal:
 a token list ordered along the line, with exact coordinates only on the
-interior tokens and float approximations on the endpoints for drawing.
+interior tokens; `svg` computes the float chord ends for drawing.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -24,23 +23,14 @@ __all__ = [
     "HullToken",
     "OrdinalHull",
     "HullIso",
-    "HullUnsupported",
     "CapExceeded",
     "collinear_hull",
     "hull_isomorphism",
     "brute_force_iso",
-    "betweenness_iso_ok",
-    "is_extreme_in_sample",
     "BRUTE_FORCE_CAP",
 ]
 
 BRUTE_FORCE_CAP = 8
-
-
-class HullUnsupported(ValueError):
-    """Collinear hulls are only computed for collinear interior points; the
-    general closure may cascade through new circle points and is not
-    obviously finite."""
 
 
 class CapExceeded(ValueError):
@@ -50,10 +40,9 @@ class CapExceeded(ValueError):
 @dataclass(frozen=True)
 class EndpointToken:
     """One of the two ends of the interior-points chord, identified by its
-    position along the line only; approx is for rendering."""
+    position along the line only."""
 
     role: str  # "low" or "high"
-    approx: tuple
 
 
 @dataclass(frozen=True)
@@ -79,29 +68,10 @@ class OrdinalHull:
         return len(self.tokens)
 
 
-def _chord_end_approx(config: Config, direction: Point, sign: int) -> tuple:
-    """Float intersection of the interior line with the circle, on the low
-    (sign=-1) or high (sign=+1) side of the line direction."""
-    a = config.points[0]
-    dx, dy = float(direction.x), float(direction.y)
-    norm = math.hypot(dx, dy)
-    dx, dy = dx / norm, dy / norm
-    ax = float(a.x - config.circle.center.x)
-    ay = float(a.y - config.circle.center.y)
-    # |a + t*d - center|^2 = r^2 with |d| = 1
-    b = ax * dx + ay * dy
-    c = ax * ax + ay * ay - float(config.circle.radius_sq)
-    disc = math.sqrt(b * b - c)
-    t = -b + sign * disc
-    return (float(a.x) + t * dx, float(a.y) + t * dy)
-
-
 def collinear_hull(config: Config) -> OrdinalHull:
     """The collinear hull of the interior points: the points themselves plus
     the two chord ends, ordered along the line.  A single interior point is
     its own hull."""
-    if not config.is_collinear:
-        raise HullUnsupported("interior points are not collinear")
     pts = config.points
     if len(pts) == 1:
         return OrdinalHull((InteriorToken(1, pts[0]),))
@@ -110,9 +80,8 @@ def collinear_hull(config: Config) -> OrdinalHull:
         (InteriorToken(i + 1, p) for i, p in enumerate(pts)),
         key=lambda tok: (tok.point - pts[0]).dot(direction),
     )
-    low = EndpointToken("low", _chord_end_approx(config, direction, -1))
-    high = EndpointToken("high", _chord_end_approx(config, direction, +1))
-    return OrdinalHull((low,) + tuple(interior) + (high,))
+    return OrdinalHull((EndpointToken("low"),) + tuple(interior)
+                       + (EndpointToken("high"),))
 
 
 @dataclass(frozen=True)
@@ -201,21 +170,3 @@ def brute_force_iso(sample_a: Sequence[Point],
         if ok:
             return {a[m]: b[image[m]] for m in range(len(a))}
     return None
-
-
-def betweenness_iso_ok(mapping: Dict[Point, Point]) -> bool:
-    """Does this bijection preserve and reflect strict betweenness on every
-    triple of its domain?"""
-    pts = list(mapping)
-    for p, q, r in itertools.permutations(pts, 3):
-        if is_between(p, q, r) != is_between(mapping[p], mapping[q], mapping[r]):
-            return False
-    return True
-
-
-def is_extreme_in_sample(sample: Sequence[Point], c: Point) -> bool:
-    """No pair of sample points witnesses c strictly between them."""
-    if c not in sample:
-        raise ValueError(f"{c} is not in the sample")
-    return not any(
-        is_between(a, c, b) for a, b in itertools.combinations(sample, 2))

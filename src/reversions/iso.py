@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Set, Union
 
 from .action import Config, act, is_cycle, offline_test_points
 from .classify import (
@@ -105,9 +105,6 @@ def decide_iso(s: Config, r: Config, v2_max: int) -> IsoVerdict:
         raise VerdictError(f"only 1..3 interior points supported, got {l}")
     if l in (1, 2):
         return Isomorphic(None)
-    for config in (s, r):
-        if not (config.is_collinear and config.is_ordered):
-            raise VerdictError("three-point configurations must be collinear codes")
     label_s = classify(s, v2_max)
     label_r = classify(r, v2_max)
     if isinstance(label_s, CycleLabel) and isinstance(label_r, CycleLabel):
@@ -169,14 +166,17 @@ def _pick_hull_iso(s: Config, r: Config, vector: Optional[tuple]) -> HullIso:
 
 
 def _orbit_seeds(config: Config, words: Sequence[Word], count: int) -> List[Point]:
-    """Deterministic off-line points pairwise not connected by any sampled
-    word or its inverse (full orbit disjointness is not enumerable; this
-    suffices for a collision-free table and collisions are detected)."""
-    closure = {w for w in words} | {w.inverse() for w in words}
+    """Deterministic off-line points whose sampled images (the point and its
+    images under the sampled words) are pairwise disjoint, so no table source
+    comes from two seeds; one seed needs no images."""
     seeds: List[Point] = []
+    taken: Set[Point] = set()
     for p in offline_test_points(config):
-        if any(act(config, q, w) == p for q in seeds for w in closure):
-            continue
+        if count > 1:
+            reached = {p} | {act(config, p, w) for w in words}
+            if not taken.isdisjoint(reached):
+                continue
+            taken |= reached
         seeds.append(p)
         if len(seeds) == count:
             return seeds

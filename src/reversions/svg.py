@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from typing import Iterable, Optional, Sequence
 
-from .action import Config, act, is_cycle, offline_test_point
-from .geometry import Point
-from .words import Signature, Word, word_from_signature
+from .action import Config, is_cycle, offline_test_point
+from .geometry import Point, reversion
+from .words import Signature, word_from_signature
 
 __all__ = ["render_svg", "cycle_polygon", "UnverifiedCycle"]
 
@@ -46,14 +46,16 @@ def _chord_ends(config: Config) -> Optional[tuple]:
 def cycle_polygon(config: Config, v: Signature) -> list:
     """The closed chain of a verified cycle: the deterministic off-line test
     point followed by its images under each successive reversion of the
-    signature word.  Refuses when v is not an exact cycle."""
-    if not is_cycle(config, tuple(v)):
-        raise UnverifiedCycle(f"{tuple(v)} is not a cycle for this configuration")
-    word = word_from_signature(tuple(v))
-    p = offline_test_point(config)
-    chain = [p]
-    for k in range(1, len(word.letters) + 1):
-        chain.append(act(config, p, Word(word.letters[:k], word.alphabet)))
+    signature word.  Refuses when v is not an exact nonzero cycle (the zero
+    vector's empty word gives no polygon)."""
+    v = tuple(v)
+    if not any(v):
+        raise UnverifiedCycle("the zero vector has no cycle polygon")
+    if not is_cycle(config, v):
+        raise UnverifiedCycle(f"{v} is not a cycle for this configuration")
+    chain = [offline_test_point(config)]
+    for letter in word_from_signature(v).letters:
+        chain.append(reversion(config.circle, config.points[letter - 1], chain[-1]))
     return chain
 
 

@@ -1,12 +1,20 @@
+import enum
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from reversions.action import Config
+from reversions.action import Config, act
 from reversions.classify import validate_config
-from reversions.geometry import Circle, Point, UNIT_CIRCLE, rational_circle_point
-from reversions.words import Word
+from reversions.geometry import (
+    Circle,
+    Point,
+    UNIT_CIRCLE,
+    is_between,
+    rational_circle_point,
+)
+from reversions.words import Signature, Word, canonical_word
 
 
 def fr(a, b=1):
@@ -60,3 +68,60 @@ def rand_word(rng: random.Random, alphabet: int, length: int) -> Word:
                    if not letters or x != letters[-1]]
         letters.append(rng.choice(choices))
     return Word(tuple(letters), alphabet)
+
+
+class Side(enum.Enum):
+    PLUS = 1
+    MINUS = -1
+    ON_LINE = 0
+
+
+def halfplane_side(config: Config, p: Point) -> Side:
+    """Which side of the interior line p lies on; the sign is the exact
+    cross product against the stored point order."""
+    a, b = config.line()
+    s = (b - a).cross(p - a)
+    if s > 0:
+        return Side.PLUS
+    if s < 0:
+        return Side.MINUS
+    return Side.ON_LINE
+
+
+def stab_contains(config: Config, c: Point, g: Word) -> bool:
+    """Exact fixed-point test: act(c, g) == c."""
+    return act(config, c, g) == c
+
+
+def betweenness_iso_ok(mapping) -> bool:
+    """Does this bijection preserve and reflect strict betweenness on every
+    triple of its domain?"""
+    pts = list(mapping)
+    for p, q, r in itertools.permutations(pts, 3):
+        if is_between(p, q, r) != is_between(mapping[p], mapping[q], mapping[r]):
+            return False
+    return True
+
+
+def is_extreme_in_sample(sample, c: Point) -> bool:
+    """No pair of sample points witnesses c strictly between them."""
+    if c not in sample:
+        raise ValueError(f"{c} is not in the sample")
+    return not any(
+        is_between(a, c, b) for a, b in itertools.combinations(sample, 2))
+
+
+def third_point_residual(v: Signature, a: Fraction) -> Fraction:
+    """First coordinate of the canonical word of v acting on (0, 1), with
+    interior points (-1/2, 0), (0, 0) and a moving third point (a, 0),
+    a in (0, 1); zero exactly when the configuration realizes v."""
+    pts = (Point.of(Fraction(-1, 2), 0), Point.of(0, 0),
+           Point(Fraction(a), Fraction(0)))
+    config = Config(UNIT_CIRCLE, pts, Point.of(1, 0))
+    return act(config, Point.of(0, 1), canonical_word(tuple(v))).x
+
+
+def count_sign_changes(values) -> int:
+    """Strict sign alternations in a sequence, ignoring exact zeros."""
+    signs = [1 if x > 0 else -1 for x in values if x != 0]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)

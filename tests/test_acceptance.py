@@ -6,20 +6,22 @@ import time
 from fractions import Fraction
 
 from conftest import (
+    betweenness_iso_ok,
+    count_sign_changes,
     pt,
     rand_interior_point,
     rand_raw_letters,
     rand_unit_circle_point,
     rand_word,
+    stab_contains,
     symmetric_config,
 )
-from reversions.action import act, is_cycle, offline_test_points, stab_contains
+from reversions.action import act, is_cycle, offline_test_points
 from reversions.classify import (
     CycleLabel,
     NoCycleUpTo,
     avoid_all_cycles,
     classify,
-    count_sign_changes,
     middle_point_residual,
     realize_by_bisection,
     search_closing_config,
@@ -35,7 +37,7 @@ from reversions.geometry import (
     on_circle,
     reversion,
 )
-from reversions.hull import betweenness_iso_ok, brute_force_iso
+from reversions.hull import brute_force_iso
 from reversions.iso import (
     ConditionallyIsomorphic,
     Isomorphic,

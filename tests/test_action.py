@@ -3,17 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import pt, rand_word
+from conftest import Side, halfplane_side, pt, rand_word, stab_contains
 from reversions.action import (
     ActionError,
-    Side,
     act,
-    halfplane_side,
     is_cycle,
     offline_test_point,
     offline_test_points,
     orbit,
-    stab_contains,
 )
 from reversions.classify import validate_config
 from reversions.geometry import UNIT_CIRCLE

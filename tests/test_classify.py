@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import pt
+from conftest import count_sign_changes, pt, third_point_residual
 from reversions.action import act, is_cycle
 from reversions.classify import (
     ConfigValidationError,
@@ -11,7 +11,6 @@ from reversions.classify import (
     RealizationError,
     avoid_all_cycles,
     classify,
-    count_sign_changes,
     default_base_point,
     find_primitive_cycle,
     format_label,
@@ -20,7 +19,6 @@ from reversions.classify import (
     realize_by_bisection,
     realize_by_closing,
     search_closing_config,
-    third_point_residual,
     validate_config,
     verify_label,
 )
@@ -35,7 +33,7 @@ def check_of(excinfo):
 def test_validate_config_accepts_symmetric():
     config = validate_config(
         UNIT_CIRCLE, (pt("-1/2", 0), pt(0, 0), pt("1/2", 0)))
-    assert config.is_collinear and config.is_ordered
+    assert config.points == (pt("-1/2", 0), pt(0, 0), pt("1/2", 0))
     assert config.base_point == pt(1, 0)
 
 

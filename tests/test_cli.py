@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import pt
-from reversions.classify import search_closing_config, validate_config
+from reversions.classify import SignChangeError, search_closing_config, validate_config
 from reversions.cli import (
     ConfigParseError,
     EXIT_INCONCLUSIVE,
@@ -185,6 +185,20 @@ def test_cli_render_refuses_non_cycle(sym_file, tmp_path, capsys):
     assert main(["render", sym_file, "--svg", str(out), "--cycle", "-2,3,-1"]) == EXIT_INVALID
     assert not out.exists()
     assert "not a cycle" in capsys.readouterr().err
+    # the empty word of the zero vector fixes every point but draws nothing
+    assert main(["render", sym_file, "--svg", str(out), "--cycle", "0,0,0"]) == EXIT_INVALID
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_sign_change_error_exit(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise SignChangeError("no certified sign change")
+
+    monkeypatch.setattr("reversions.cli.realize_by_bisection", broken)
+    assert main(["realize", "--v", "-2,3,-1", "--bisect"]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_cli_validation_exit(tmp_path, capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import pt
+from conftest import betweenness_iso_ok, is_extreme_in_sample, pt
 from reversions.action import act, offline_test_point
 from reversions.classify import validate_config
 from reversions.geometry import Circle, UNIT_CIRCLE, collinear
@@ -13,12 +13,11 @@ from reversions.hull import (
     EndpointToken,
     InteriorToken,
     OrdinalHull,
-    betweenness_iso_ok,
     brute_force_iso,
     collinear_hull,
     hull_isomorphism,
-    is_extreme_in_sample,
 )
+from reversions.svg import _chord_ends
 from reversions.words import Word
 
 
@@ -32,16 +31,15 @@ def test_hull_symmetric(sym):
     assert hull.tokens[0].role == "low"
     assert hull.tokens[-1].role == "high"
     # chord ends of the x-axis line are (-1, 0) and (1, 0)
-    assert math.isclose(hull.tokens[0].approx[0], -1.0, abs_tol=1e-12)
-    assert math.isclose(hull.tokens[-1].approx[0], 1.0, abs_tol=1e-12)
+    low, high = _chord_ends(sym)
+    assert math.isclose(low[0], -1.0, abs_tol=1e-12)
+    assert math.isclose(high[0], 1.0, abs_tol=1e-12)
 
 
 def test_hull_endpoint_approx_on_circle():
     config = validate_config(
         UNIT_CIRCLE, (pt("-1/3", "1/8"), pt(0, "1/8"), pt("2/5", "1/8")))
-    hull = collinear_hull(config)
-    for token in (hull.tokens[0], hull.tokens[-1]):
-        x, y = token.approx
+    for x, y in _chord_ends(config):
         assert math.isclose(x * x + y * y, 1.0, rel_tol=1e-12)
         assert math.isclose(y, 1 / 8, abs_tol=1e-12)
 

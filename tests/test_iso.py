@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import pt, rand_word
-from reversions.action import act, offline_test_points, stab_contains
+from conftest import pt, rand_word, stab_contains
+from reversions.action import act, offline_test_points
 from reversions.classify import avoid_all_cycles, search_closing_config, validate_config
 from reversions.geometry import Circle, Point, UNIT_CIRCLE
 from reversions.iso import (
@@ -191,3 +191,18 @@ def test_l2_counterexample_regression():
     # the map is the identity off the chord ends, so the action-isomorphism
     # and stabilizer conditions hold vacuously; the hull betweenness
     # condition is what rejects it
+
+
+@pytest.mark.parametrize("forward", [True, False])
+def test_two_seed_table_avoids_cross_seed_products(forward):
+    # on one side the second point of the seed stream is the first times
+    # (1,2,3,2) = g.h^-1 for sampled words g, h; taking it as a seed makes
+    # two table sources coincide with different targets
+    a = validate_config(UNIT_CIRCLE, (pt(0, 0), pt("3/5", 0), pt("31/33", 0)))
+    b = validate_config(UNIT_CIRCLE, (pt(0, 0), pt("4/5", 0), pt("121/122", 0)))
+    s, r = (a, b) if forward else (b, a)
+    verdict = decide_iso(s, r, 5)
+    assert verdict == Isomorphic((-3, 5, -2))
+    table = build_partial_iso(s, r, verdict, list(enumerate_words(3, 2)), 2)
+    assert len(table.rows) == 25
+    assert verify_table(table) is None
