@@ -33,7 +33,7 @@ from .geometry import (
     rational_circle_point,
     reversion,
 )
-from .hull import OrdinalHull, brute_force_iso, collinear_hull, hull_isomorphism
+from .hull import collinear_hull, hull_isomorphism
 from .iso import (
     ConditionallyIsomorphic,
     Isomorphic,

@@ -66,6 +66,11 @@ __all__ = [
     "avoid_all_cycles",
 ]
 
+# First inward shift of the bisection endpoints from -1/2 and 1/2.
+BISECTION_DELTA = Fraction(1, 1024)
+# Third-point samples tried by avoid_all_cycles.
+SAMPLING_BUDGET = 100
+
 
 class ConfigValidationError(ValueError):
     """A configuration failed validation; `check` names the failed test."""
@@ -119,7 +124,6 @@ class RealizationInterval:
     vector: tuple
     a_lo: Fraction
     a_hi: Fraction
-    residual_sign_change: bool
 
 
 def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
@@ -342,17 +346,16 @@ def middle_point_residual(v: Signature, a: Fraction) -> Fraction:
     return act(config, Point.of(0, 1), canonical_word(tuple(v))).x
 
 
-def realize_by_bisection(v: Signature, width_bound: Fraction,
-                         delta: Fraction = Fraction(1, 1024)) -> RealizationInterval:
+def realize_by_bisection(v: Signature, width_bound: Fraction) -> RealizationInterval:
     """Isolate the middle-point abscissa realizing v between (-1/2, 0) and
     (1/2, 0) by exact bisection.
 
     The residual is positive just right of -1/2 and negative just left of
     1/2 (the configuration degenerates at the exact endpoints, so they are
-    shifted inward by delta, halving delta if the sign pattern is not yet
-    visible).  There is at most one root in the family, so the certified
-    enclosure is unique.  An exact root hit ends with a recentred interval
-    whose endpoint signs are still verified.
+    shifted inward by BISECTION_DELTA, halving the shift if the sign pattern
+    is not yet visible).  There is at most one root in the family, so the
+    certified enclosure is unique.  An exact root hit ends with a recentred
+    interval whose endpoint signs are still verified.
     """
     v = tuple(v)
     if len(v) != 3 or not is_balanced(v):
@@ -366,7 +369,7 @@ def realize_by_bisection(v: Signature, width_bound: Fraction,
     if width_bound <= 0:
         raise RealizationError(f"width bound must be positive, got {width_bound}")
     half = Fraction(1, 2)
-    delta = Fraction(delta)
+    delta = BISECTION_DELTA
     for _ in range(24):
         lo, hi = -half + delta, half - delta
         flo, fhi = middle_point_residual(v, lo), middle_point_residual(v, hi)
@@ -390,10 +393,10 @@ def realize_by_bisection(v: Signature, width_bound: Fraction,
                 raise SignChangeError(
                     f"endpoint signs failed around the exact root {mid} for {v}")
             break
-    return RealizationInterval(v, lo, hi, True)
+    return RealizationInterval(v, lo, hi)
 
 
-def avoid_all_cycles(v2_max: int, seed: int, budget: int = 100) -> Config:
+def avoid_all_cycles(v2_max: int, seed: int) -> Config:
     """A configuration with no nonzero cycle up to the bound: points
     (-1/2, 0), (0, 0) and a seeded random rational third point.  Each
     candidate vector excludes at most one third-point abscissa, so nearly
@@ -402,11 +405,11 @@ def avoid_all_cycles(v2_max: int, seed: int, budget: int = 100) -> Config:
         raise ValueError(f"v2_max must be >= 1, got {v2_max}")
     rng = random.Random(seed)
     q = 1048583  # prime, so every sampled abscissa is in lowest terms
-    for _ in range(budget):
+    for _ in range(SAMPLING_BUDGET):
         a = Fraction(rng.randrange(1, q), q)
         config = validate_config(
             UNIT_CIRCLE,
             (Point.of(Fraction(-1, 2), 0), Point.of(0, 0), Point(a, Fraction(0))))
         if find_primitive_cycle(config, v2_max) is None:
             return config
-    raise SamplingExhausted(f"no cycle-free sample in {budget} tries")
+    raise SamplingExhausted(f"no cycle-free sample in {SAMPLING_BUDGET} tries")

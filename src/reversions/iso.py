@@ -4,9 +4,10 @@ finite isomorphism tables.
 One or two interior points are always isomorphic.  Three collinear interior
 points are isomorphic exactly when their class labels agree, and a matching
 pair of labels yields explicit finite pieces of an isomorphism: the hulls
-match token-by-token (fixing the index permutation), and sampled orbits
-match through the letter-relabelled words, which is consistent precisely
-because matching classes share their off-line stabilizers.
+match in stored order, straight or reversed (fixing the index permutation),
+and sampled orbits match through the letter-relabelled words, which is
+consistent precisely because matching classes share their off-line
+stabilizers.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .classify import (
     classify,
 )
 from .geometry import Point, format_point, is_between
-from .hull import EndpointToken, HullIso, InteriorToken, collinear_hull, hull_isomorphism
+from .hull import EndpointToken, collinear_hull, hull_isomorphism
 from .words import Word, apply_letter_permutation, pi13
 
 __all__ = [
@@ -88,6 +89,14 @@ def format_verdict(verdict: IsoVerdict) -> str:
     return f"conditionally-isomorphic bound={verdict.v2_bound}"
 
 
+def _common_size(s: Config, r: Config) -> int:
+    """The shared number of interior points; VerdictError if they differ."""
+    if len(s.points) != len(r.points):
+        raise VerdictError(
+            f"configurations have {len(s.points)} vs {len(r.points)} interior points")
+    return len(s.points)
+
+
 def decide_iso(s: Config, r: Config, v2_max: int) -> IsoVerdict:
     """Betweenness isomorphism verdict for two configurations of equal size.
 
@@ -97,10 +106,7 @@ def decide_iso(s: Config, r: Config, v2_max: int) -> IsoVerdict:
     empty search bound is a disproof, and two empty searches stay
     conditional.
     """
-    if len(s.points) != len(r.points):
-        raise VerdictError(
-            f"configurations have {len(s.points)} vs {len(r.points)} interior points")
-    l = len(s.points)
+    l = _common_size(s, r)
     if l not in (1, 2, 3):
         raise VerdictError(f"only 1..3 interior points supported, got {l}")
     if l in (1, 2):
@@ -129,7 +135,6 @@ class PartialIsoTable:
 
     rows: tuple  # ((source token, target token), ...)
     sigma: tuple
-    orientation: str
     seed_pairs: tuple  # ((x_seed, y_seed), ...)
     src_hull: tuple
     dst_hull: tuple
@@ -146,23 +151,13 @@ def _stored_vector(config: Config, vector: tuple) -> tuple:
     raise CollisionError(f"{vector} is not a cycle for the configuration")
 
 
-def _pick_hull_iso(s: Config, r: Config, vector: Optional[tuple]) -> HullIso:
-    """The hull matching whose index permutation respects the stabilizers:
-    identity when the stored cycle vectors agree, the 1<->3 swap when they
-    are mirrored; anything works in the trivial classes."""
-    hs = collinear_hull(s)
-    hr = collinear_hull(r)
-    if vector is None or len(s.points) != 3:
-        needed = tuple(range(1, len(s.points) + 1))
-    elif _stored_vector(s, vector) == _stored_vector(r, vector):
-        needed = (1, 2, 3)
-    else:
-        needed = (3, 2, 1)
-    for reverse in (False, True):
-        iso = hull_isomorphism(hs, hr, reverse=reverse)
-        if iso is not None and iso.sigma == needed:
-            return iso
-    raise CollisionError(f"no hull matching realizes sigma {needed}")
+def _mirrored(s: Config, r: Config, vector: Optional[tuple]) -> bool:
+    """Whether the hull matching must reverse the target's line order: when
+    three points carry the cycle vector in mirrored stored orders, only the
+    1<->3 swap respects the stabilizers; the identity works in the trivial
+    classes."""
+    return (len(s.points) == 3 and vector is not None
+            and _stored_vector(s, vector) != _stored_vector(r, vector))
 
 
 def _orbit_seeds(config: Config, words: Sequence[Word], count: int) -> List[Point]:
@@ -183,10 +178,6 @@ def _orbit_seeds(config: Config, words: Sequence[Word], count: int) -> List[Poin
     raise CollisionError("seed stream exhausted")  # pragma: no cover
 
 
-def _plain(token) -> Token:
-    return token.point if isinstance(token, InteriorToken) else token
-
-
 def build_partial_iso(s: Config, r: Config, verdict: IsoVerdict,
                       sample_words: Sequence[Word], seeds: int) -> PartialIsoTable:
     """Materialize the isomorphism on the hulls and on `seeds` sampled
@@ -195,11 +186,12 @@ def build_partial_iso(s: Config, r: Config, verdict: IsoVerdict,
     every triple."""
     if not isinstance(verdict, Isomorphic):
         raise VerdictError(f"need an Isomorphic verdict, got {format_verdict(verdict)}")
-    l = len(s.points)
+    l = _common_size(s, r)
     for w in sample_words:
         if w.alphabet != l:
             raise VerdictError(f"sample word {w.letters} has alphabet {w.alphabet} != {l}")
-    hull_iso = _pick_hull_iso(s, r, verdict.vector)
+    src_hull, dst_hull = collinear_hull(s), collinear_hull(r)
+    hull_iso = hull_isomorphism(src_hull, dst_hull, _mirrored(s, r, verdict.vector))
     sigma = hull_iso.sigma
     mapping: Dict[Token, Token] = {}
 
@@ -211,9 +203,7 @@ def build_partial_iso(s: Config, r: Config, verdict: IsoVerdict,
         mapping[src] = dst
 
     for a, b in hull_iso.pairs:
-        put(_plain(a), _plain(b))
-    src_hull = tuple(_plain(t) for t in collinear_hull(s).tokens)
-    dst_hull = tuple(_plain(t) for t in collinear_hull(r).tokens)
+        put(a, b)
     seed_pairs = []
     if seeds > 0:
         xs = _orbit_seeds(s, sample_words, seeds)
@@ -227,8 +217,8 @@ def build_partial_iso(s: Config, r: Config, verdict: IsoVerdict,
         if dst in targets:
             raise CollisionError(f"targets collide: {targets[dst]} and {src} both map to {dst}")
         targets[dst] = src
-    table = PartialIsoTable(tuple(mapping.items()), sigma, hull_iso.orientation,
-                            tuple(seed_pairs), src_hull, dst_hull)
+    table = PartialIsoTable(tuple(mapping.items()), sigma, tuple(seed_pairs),
+                            src_hull, dst_hull)
     bad = verify_table(table)
     if bad is not None:
         raise CollisionError(f"triple check failed at {bad}")

@@ -2,6 +2,7 @@ import enum
 import itertools
 import random
 from fractions import Fraction
+from typing import Dict, List, Optional, Sequence
 
 import pytest
 
@@ -109,6 +110,59 @@ def is_extreme_in_sample(sample, c: Point) -> bool:
         raise ValueError(f"{c} is not in the sample")
     return not any(
         is_between(a, c, b) for a, b in itertools.combinations(sample, 2))
+
+
+BRUTE_FORCE_CAP = 8
+
+
+class CapExceeded(ValueError):
+    """The brute-force oracle is limited to small samples."""
+
+
+def _between_triples(pts: List[Point]) -> frozenset:
+    """Index triples (i, j, k), i < k, with pts[j] strictly between."""
+    found = set()
+    for i, k in itertools.combinations(range(len(pts)), 2):
+        for j in range(len(pts)):
+            if j != i and j != k and is_between(pts[i], pts[j], pts[k]):
+                found.add((i, j, k))
+    return frozenset(found)
+
+
+def brute_force_iso(sample_a: Sequence[Point],
+                    sample_b: Sequence[Point]) -> Optional[Dict[Point, Point]]:
+    """Exhaustive search for a betweenness isomorphism between two small
+    point sets; returns the lexicographically first witness or None.
+
+    Both sets are sorted by coordinates and every bijection is tried in
+    permutation order, so the returned witness is deterministic.  The
+    betweenness triples of each side are computed once; a bijection is an
+    isomorphism exactly when it carries the one triple set onto the other.
+    """
+    if len(sample_a) != len(sample_b):
+        return None
+    if len(sample_a) > BRUTE_FORCE_CAP:
+        raise CapExceeded(f"{len(sample_a)} points exceeds cap {BRUTE_FORCE_CAP}")
+    a = sorted(set(sample_a), key=lambda p: (p.x, p.y))
+    b = sorted(set(sample_b), key=lambda p: (p.x, p.y))
+    if len(a) != len(sample_a) or len(b) != len(sample_b):
+        raise ValueError("sample points must be pairwise distinct")
+    ta = _between_triples(a)
+    tb = _between_triples(b)
+    if len(ta) != len(tb):
+        return None
+    for image in itertools.permutations(range(len(b))):
+        ok = True
+        for i, j, k in ta:
+            pi, pj, pk = image[i], image[j], image[k]
+            if pi > pk:
+                pi, pk = pk, pi
+            if (pi, pj, pk) not in tb:
+                ok = False
+                break
+        if ok:
+            return {a[m]: b[image[m]] for m in range(len(a))}
+    return None
 
 
 def third_point_residual(v: Signature, a: Fraction) -> Fraction:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from conftest import (
     betweenness_iso_ok,
+    brute_force_iso,
     count_sign_changes,
     pt,
     rand_interior_point,
@@ -37,7 +38,6 @@ from reversions.geometry import (
     on_circle,
     reversion,
 )
-from reversions.hull import brute_force_iso
 from reversions.iso import (
     ConditionallyIsomorphic,
     Isomorphic,

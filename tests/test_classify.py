@@ -185,7 +185,8 @@ def test_bisection_symmetric_root():
     interval = realize_by_bisection((-1, 2, -1), Fraction(1, 2**20))
     assert interval.a_lo < 0 < interval.a_hi
     assert middle_point_residual((-1, 2, -1), Fraction(0)) == 0
-    assert interval.residual_sign_change
+    assert middle_point_residual((-1, 2, -1), interval.a_lo) > 0
+    assert middle_point_residual((-1, 2, -1), interval.a_hi) < 0
 
 
 def test_bisection_certificates():

@@ -1,0 +1,107 @@
+"""Fuzz of the CLI entry point over small, bounded arguments: every
+subcommand, malformed and valid configuration files.  Whatever the input,
+`main` returns one of the documented exit codes and never lets an
+exception escape (which the console script would print as a traceback)."""
+
+import contextlib
+import io
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from reversions.classify import avoid_all_cycles, search_closing_config
+from reversions.cli import (
+    EXIT_INCONCLUSIVE,
+    EXIT_INVALID,
+    EXIT_OK,
+    EXIT_USAGE,
+    main,
+    serialize_config,
+)
+
+EXIT_CODES = {EXIT_OK, EXIT_INVALID, EXIT_INCONCLUSIVE, EXIT_USAGE}
+
+VALID_CONFIGS = [
+    "circle 0 0 1\npoint -1/2 0\npoint 0 0\npoint 1/2 0\n",
+    "circle 3 1 4\npoint 2 1\npoint 3 1\npoint 4 1\n",
+    serialize_config(search_closing_config((-2, 3, -1))),
+    serialize_config(avoid_all_cycles(6, seed=1)),
+    "circle 0 0 1\npoint -1/2 0\npoint 1/4 0\n",
+    "circle 0 0 1\npoint 1/3 1/7\n",
+    "circle 0 0 2\npoint 0 0\nbase 1 1\n",
+]
+RATIONALS = ["0", "1", "-1", "2", "4", "1/2", "-1/2", "1/3", "3/5", "-4/5",
+             "1/0", "x", ""]
+DIRECTIVES = ["circle", "point", "base", "bogus", "#"]
+POINTS = ["1,0", "0,1", "-1,0", "3/5,4/5", "5,1", "0,0", "1/0,0", "a,b", "1", "1,1,1"]
+
+small = st.integers(-1, 6).map(str)
+vectors = st.one_of(
+    st.tuples(*[st.integers(-6, 6)] * 3).map(lambda v: ",".join(map(str, v))),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(  # balanced
+        lambda v: f"{v[0]},{-v[0] - v[1]},{v[1]}"),
+    st.sampled_from(["-1,2,-1", "-2,3,-1", "1,-3,2", "0,0,0", "1,2", "x,1,1", "", "1,,1"]))
+malformed = st.lists(
+    st.tuples(st.sampled_from(DIRECTIVES), st.lists(st.sampled_from(RATIONALS), max_size=4)),
+    max_size=5,
+).map(lambda lines: "".join(" ".join([kind, *args]) + "\n" for kind, args in lines))
+config_texts = st.one_of(st.sampled_from(VALID_CONFIGS), malformed)
+
+
+def opt(*args):
+    """Either nothing or the given argument strategies, in order."""
+    return st.one_of(st.just([]), st.tuples(*args).map(list))
+
+
+def flag(name):
+    return st.sampled_from([[], [name]])
+
+
+def commands(a: str, b: str, svg: str):
+    """argv lists for every subcommand, with file arguments a, b and the
+    output path svg; a few name a missing file or carry junk tokens."""
+    files = st.sampled_from([a, a, b, "missing.cfg"])
+    c = st.just
+    return st.one_of(
+        st.tuples(c(["classify"]), files.map(lambda f: [f]), opt(c("--bound"), small),
+                  flag("--strict")),
+        st.tuples(c(["is-cycle", a, "--v"]), vectors.map(lambda v: [v])),
+        st.tuples(c(["realize", "--v"]), vectors.map(lambda v: [v]),
+                  st.sampled_from([["--closing"], ["--bisect"], [], ["--closing", "--bisect"]]),
+                  opt(c("--width"), st.sampled_from(["1/1024", "0", "-1", "1/0", "x"]))),
+        st.tuples(c(["iso", a]), files.map(lambda f: [f]), opt(c("--bound"), small),
+                  flag("--strict")),
+        st.tuples(c(["orbit", a]), opt(c("--point"), st.sampled_from(POINTS)),
+                  opt(c("--depth"), small), opt(c("--svg"), c(svg))),
+        st.tuples(c(["word"]), st.sampled_from(["reduce", "signature", "normal", "bogus"])
+                  .map(lambda op: [op]),
+                  st.one_of(st.lists(st.integers(0, 4), max_size=6).map(
+                      lambda ls: ",".join(map(str, ls))), st.sampled_from(["e", "x", "1,,2"]))
+                  .map(lambda w: [w]),
+                  opt(c("--alphabet"), small)),
+        st.tuples(c(["render", a]), opt(c("--svg"), c(svg)), opt(c("--cycle"), vectors),
+                  opt(c("--orbit-depth"), small), opt(c("--point"), st.sampled_from(POINTS))),
+        st.tuples(st.lists(st.sampled_from(
+            ["classify", "iso", "--bound", "--v", "-1,2,-1", "--depth", "3", a, "--frob"]),
+            max_size=4)),
+    ).map(lambda parts: [arg for part in parts for arg in part])
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-fuzz")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), text_a=config_texts, text_b=config_texts)
+def test_cli_main_exit_codes(workdir, data, text_a, text_b):
+    a, b, svg = workdir / "a.cfg", workdir / "b.cfg", workdir / "out.svg"
+    a.write_text(text_a)
+    b.write_text(text_b)
+    argv = data.draw(commands(str(a), str(b), str(svg)), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in EXIT_CODES
+    assert "Traceback" not in err.getvalue()

@@ -3,33 +3,26 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import betweenness_iso_ok, is_extreme_in_sample, pt
-from reversions.action import act, offline_test_point
-from reversions.classify import validate_config
-from reversions.geometry import Circle, UNIT_CIRCLE, collinear
-from reversions.hull import (
+from conftest import (
     BRUTE_FORCE_CAP,
     CapExceeded,
-    EndpointToken,
-    InteriorToken,
-    OrdinalHull,
+    betweenness_iso_ok,
     brute_force_iso,
-    collinear_hull,
-    hull_isomorphism,
+    is_extreme_in_sample,
+    pt,
 )
+from reversions.action import act, offline_test_point
+from reversions.classify import validate_config
+from reversions.geometry import Circle, Point, UNIT_CIRCLE, collinear
+from reversions.hull import EndpointToken, collinear_hull, hull_isomorphism
 from reversions.svg import _chord_ends
 from reversions.words import Word
 
 
 def test_hull_symmetric(sym):
     hull = collinear_hull(sym)
-    kinds = [type(t) for t in hull.tokens]
-    assert kinds == [EndpointToken, InteriorToken, InteriorToken,
-                     InteriorToken, EndpointToken]
-    assert [t.index for t in hull.interior()] == [1, 2, 3]
-    assert [t.point for t in hull.interior()] == [pt("-1/2", 0), pt(0, 0), pt("1/2", 0)]
-    assert hull.tokens[0].role == "low"
-    assert hull.tokens[-1].role == "high"
+    assert hull == (EndpointToken("low"), pt("-1/2", 0), pt(0, 0), pt("1/2", 0),
+                    EndpointToken("high"))
     # chord ends of the x-axis line are (-1, 0) and (1, 0)
     low, high = _chord_ends(sym)
     assert math.isclose(low[0], -1.0, abs_tol=1e-12)
@@ -46,26 +39,23 @@ def test_hull_endpoint_approx_on_circle():
 
 def test_hull_single_point():
     config = validate_config(UNIT_CIRCLE, (pt("1/3", "1/7"),))
-    hull = collinear_hull(config)
-    assert len(hull.tokens) == 1
-    assert hull.tokens[0].point == pt("1/3", "1/7")
+    assert collinear_hull(config) == (pt("1/3", "1/7"),)
 
 
 def test_hull_two_points():
     config = validate_config(UNIT_CIRCLE, (pt("-1/2", 0), pt("1/4", 0)))
-    hull = collinear_hull(config)
-    assert hull.size() == 4
-    assert [t.index for t in hull.interior()] == [1, 2]
+    assert collinear_hull(config) == (EndpointToken("low"), pt("-1/2", 0),
+                                      pt("1/4", 0), EndpointToken("high"))
 
 
 def test_hull_orders_along_line():
-    # stored order is always monotone for validated configs; the hull sorts
-    # by the stored direction, so tokens follow the stored index order
+    # stored order is always monotone for validated configs, so the hull
+    # keeps it, here running in decreasing x
     config = validate_config(
         UNIT_CIRCLE, (pt("1/2", 0), pt(0, 0), pt("-1/2", 0)))
     hull = collinear_hull(config)
-    assert [t.index for t in hull.interior()] == [1, 2, 3]
-    assert [t.point.x for t in hull.interior()] == [Fraction(1, 2), 0, Fraction(-1, 2)]
+    assert hull[1:-1] == config.points
+    assert [p.x for p in hull[1:-1]] == [Fraction(1, 2), 0, Fraction(-1, 2)]
 
 
 def test_hull_closure_breaks_off_line(sym):
@@ -74,7 +64,7 @@ def test_hull_closure_breaks_off_line(sym):
     hull = collinear_hull(sym)
     q = offline_test_point(sym)
     r = act(sym, q, Word((1,), 3))
-    hull_points = {t.point for t in hull.interior()}
+    hull_points = {t for t in hull if isinstance(t, Point)}
     assert collinear(q, sym.points[0], r)
     assert r not in hull_points and r != q
 
@@ -84,19 +74,21 @@ def test_hull_isomorphism_identity(sym):
         Circle.of(0, 0, 4), (pt(-1, 0), pt(0, 0), pt(1, 0)))
     iso = hull_isomorphism(collinear_hull(sym), collinear_hull(scaled))
     assert iso.sigma == (1, 2, 3)
-    assert iso.orientation == "preserved"
-    assert all(type(a) is type(b) for a, b in iso.pairs)
+    assert iso.pairs == tuple(zip(collinear_hull(sym), collinear_hull(scaled)))
+    one = validate_config(UNIT_CIRCLE, (pt(0, 0),))
+    assert hull_isomorphism(collinear_hull(one), collinear_hull(one)).sigma == (1,)
 
 
 def test_hull_isomorphism_reversed_tokens(sym):
     hull = collinear_hull(sym)
-    mirrored = OrdinalHull(hull.tokens[::-1])
-    iso = hull_isomorphism(hull, mirrored)
+    iso = hull_isomorphism(hull, hull, reverse=True)
     assert iso.sigma == (3, 2, 1)
-    assert iso.orientation == "reversed"
-    explicit = hull_isomorphism(hull, hull, reverse=True)
-    assert explicit.sigma == (3, 2, 1)
-    assert explicit.orientation == "reversed"
+    assert iso.pairs == tuple(zip(hull, hull[::-1]))
+    assert iso.pairs[0] == (EndpointToken("low"), EndpointToken("high"))
+    two = collinear_hull(validate_config(UNIT_CIRCLE, (pt("-1/2", 0), pt("1/4", 0))))
+    assert hull_isomorphism(two, two, reverse=True).sigma == (2, 1)
+    one = collinear_hull(validate_config(UNIT_CIRCLE, (pt(0, 0),)))
+    assert hull_isomorphism(one, one, reverse=True).sigma == (1,)
 
 
 def test_hull_isomorphism_size_mismatch(sym):
@@ -168,6 +160,13 @@ def test_hull_iso_agrees_with_brute_force_on_surrogates(sym):
     sample_b = [pt("-19/10", 0), pt(-1, 0), pt(0, 0), pt(1, 0), pt("19/10", 0)]
     mapping = brute_force_iso(sample_a, sample_b)
     assert mapping is not None
-    for (a_tok, b_tok) in iso.pairs:
-        if isinstance(a_tok, InteriorToken):
-            assert mapping[a_tok.point] == b_tok.point
+    for a_tok, b_tok in iso.pairs:
+        if isinstance(a_tok, Point):
+            assert mapping[a_tok] == b_tok
+    # both matchings, with the stand-ins in place of the endpoint tokens,
+    # are betweenness isomorphisms of the samples
+    stand_a = dict(zip(collinear_hull(sym), sample_a))
+    stand_b = dict(zip(collinear_hull(scaled), sample_b))
+    for reverse in (False, True):
+        pairs = hull_isomorphism(collinear_hull(sym), collinear_hull(scaled), reverse).pairs
+        assert betweenness_iso_ok({stand_a[a]: stand_b[b] for a, b in pairs})

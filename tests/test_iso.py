@@ -135,6 +135,18 @@ def test_build_table_rejects_non_isomorphic(sym):
         build_partial_iso(sym, other, verdict, [Word.empty(3)], 1)
 
 
+def test_build_table_mixed_l_errors(sym):
+    # the same error as decide_iso, before any hull matching is tried
+    one = validate_config(UNIT_CIRCLE, (pt(0, 0),))
+    two = validate_config(UNIT_CIRCLE, (pt("-1/2", 0), pt("1/4", 0)))
+    for s, r in ((one, two), (two, one), (sym, two)):
+        with pytest.raises(VerdictError) as decided:
+            decide_iso(s, r, 8)
+        with pytest.raises(VerdictError) as built:
+            build_partial_iso(s, r, Isomorphic(None), [Word.empty(len(s.points))], 1)
+        assert str(built.value) == str(decided.value)
+
+
 def test_stabilizer_matching(sym):
     other = scaled_translated(sym, 2, 3, 1)
     words = list(enumerate_words(3, 3))
@@ -184,8 +196,7 @@ def test_l2_counterexample_regression():
     )
     from reversions.iso import PartialIsoTable
     hull_order = (x1, config.points[0], config.points[1], x2)
-    table = PartialIsoTable(rows, (1, 2), "preserved", ((ps[0], ps[0]),),
-                            hull_order, hull_order)
+    table = PartialIsoTable(rows, (1, 2), ((ps[0], ps[0]),), hull_order, hull_order)
     offending = verify_table(table)
     assert offending is not None
     # the map is the identity off the chord ends, so the action-isomorphism
