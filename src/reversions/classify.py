@@ -4,10 +4,11 @@ The cycle vectors of a configuration form a cyclic subgroup of Z^3: either
 only the zero vector (one single shared class for all such configurations),
 or all integer multiples of one primitive balanced vector v with v2 >= 1,
 v1 <= v3 <= -1 and gcd 1, which is then a complete class label.  The
-search enumerates candidate primitives by ascending middle entry, testing
-each exactly at one off-line rational point; the two constructors go the
-other way and produce a configuration realizing a prescribed vector, one by
-exact chord closing, one by certified bisection on the middle point.
+search walks the two point chains p.(2,1)^k and p.(3,2)^m from one off-line
+rational point p and joins them on exact equality, so a bound B costs
+O(B) reversions; the two constructors go the other way and produce a
+configuration realizing a prescribed vector, one by exact chord closing,
+one by certified bisection on the middle point.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
-from .action import Config, act, is_cycle, offline_test_point
+from .action import Config, act, offline_test_point
 from .geometry import (
     Circle,
     DegenerateLine,
@@ -54,7 +55,6 @@ __all__ = [
     "SamplingExhausted",
     "validate_config",
     "default_base_point",
-    "primitive_candidates",
     "find_primitive_cycle",
     "classify",
     "verify_label",
@@ -183,38 +183,50 @@ def validate_config(circle: Circle, points, base_point: Optional[Point] = None) 
     return Config(circle, points, base_point)
 
 
-def primitive_candidates(v2_max: int) -> Iterator[tuple]:
-    """Canonical candidate vectors (v1, v2, v3), balanced, v1 <= v3 <= -1,
-    gcd 1, ascending in v2 then in v1."""
-    for v2 in range(1, v2_max + 1):
-        for v1 in range(-(v2 - 1), -((v2 + 1) // 2) + 1):
-            v3 = -v2 - v1
-            v = (v1, v2, v3)
-            if gcd_vec(v) == 1:
-                yield v
-
-
 def _search_cycle(config: Config, v2_max: int) -> Optional[Tuple[tuple, tuple]]:
-    """First (canonical, stored-order) cycle pair, or None; both point
-    orderings are covered by also testing the 1<->3 swap of each candidate."""
+    """First (canonical, stored-order) cycle pair up to the bound, or None.
+
+    A stored vector (-k, k+m, -m) has the word (2,1)^k (2,3)^m, which fixes
+    the test point p exactly when p.(2,1)^k == p.(3,2)^m.  Both chains grow
+    one level at a time, up to B - 1 since k, m >= 1 and k + m <= B, and are
+    joined on the exact points, so both stored orders are covered at once.
+    The hits are the multiples of the primitive cycle, so the first one
+    found, divided by its gcd, is the primitive; when its middle entry
+    exceeds the bound, so does every other cycle's.
+    """
     if len(config.points) != 3:
         raise ConfigValidationError("count", "cycle search needs three points")
     if v2_max < 1:
         raise ValueError(f"v2_max must be >= 1, got {v2_max}")
-    for v in primitive_candidates(v2_max):
-        if is_cycle(config, v):
-            return v, v
-        w = pi13(v)
-        if w != v and is_cycle(config, w):
-            return v, w
+    circle = config.circle
+    c1, c2, c3 = config.points
+    pk = qm = offline_test_point(config)
+    p_level: dict = {}  # p.(2,1)^k -> k
+    q_level: dict = {}  # p.(3,2)^m -> m
+    for n in range(1, v2_max):
+        pk = reversion(circle, c1, reversion(circle, c2, pk))
+        qm = reversion(circle, c2, reversion(circle, c3, qm))
+        p_level[pk] = n
+        q_level[qm] = n
+        if pk in q_level:
+            k, m = n, q_level[pk]
+        elif qm in p_level:
+            k, m = p_level[qm], n
+        else:
+            continue
+        g = math.gcd(k, m)
+        k, m = k // g, m // g
+        if k + m > v2_max:
+            return None
+        stored = (-k, k + m, -m)
+        return (stored if k >= m else pi13(stored)), stored
     return None
 
 
 def find_primitive_cycle(config: Config, v2_max: int) -> Optional[tuple]:
     """The primitive cycle vector in canonical form, or None up to the
-    bound.  The first hit in ascending v2 is automatically primitive: all
-    cycles are integer multiples of one vector, so the smallest realized
-    middle entry belongs to the generator."""
+    bound.  All cycles are integer multiples of one vector, so the first
+    meeting of the two search chains is the generator."""
     found = _search_cycle(config, v2_max)
     return found[0] if found else None
 
@@ -398,9 +410,10 @@ def realize_by_bisection(v: Signature, width_bound: Fraction) -> RealizationInte
 
 def avoid_all_cycles(v2_max: int, seed: int) -> Config:
     """A configuration with no nonzero cycle up to the bound: points
-    (-1/2, 0), (0, 0) and a seeded random rational third point.  Each
-    candidate vector excludes at most one third-point abscissa, so nearly
-    every sample succeeds."""
+    (-1/2, 0), (0, 0) and a seeded random rational third point, kept when
+    the cycle search finds nothing up to the bound.  Each candidate vector
+    excludes at most one third-point abscissa, so nearly every sample
+    succeeds."""
     if v2_max < 1:
         raise ValueError(f"v2_max must be >= 1, got {v2_max}")
     rng = random.Random(seed)

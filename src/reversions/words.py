@@ -131,14 +131,6 @@ class Word:
         """Reversal: every letter is an involution."""
         return Word(self.letters[::-1], self.alphabet)
 
-    def __pow__(self, k: int) -> "Word":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = Word.empty(self.alphabet)
-        for _ in range(k):
-            out = out * self
-        return out
-
 
 def signature_of(g: Word) -> Signature:
     """Alternating-sign count of each letter: position 1 counts +1, position 2

@@ -2,11 +2,11 @@ import enum
 import itertools
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import pytest
 
-from reversions.action import Config, act
+from reversions.action import Config, act, is_cycle
 from reversions.classify import validate_config
 from reversions.geometry import (
     Circle,
@@ -15,7 +15,7 @@ from reversions.geometry import (
     is_between,
     rational_circle_point,
 )
-from reversions.words import Signature, Word, canonical_word
+from reversions.words import Signature, Word, canonical_word, gcd_vec, pi13
 
 
 def fr(a, b=1):
@@ -179,3 +179,27 @@ def count_sign_changes(values) -> int:
     """Strict sign alternations in a sequence, ignoring exact zeros."""
     signs = [1 if x > 0 else -1 for x in values if x != 0]
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
+def primitive_candidates(v2_max: int) -> Iterator[tuple]:
+    """Canonical candidate vectors (v1, v2, v3), balanced, v1 <= v3 <= -1,
+    gcd 1, ascending in v2 then in v1."""
+    for v2 in range(1, v2_max + 1):
+        for v1 in range(-(v2 - 1), -((v2 + 1) // 2) + 1):
+            v3 = -v2 - v1
+            v = (v1, v2, v3)
+            if gcd_vec(v) == 1:
+                yield v
+
+
+def scan_search_cycle(config: Config, v2_max: int) -> Optional[Tuple[tuple, tuple]]:
+    """Reference for `classify._search_cycle`: test every canonical
+    candidate up to the bound with `is_cycle`, in both point orders, and
+    return the first (canonical, stored-order) hit or None."""
+    for v in primitive_candidates(v2_max):
+        if is_cycle(config, v):
+            return v, v
+        w = pi13(v)
+        if w != v and is_cycle(config, w):
+            return v, w
+    return None

@@ -5,8 +5,10 @@ failing any library test."""
 import types
 from pathlib import Path
 
-from conftest import symmetric_config
+from conftest import pt, symmetric_config
 from reversions import cli
+from reversions.classify import validate_config
+from reversions.geometry import UNIT_CIRCLE
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -27,3 +29,20 @@ def test_tracer_counts_cli_iso(tmp_path):
         assert cli.main(["iso", str(path), str(path), "--bound", "4"]) == cli.EXIT_OK
     assert tracer.metrics()["classify.classify.calls"] == 2
     assert not hasattr(cli.main, "__wrapped__")  # originals restored
+
+
+def test_classify_miss_is_linear_in_bound(tmp_path):
+    # w = (1, 2, 6) puts the points at 0, 1/3, 5/7; a cycle would need
+    # 2^a = 3^b, so the search runs to the bound.  Each of the B - 1 levels
+    # advances two chains by one two-letter step.
+    bound = 20
+    config = validate_config(UNIT_CIRCLE, (pt(0, 0), pt("1/3", 0), pt("5/7", 0)))
+    path = tmp_path / "free.cfg"
+    path.write_text(cli.serialize_config(config))
+    tracer = load_spans().Tracer()
+    with tracer.patched(0):
+        assert cli.main(["classify", str(path), "--bound", str(bound)]) == cli.EXIT_OK
+    metrics = tracer.metrics()
+    assert metrics["classify.classify.calls"] == 1
+    assert metrics["geometry.reversion.calls"] <= 4 * (bound - 1)
+    assert metrics["classify.candidates_per_call"] == 0

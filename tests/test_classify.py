@@ -1,10 +1,19 @@
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import count_sign_changes, pt, third_point_residual
+from conftest import (
+    count_sign_changes,
+    primitive_candidates,
+    pt,
+    scan_search_cycle,
+    third_point_residual,
+)
 from reversions.action import act, is_cycle
 from reversions.classify import (
+    _search_cycle,
     ConfigValidationError,
     CycleLabel,
     NoCycleUpTo,
@@ -15,7 +24,6 @@ from reversions.classify import (
     find_primitive_cycle,
     format_label,
     middle_point_residual,
-    primitive_candidates,
     realize_by_bisection,
     realize_by_closing,
     search_closing_config,
@@ -228,19 +236,103 @@ def test_count_sign_changes():
     assert count_sign_changes([]) == 0
 
 
+ROTATION = (Fraction(3, 5), Fraction(4, 5))
+SCALE = Fraction(7, 2)
+SHIFT = pt("11/3", "-5/7")
+
+
+def move(p: Point) -> Point:
+    """A fixed rational similarity: rotate, scale, then shift."""
+    cos, sin = ROTATION
+    x = cos * p.x - sin * p.y
+    y = sin * p.x + cos * p.y
+    return Point(SCALE * x + SHIFT.x, SCALE * y + SHIFT.y)
+
+
+def moved_copy(config):
+    """The configuration under `move`, with the default base point."""
+    circle = Circle(move(config.circle.center), config.circle.radius_sq * SCALE * SCALE)
+    return validate_config(circle, tuple(move(p) for p in config.points))
+
+
+def diameter_config(weights, reverse=False):
+    """Points at x = (w-1)/(w+1) on a diameter of the unit circle, moved by
+    `move`.  Weights (1, s^|v3|, s^(|v1|+|v3|)) realize the canonical vector
+    v; weights (1, p, p*q) with distinct primes p, q have no cycle, which
+    would need p^|v1| = q^|v3|."""
+    pts = [pt(Fraction(w - 1, w + 1), 0) for w in weights]
+    if reverse:
+        pts.reverse()
+    return moved_copy(validate_config(UNIT_CIRCLE, pts))
+
+
+def cycle_weights(v, s):
+    return (1, s ** -v[2], s ** (-v[0] - v[2]))
+
+
 def test_similarity_invariance(sym):
-    # translate, rotate by a rational-cosine rotation, and scale
-    cos, sin = Fraction(3, 5), Fraction(4, 5)
-    scale = Fraction(7, 2)
-    shift = pt("11/3", "-5/7")
-
-    def transform(p):
-        x = cos * p.x - sin * p.y
-        y = sin * p.x + cos * p.y
-        return Point(scale * x + shift.x, scale * y + shift.y)
-
     for base in (sym, search_closing_config((-2, 3, -1))):
-        circle = Circle(transform(base.circle.center),
-                        base.circle.radius_sq * scale * scale)
-        moved = validate_config(circle, tuple(transform(p) for p in base.points))
-        assert classify(moved, 8).vector == classify(base, 8).vector
+        assert classify(moved_copy(base), 8).vector == classify(base, 8).vector
+
+
+JOIN_BOUND = 14
+
+
+def assert_join_agrees_with_scan(config):
+    """`_search_cycle` equals the scan at every bound up to JOIN_BOUND.  The
+    scan's candidates at a bound are a prefix of those at JOIN_BOUND, so its
+    answer there is its answer at JOIN_BOUND when that hit's middle entry is
+    within the bound, and None otherwise."""
+    scan = scan_search_cycle(config, JOIN_BOUND)
+    for bound in range(1, JOIN_BOUND + 1):
+        expected = scan if scan is not None and scan[0][1] <= bound else None
+        assert _search_cycle(config, bound) == expected, bound
+    return scan
+
+
+def test_join_agrees_with_scan():
+    for v in primitive_candidates(12):
+        for s in (2, 3, 5):
+            for reverse in (False, True):
+                config = diameter_config(cycle_weights(v, s), reverse)
+                stored = pi13(v) if reverse else v
+                assert assert_join_agrees_with_scan(config) == (v, stored)
+    for p, q in [(2, 3), (3, 2), (3, 5), (5, 7), (7, 2)]:
+        for reverse in (False, True):
+            config = diameter_config((1, p, p * q), reverse)
+            assert assert_join_agrees_with_scan(config) is None
+    for n in range(2, 10):
+        v = (-(n - 1), n, -1)
+        closing = search_closing_config(v)
+        assert assert_join_agrees_with_scan(closing) == (v, v)
+        mirrored = validate_config(closing.circle, closing.points[::-1])
+        assert assert_join_agrees_with_scan(mirrored) == (v, pi13(v))
+
+
+inner = st.fractions(Fraction(-1, 2), Fraction(1, 2), max_denominator=12)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(xs=st.lists(inner, min_size=3, max_size=3, unique=True), slope=inner, offset=inner)
+def test_join_agrees_with_scan_on_random_triples(xs, slope, offset):
+    # |x| <= 1/2 and |y| <= 3/4 keep every point inside the unit circle,
+    # and ascending x is line order
+    pts = [Point(x, slope * x + offset) for x in sorted(xs)]
+    assert_join_agrees_with_scan(validate_config(UNIT_CIRCLE, pts))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_cycle_bound_is_on_middle_entry(reverse, monkeypatch):
+    # (-3, 5, -2): the chains meet at level 3, but the middle entry is 5
+    v = (-3, 5, -2)
+    config = diameter_config(cycle_weights(v, 2), reverse)
+    assert classify(config, 4) == NoCycleUpTo(4)
+    label = classify(config, 5)
+    assert label.vector == v
+    assert signature_of(label.witness_word) == (pi13(v) if reverse else v)
+
+    def no_reversion(*args):
+        raise AssertionError("bound 1 needs no reversion")
+
+    monkeypatch.setattr(sys.modules["reversions.classify"], "reversion", no_reversion)
+    assert classify(config, 1) == NoCycleUpTo(1)
