@@ -24,6 +24,7 @@ from .action import Config, is_cycle, orbit
 from .classify import (
     ConfigValidationError,
     NoCycleUpTo,
+    SamplingExhausted,
     SignChangeError,
     classify,
     default_base_point,
@@ -40,7 +41,7 @@ from .geometry import (
     format_point,
     parse_fraction,
 )
-from .iso import ConditionallyIsomorphic, decide_iso, format_verdict
+from .iso import CollisionError, ConditionallyIsomorphic, decide_iso, format_verdict
 from .svg import UnverifiedCycle, cycle_polygon, render_svg
 from .words import Word, normal_form, signature_of, word_from_str, word_to_str
 
@@ -315,7 +316,8 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (ConfigParseError, ConfigValidationError, GeometryError,
-            SignChangeError, UnverifiedCycle, OSError, ValueError) as exc:
+            SignChangeError, SamplingExhausted, CollisionError, UnverifiedCycle,
+            OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

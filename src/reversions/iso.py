@@ -8,13 +8,23 @@ match in stored order, straight or reversed (fixing the index permutation),
 and sampled orbits match through the letter-relabelled words, which is
 consistent precisely because matching classes share their off-line
 stabilizers.
+
+A table is verified without testing its triples.  In a circle with
+collinear interior points, strict betweenness has exactly two sources: the
+order along the collinear hull, and the chords p - c_i - p.i through the
+interior points, since no circle point lies strictly between two points of
+the closed disc.  `verify_table` reads each side's triples off those two
+sources in O(n*l) exact steps, after checking in O(n) the premise that
+makes this complete: the interior hull points lie strictly inside the
+circle, and every other table point lies on the circle, off the hull line.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .action import Config, act, is_cycle, offline_test_points
 from .classify import (
@@ -23,7 +33,7 @@ from .classify import (
     NoCycleUpTo,
     classify,
 )
-from .geometry import Point, format_point, is_between
+from .geometry import Circle, Point, collinear, format_point, in_open_disk
 from .hull import EndpointToken, collinear_hull, hull_isomorphism
 from .words import Word, apply_letter_permutation, pi13
 
@@ -131,13 +141,16 @@ class PartialIsoTable:
     tokens matched ordinally, sampled orbit points matched through the
     relabelled words.  src_hull and dst_hull list each side's hull tokens
     in its own line order, which is all the endpoint tokens have for
-    coordinates."""
+    coordinates; src_circle and dst_circle are each side's circle, against
+    which `verify_table` checks its premise."""
 
     rows: tuple  # ((source token, target token), ...)
     sigma: tuple
     seed_pairs: tuple  # ((x_seed, y_seed), ...)
     src_hull: tuple
     dst_hull: tuple
+    src_circle: Circle
+    dst_circle: Circle
 
 
 def _stored_vector(config: Config, vector: tuple) -> tuple:
@@ -183,7 +196,7 @@ def build_partial_iso(s: Config, r: Config, verdict: IsoVerdict,
     """Materialize the isomorphism on the hulls and on `seeds` sampled
     orbits, mapping every x.g to y.(relabelled g), then verify the whole
     table: well-defined, injective, and two-sided betweenness preserving on
-    every triple."""
+    every triple (`verify_table`)."""
     if not isinstance(verdict, Isomorphic):
         raise VerdictError(f"need an Isomorphic verdict, got {format_verdict(verdict)}")
     l = _common_size(s, r)
@@ -218,42 +231,113 @@ def build_partial_iso(s: Config, r: Config, verdict: IsoVerdict,
             raise CollisionError(f"targets collide: {targets[dst]} and {src} both map to {dst}")
         targets[dst] = src
     table = PartialIsoTable(tuple(mapping.items()), sigma, tuple(seed_pairs),
-                            src_hull, dst_hull)
+                            src_hull, dst_hull, s.circle, r.circle)
     bad = verify_table(table)
     if bad is not None:
         raise CollisionError(f"triple check failed at {bad}")
     return table
 
 
-def _triple_between(a: Token, x: Token, b: Token,
-                    pos: Dict[Token, int]) -> bool:
-    """Strict betweenness extended to endpoint tokens: ordinal along the
-    hull when all three tokens sit on it, impossible when an endpoint token
-    meets a non-hull point (endpoints lie on the interior line and on the
-    circle; every non-hull table point is off that line, and no three
-    circle points are collinear)."""
-    if a in pos and x in pos and b in pos:
-        return min(pos[a], pos[b]) < pos[x] < max(pos[a], pos[b])
-    if isinstance(a, EndpointToken) or isinstance(x, EndpointToken) \
-            or isinstance(b, EndpointToken):
-        return False
-    return is_between(a, x, b)
+def _homogeneous(p: Point) -> Tuple[int, int, int]:
+    """Integers (X, Y, W) with p = (X/W, Y/W) and W > 0."""
+    return (p.x.numerator * p.y.denominator, p.y.numerator * p.x.denominator,
+            p.x.denominator * p.y.denominator)
+
+
+def _offset(a: Tuple[int, int, int], b: Tuple[int, int, int]) -> Tuple[int, int, int]:
+    """b - a for points in `_homogeneous` form, as integers (x, y, w) with
+    b - a = (x/w, y/w) and w > 0."""
+    (u, v, z), (x, y, w) = a, b
+    return x * z - u * w, y * z - v * w, w * z
+
+
+def _ray(a: Tuple[int, int, int], b: Tuple[int, int, int]) -> Tuple[int, int]:
+    """The direction from a to b (distinct, in `_homogeneous` form) as a
+    primitive integer vector: equal for two points b exactly when they lie
+    on one ray from a, negated for the opposite ray."""
+    dx, dy, _ = _offset(a, b)
+    g = math.gcd(dx, dy)
+    return dx // g, dy // g
+
+
+def _between_rows(hull: tuple, circle: Circle,
+                  row_of: Dict[Token, int]) -> Set[tuple]:
+    """The row triples (i, j, k), i < k, whose tokens on this side have
+    token j strictly between tokens i and k, from the two sources of
+    betweenness; raises VerdictError when the premise fails.
+
+    The middle hull tokens are interior points on one line, in hull order,
+    and every other table token is a circle point off that line.  Then no
+    circle point (chord ends included) is strictly between two points of
+    the closed disc, so the middle of a triple is a middle hull token c.
+    Its ends are either two hull tokens, between in hull order, or two
+    circle points on opposite rays from c: the chord p - c - q.  The line
+    through p and c meets the hull line only at c, so q is never a hull
+    token.
+    """
+    middles = hull if len(hull) == 1 else hull[1:-1]
+    for c in middles:
+        if not in_open_disk(circle, c):
+            raise VerdictError(f"hull point {format_point(c)} is not inside the circle")
+    if len(middles) == 3 and (not collinear(*middles)
+                              or (middles[1] - middles[0]).dot(middles[2] - middles[1]) <= 0):
+        raise VerdictError("the hull points are not on one line in hull order")
+    ranked = [row_of[t] for t in hull if t in row_of]
+    found = {(min(i, k), j, max(i, k)) for i, j, k in itertools.combinations(ranked, 3)}
+    centers = [_homogeneous(c) for c in middles]
+    middle_rows = [row_of.get(c) for c in middles]
+    line = {_ray(centers[0], centers[1]), _ray(centers[1], centers[0])} \
+        if len(middles) > 1 else set()
+    ends: List[Dict[tuple, int]] = [{} for _ in middles]  # ray from c -> row
+    on_hull = set(ranked)
+    origin, r2 = _homogeneous(circle.center), circle.radius_sq
+    for p, k in row_of.items():
+        if k in on_hull:
+            continue
+        if not isinstance(p, Point):
+            raise VerdictError(f"table token {_token_str(p)} is not on the hull")
+        hp = _homogeneous(p)
+        dx, dy, w = _offset(origin, hp)
+        if (dx * dx + dy * dy) * r2.denominator != r2.numerator * w * w:  # |p - o|^2 != r^2
+            raise VerdictError(f"table point {format_point(p)} is not on the circle")
+        for center, j, rays in zip(centers, middle_rows, ends):
+            ray = _ray(center, hp)
+            if ray in line:
+                raise VerdictError(f"table point {format_point(p)} is on the hull line")
+            i = rays.get((-ray[0], -ray[1]))
+            if i is not None and j is not None:
+                found.add((min(i, k), j, max(i, k)))
+            rays[ray] = k
+    return found
 
 
 def verify_table(table: PartialIsoTable) -> Optional[tuple]:
-    """Two-sided betweenness check over every triple of the table domain;
-    returns an offending source triple or None.  Checking all triples is
-    exactly the condition that every small subsample passes the brute-force
-    oracle: a restriction is an isomorphism if and only if each of its
-    triples agrees on both sides."""
-    src_pos = {t: i for i, t in enumerate(table.src_hull)}
-    dst_pos = {t: i for i, t in enumerate(table.dst_hull)}
-    rows = list(table.rows)
-    for r1, r2, r3 in itertools.combinations(rows, 3):
-        for (a, fa), (x, fx), (b, fb) in ((r1, r2, r3), (r2, r1, r3), (r1, r3, r2)):
-            if _triple_between(a, x, b, src_pos) != _triple_between(fa, fx, fb, dst_pos):
-                return (a, x, b)
-    return None
+    """Two-sided betweenness check of the whole table; returns an offending
+    source triple (end, middle, end) or None.  The table is a betweenness
+    isomorphism on its domain exactly when the between-triples of its
+    sources map onto those of its targets.
+
+    In a circle with collinear interior points, strict betweenness has two
+    sources: the order along the collinear hull, and the chords p - c_i -
+    p.i through the interior points.  Each side's triples are read off
+    those two in O(n*l) exact steps (see `_between_rows`), instead of
+    testing every triple.  The premise that makes this complete is checked
+    on both sides in O(n): every middle hull token lies strictly inside its
+    circle, on one line in hull order, and every other token is a circle
+    point off that line; VerdictError if not, or if the rows repeat a
+    source or a target.
+    """
+    rows = table.rows
+    src_row = {src: i for i, (src, _) in enumerate(rows)}
+    dst_row = {dst: i for i, (_, dst) in enumerate(rows)}
+    if len(src_row) != len(rows) or len(dst_row) != len(rows):
+        raise VerdictError("table rows repeat a source or a target")
+    mismatch = (_between_rows(table.src_hull, table.src_circle, src_row)
+                ^ _between_rows(table.dst_hull, table.dst_circle, dst_row))
+    if not mismatch:
+        return None
+    i, j, k = min(mismatch)
+    return (rows[i][0], rows[j][0], rows[k][0])
 
 
 def serialize_table(table: PartialIsoTable) -> str:

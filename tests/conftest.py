@@ -15,6 +15,8 @@ from reversions.geometry import (
     is_between,
     rational_circle_point,
 )
+from reversions.hull import EndpointToken
+from reversions.iso import PartialIsoTable, Token
 from reversions.words import Signature, Word, canonical_word, gcd_vec, pi13
 
 
@@ -202,4 +204,35 @@ def scan_search_cycle(config: Config, v2_max: int) -> Optional[Tuple[tuple, tupl
         w = pi13(v)
         if w != v and is_cycle(config, w):
             return v, w
+    return None
+
+
+def _triple_between(a: Token, x: Token, b: Token,
+                    pos: Dict[Token, int]) -> bool:
+    """Strict betweenness extended to endpoint tokens: ordinal along the
+    hull when all three tokens sit on it, impossible when an endpoint token
+    meets a non-hull point (endpoints lie on the interior line and on the
+    circle; every non-hull table point is off that line, and no three
+    circle points are collinear)."""
+    if a in pos and x in pos and b in pos:
+        return min(pos[a], pos[b]) < pos[x] < max(pos[a], pos[b])
+    if isinstance(a, EndpointToken) or isinstance(x, EndpointToken) \
+            or isinstance(b, EndpointToken):
+        return False
+    return is_between(a, x, b)
+
+
+def cubic_verify_table(table: PartialIsoTable) -> Optional[tuple]:
+    """Reference for `iso.verify_table`: two-sided betweenness check over
+    every triple of the table domain; returns an offending source triple or
+    None.  Checking all triples is exactly the condition that every small
+    subsample passes the brute-force oracle: a restriction is an
+    isomorphism if and only if each of its triples agrees on both sides."""
+    src_pos = {t: i for i, t in enumerate(table.src_hull)}
+    dst_pos = {t: i for i, t in enumerate(table.dst_hull)}
+    rows = list(table.rows)
+    for r1, r2, r3 in itertools.combinations(rows, 3):
+        for (a, fa), (x, fx), (b, fb) in ((r1, r2, r3), (r2, r1, r3), (r1, r3, r2)):
+            if _triple_between(a, x, b, src_pos) != _triple_between(fa, fx, fb, dst_pos):
+                return (a, x, b)
     return None

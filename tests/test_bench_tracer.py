@@ -6,9 +6,10 @@ import types
 from pathlib import Path
 
 from conftest import pt, symmetric_config
-from reversions import cli
+from reversions import cli, iso
 from reversions.classify import validate_config
 from reversions.geometry import UNIT_CIRCLE
+from reversions.words import enumerate_words
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -46,3 +47,19 @@ def test_classify_miss_is_linear_in_bound(tmp_path):
     assert metrics["classify.classify.calls"] == 1
     assert metrics["geometry.reversion.calls"] <= 4 * (bound - 1)
     assert metrics["classify.candidates_per_call"] == 0
+
+
+def test_table_check_never_tests_a_triple():
+    # the table check reads betweenness off the hull order and the chords
+    # through the interior points, so it never calls is_between
+    a = validate_config(UNIT_CIRCLE, (pt(0, 0), pt("3/5", 0), pt("31/33", 0)))
+    b = validate_config(UNIT_CIRCLE, (pt(0, 0), pt("4/5", 0), pt("121/122", 0)))
+    verdict = iso.decide_iso(a, b, 5)
+    words = list(enumerate_words(3, 3))
+    tracer = load_spans().Tracer()
+    with tracer.patched(0):
+        table = iso.build_partial_iso(a, b, verdict, words, 1)
+    metrics = tracer.metrics()
+    assert len(table.rows) == 24
+    assert metrics["iso.verify_table.rows"] == 24
+    assert metrics["geometry.is_between.calls"] == 0

@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import pt
-from reversions.classify import SignChangeError, search_closing_config, validate_config
+from reversions.classify import (
+    SamplingExhausted,
+    SignChangeError,
+    search_closing_config,
+    validate_config,
+)
 from reversions.cli import (
     ConfigParseError,
     EXIT_INCONCLUSIVE,
@@ -16,6 +21,7 @@ from reversions.cli import (
     serialize_config,
 )
 from reversions.geometry import Circle, UNIT_CIRCLE
+from reversions.iso import CollisionError
 
 SYMMETRIC = "circle 0 0 1\npoint -1/2 0\npoint 0 0\npoint 1/2 0\n"
 
@@ -197,6 +203,26 @@ def test_cli_sign_change_error_exit(monkeypatch, capsys):
 
     monkeypatch.setattr("reversions.cli.realize_by_bisection", broken)
     assert main(["realize", "--v", "-2,3,-1", "--bisect"]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_sampling_exhausted_exit(sym_file, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise SamplingExhausted("no cycle-free sample")
+
+    monkeypatch.setattr("reversions.cli.classify", broken)
+    assert main(["classify", sym_file]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_collision_error_exit(sym_file, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise CollisionError("targets collide")
+
+    monkeypatch.setattr("reversions.cli.decide_iso", broken)
+    assert main(["iso", sym_file, sym_file]) == EXIT_INVALID
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
 

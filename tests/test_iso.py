@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import pt, rand_word, stab_contains
+from conftest import cubic_verify_table, pt, rand_word, stab_contains, symmetric_config
 from reversions.action import act, offline_test_points
 from reversions.classify import avoid_all_cycles, search_closing_config, validate_config
 from reversions.geometry import Circle, Point, UNIT_CIRCLE
@@ -12,6 +13,7 @@ from reversions.iso import (
     ConditionallyIsomorphic,
     Isomorphic,
     NotIsomorphic,
+    PartialIsoTable,
     VerdictError,
     build_partial_iso,
     decide_iso,
@@ -182,9 +184,9 @@ def test_serialize_table(sym):
     assert all("\t->\t" in line for line in lines[1:])
 
 
-def test_l2_counterexample_regression():
-    # the chord-end swap satisfies the interior-point and stabilizer
-    # conditions but fails the triple check: the table machinery rejects it
+def chord_end_swap_table() -> PartialIsoTable:
+    """The identity on an l = 2 table, except that the two rational chord
+    ends trade places."""
     config = validate_config(UNIT_CIRCLE, (pt("-1/2", 0), pt("1/4", 0)))
     x1, x2 = pt(-1, 0), pt(1, 0)
     ps = list(itertools.islice(offline_test_points(config), 2))
@@ -194,10 +196,15 @@ def test_l2_counterexample_regression():
         (config.points[1], config.points[1]),
         (ps[0], ps[0]), (ps[1], ps[1]),
     )
-    from reversions.iso import PartialIsoTable
     hull_order = (x1, config.points[0], config.points[1], x2)
-    table = PartialIsoTable(rows, (1, 2), ((ps[0], ps[0]),), hull_order, hull_order)
-    offending = verify_table(table)
+    return PartialIsoTable(rows, (1, 2), ((ps[0], ps[0]),), hull_order, hull_order,
+                           UNIT_CIRCLE, UNIT_CIRCLE)
+
+
+def test_l2_counterexample_regression():
+    # the chord-end swap satisfies the interior-point and stabilizer
+    # conditions but fails the triple check: the table machinery rejects it
+    offending = verify_table(chord_end_swap_table())
     assert offending is not None
     # the map is the identity off the chord ends, so the action-isomorphism
     # and stabilizer conditions hold vacuously; the hull betweenness
@@ -217,3 +224,98 @@ def test_two_seed_table_avoids_cross_seed_products(forward):
     table = build_partial_iso(s, r, verdict, list(enumerate_words(3, 2)), 2)
     assert len(table.rows) == 25
     assert verify_table(table) is None
+
+
+def built_tables() -> list:
+    """Tables from build_partial_iso for l = 1, 2, 3, with the target stored
+    straight and mirrored, on one and two seeds."""
+    one_a = validate_config(UNIT_CIRCLE, (pt("1/8", "1/8"),))
+    one_b = validate_config(Circle.of(2, 1, 9), (pt(2, 0),))
+    two_a = validate_config(UNIT_CIRCLE, (pt("-1/2", 0), pt("1/4", 0)))
+    two_b = validate_config(Circle.of(0, 0, 4), (pt(-1, "1/2"), pt(1, "1/2")))
+    sym = symmetric_config()
+    closing = search_closing_config((-2, 3, -1))
+    cases = [(one_a, one_b, Isomorphic(None), list(enumerate_words(1, 1)))]
+    for mirror in (False, True):
+        two = validate_config(two_b.circle, two_b.points[::-1] if mirror else two_b.points)
+        cases.append((two_a, two, Isomorphic(None), list(enumerate_words(2, 3))))
+        for s in (sym, closing):
+            r = scaled_translated(s, 2, 3, 1)
+            r = validate_config(r.circle, r.points[::-1] if mirror else r.points)
+            cases.append((s, r, decide_iso(s, r, 8), list(enumerate_words(3, 2))))
+    return [build_partial_iso(s, r, verdict, words, seeds)
+            for s, r, verdict, words in cases for seeds in (1, 2)]
+
+
+def mutants(tables: list, count: int, seed: int):
+    """Tables with two rows' targets swapped and/or up to three rows dropped."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        table = rng.choice(tables)
+        rows = list(table.rows)
+        kind = rng.randrange(3)
+        if kind != 1:
+            i, k = rng.sample(range(len(rows)), 2)
+            (a, fa), (b, fb) = rows[i], rows[k]
+            rows[i], rows[k] = (a, fb), (b, fa)
+        if kind != 0:
+            for _ in range(rng.randint(1, 3)):
+                rows.pop(rng.randrange(len(rows)))
+        yield dataclasses.replace(table, rows=tuple(rows))
+
+
+def test_verify_table_agrees_with_cubic_on_built_tables():
+    tables = built_tables()
+    assert {len(t.src_hull) for t in tables} == {1, 4, 5}
+    assert {t.sigma for t in tables} >= {(1, 2, 3), (3, 2, 1)}
+    for table in tables:
+        assert verify_table(table) is None
+        assert cubic_verify_table(table) is None
+
+
+def test_verify_table_agrees_with_cubic_on_mutants():
+    tables = built_tables()
+    verdicts = []
+    small = [t for t in tables if len(t.rows) <= 16]
+    for table in [chord_end_swap_table()] + list(mutants(small, 240, seed=5)):
+        fast, slow = verify_table(table), cubic_verify_table(table)
+        assert (fast is None) == (slow is None), table
+        verdicts.append(fast is None)
+    assert not verdicts[0]
+    assert verdicts.count(True) >= 40 and verdicts.count(False) >= 40
+
+
+def test_verify_table_premise():
+    two_a = validate_config(UNIT_CIRCLE, (pt("-1/2", 0), pt("1/4", 0)))
+    two_b = validate_config(Circle.of(0, 0, 4), (pt(-1, "1/2"), pt(1, "1/2")))
+    table = build_partial_iso(two_a, two_b, Isomorphic(None),
+                              list(enumerate_words(2, 2)), 1)
+    far = pt(0, 2)  # on the target circle, off its hull line
+    assert verify_table(dataclasses.replace(table, rows=table.rows + ((pt(0, 1), far),))) is None
+    # two sources with one target
+    shared = dataclasses.replace(table, rows=table.rows + ((pt(0, 1), table.rows[-1][1]),))
+    with pytest.raises(VerdictError):
+        verify_table(shared)
+    # a non-hull point off its circle, or on its hull line
+    for bad_src in (pt(0, "1/2"), pt(-1, 0)):
+        bad = dataclasses.replace(table, rows=table.rows + ((bad_src, far),))
+        with pytest.raises(VerdictError):
+            verify_table(bad)
+    # a middle hull token outside the open disc: the hull-only table of the
+    # symmetric configuration against circles through or inside (1/2, 0)
+    sym = symmetric_config()
+    hull_only = build_partial_iso(sym, sym, Isomorphic((-1, 2, -1)), [], 0)
+    assert verify_table(hull_only) is None
+    for radius_sq in ("1/4", "1/5"):
+        bad = dataclasses.replace(hull_only, dst_circle=Circle.of(0, 0, Fraction(radius_sq)))
+        with pytest.raises(VerdictError):
+            verify_table(bad)
+    # interior hull points off one line, or out of line order
+    low, high = hull_only.src_hull[0], hull_only.src_hull[-1]
+    for middles in ((pt("-1/2", 0), pt(0, "1/4"), pt("1/2", 0)),
+                    (pt(0, 0), pt("-1/2", 0), pt("1/2", 0))):
+        hull = (low,) + middles + (high,)
+        bad = PartialIsoTable(tuple(zip(hull, hull)), (1, 2, 3), (), hull, hull,
+                              UNIT_CIRCLE, UNIT_CIRCLE)
+        with pytest.raises(VerdictError):
+            verify_table(bad)
