@@ -11,6 +11,7 @@ off-line point) is exactly the cycle test driving the classification.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,9 +21,12 @@ from .geometry import (
     Circle,
     Point,
     TangentDirection,
+    affine,
+    apply_homology,
+    homogeneous,
+    homology,
     on_circle,
     rational_circle_point,
-    reversion,
 )
 from .words import Signature, Word, is_balanced, word_from_signature
 
@@ -55,6 +59,13 @@ class Config:
     points: tuple
     base_point: Point
 
+    @functools.cached_property
+    def homologies(self) -> tuple:
+        """The integer homology (`geometry.homology`) of each interior point,
+        in index order; built on first use and kept on the instance, outside
+        the fields that equality and hashing see."""
+        return tuple(homology(self.circle, c) for c in self.points)
+
     @property
     def alphabet(self) -> int:
         return len(self.points)
@@ -68,15 +79,18 @@ class Config:
 
 def act(config: Config, c: Point, g: Word) -> Point:
     """Apply the reversions named by g, first letter first; the empty word
-    is the identity and act(act(c, g), h) = act(c, g*h)."""
+    is the identity and act(act(c, g), h) = act(c, g*h).  The chain runs on
+    integer triples, so only the start point is checked on the circle."""
     if g.alphabet != config.alphabet:
         raise ActionError(
             f"word alphabet {g.alphabet} != {config.alphabet} interior points")
     if not on_circle(config.circle, c):
         raise ActionError(f"{c} is not on the configuration circle")
+    homologies = config.homologies
+    x = homogeneous(c)
     for letter in g.letters:
-        c = reversion(config.circle, config.points[letter - 1], c)
-    return c
+        x = apply_homology(homologies[letter - 1], x)
+    return affine(x)
 
 
 def orbit(config: Config, c: Point, max_word_length: int) -> set:
@@ -84,25 +98,28 @@ def orbit(config: Config, c: Point, max_word_length: int) -> set:
     breadth-first by word length, deduplicated exactly.
 
     Orbits are infinite in general, so the enumeration is truncated by word
-    length rather than by point count.
+    length rather than by point count.  Points are deduplicated as their
+    canonical integer triples and converted once, at the end.
     """
     if max_word_length < 0:
         raise ActionError(f"negative word-length bound {max_word_length}")
     if not on_circle(config.circle, c):
         raise ActionError(f"{c} is not on the configuration circle")
-    seen = {c}
-    frontier = {(c, 0)}
+    steps = list(enumerate(config.homologies, start=1))
+    start = homogeneous(c)
+    seen = {start}
+    frontier = {(start, 0)}
     for _ in range(max_word_length):
         nxt = set()
-        for p, last in frontier:
-            for letter in range(1, config.alphabet + 1):
+        for x, last in frontier:
+            for letter, h in steps:
                 if letter == last:
                     continue
-                q = reversion(config.circle, config.points[letter - 1], p)
-                seen.add(q)
-                nxt.add((q, letter))
+                y = apply_homology(h, x)
+                seen.add(y)
+                nxt.add((y, letter))
         frontier = nxt
-    return seen
+    return {affine(x) for x in seen}
 
 
 def offline_test_points(config: Config) -> Iterator[Point]:

@@ -25,7 +25,9 @@ from .geometry import (
     DegenerateLine,
     Point,
     UNIT_CIRCLE,
+    apply_homology,
     collinear,
+    homogeneous,
     in_open_disk,
     is_between,
     line_line_intersection,
@@ -189,7 +191,8 @@ def _search_cycle(config: Config, v2_max: int) -> Optional[Tuple[tuple, tuple]]:
     A stored vector (-k, k+m, -m) has the word (2,1)^k (2,3)^m, which fixes
     the test point p exactly when p.(2,1)^k == p.(3,2)^m.  Both chains grow
     one level at a time, up to B - 1 since k, m >= 1 and k + m <= B, and are
-    joined on the exact points, so both stored orders are covered at once.
+    joined on the exact points (canonical integer triples), so both stored
+    orders are covered at once.
     The hits are the multiples of the primitive cycle, so the first one
     found, divided by its gcd, is the primitive; when its middle entry
     exceeds the bound, so does every other cycle's.
@@ -198,14 +201,13 @@ def _search_cycle(config: Config, v2_max: int) -> Optional[Tuple[tuple, tuple]]:
         raise ConfigValidationError("count", "cycle search needs three points")
     if v2_max < 1:
         raise ValueError(f"v2_max must be >= 1, got {v2_max}")
-    circle = config.circle
-    c1, c2, c3 = config.points
-    pk = qm = offline_test_point(config)
-    p_level: dict = {}  # p.(2,1)^k -> k
+    h1, h2, h3 = config.homologies
+    pk = qm = homogeneous(offline_test_point(config))
+    p_level: dict = {}  # p.(2,1)^k -> k, on integer triples
     q_level: dict = {}  # p.(3,2)^m -> m
     for n in range(1, v2_max):
-        pk = reversion(circle, c1, reversion(circle, c2, pk))
-        qm = reversion(circle, c2, reversion(circle, c3, qm))
+        pk = apply_homology(h1, apply_homology(h2, pk))
+        qm = apply_homology(h2, apply_homology(h3, qm))
         p_level[pk] = n
         q_level[qm] = n
         if pk in q_level:

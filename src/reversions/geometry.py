@@ -1,19 +1,33 @@
 """Exact rational plane primitives: points, circles, chords, reversions.
 
-Everything here is computed over Fraction coordinates with no epsilon
-anywhere; predicates are exact sign tests and the chord-through-a-point map
-(the reversion) stays rational because one root of the line-circle
-quadratic is already known.  Circles carry the squared radius so that
-circles with irrational radius still have all-rational data.
+Nothing here uses an epsilon.  Points have Fraction coordinates and
+predicates are exact sign tests; the chord-through-a-point map (the
+reversion) stays rational because one root of the line-circle quadratic is
+already known.  Circles carry the squared radius so that circles with
+irrational radius still have all-rational data.
+
+Chains of reversions run in integer projective coordinates instead.  A
+point is the primitive triple (X, Y, W), W > 0, of `homogeneous`; the
+circle is the integer conic X^T A X = 0 of `conic`; and the reversion
+through an interior point C is the harmonic homology
+H = (C^T A C) I - 2 C (A C)^T, which needs no division, maps the conic to
+itself and sends a conic point to the far end of its chord through C.
+`apply_homology` applies one such step and renormalizes with one gcd, so
+the triple stays canonical (primitive, W > 0) and can be hashed; `affine`
+converts back to a Point exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 Rational = Union[Fraction, int]
+Triple = Tuple[int, int, int]
+# (q, l, C): the homology X -> q X - 2 (l . X) C of an interior point C.
+Homology = Tuple[int, Triple, Triple]
 
 __all__ = [
     "Point",
@@ -28,6 +42,11 @@ __all__ = [
     "collinear",
     "is_between",
     "reversion",
+    "homogeneous",
+    "affine",
+    "conic",
+    "homology",
+    "apply_homology",
     "rational_circle_point",
     "line_line_intersection",
     "format_fraction",
@@ -150,6 +169,76 @@ def reversion(circle: Circle, center: Point, p: Point) -> Point:
     w = p - circle.center
     t = Fraction(-2) * w.dot(d) / d.norm_sq()
     return p + d.scale(t)
+
+
+def homogeneous(p: Point) -> Triple:
+    """The primitive integer triple (X, Y, W) with W > 0 and
+    p = (X/W, Y/W); W is the least common denominator."""
+    xd, yd = p.x.denominator, p.y.denominator
+    w = xd // math.gcd(xd, yd) * yd
+    return (p.x.numerator * (w // xd), p.y.numerator * (w // yd), w)
+
+
+def affine(h: Triple) -> Point:
+    """The point (X/W, Y/W) of a triple with W != 0."""
+    x, y, w = h
+    return Point(Fraction(x, w), Fraction(y, w))
+
+
+def conic(circle: Circle) -> Tuple[Triple, Triple, Triple]:
+    """The primitive symmetric integer matrix A, with A[0][0] > 0, such
+    that X^T A X = 0 exactly for the homogeneous triples of the circle's
+    points.
+
+    With the center (U/Z, V/Z) and r^2 = n/d, X^T A X at (x, y, 1) is
+    d Z^2 ((x - U/Z)^2 + (y - V/Z)^2 - r^2) up to the gcd, so it is
+    negative exactly inside the circle.
+    """
+    u, v, z = homogeneous(circle.center)
+    n, d = circle.radius_sq.numerator, circle.radius_sq.denominator
+    a, b, e, f = d * z * z, -d * z * u, -d * z * v, d * (u * u + v * v) - n * z * z
+    g = math.gcd(a, b, e, f)
+    a, b, e, f = a // g, b // g, e // g, f // g
+    return ((a, 0, b), (0, a, e), (b, e, f))
+
+
+def homology(circle: Circle, center: Point) -> Homology:
+    """The reversion through `center` as the integer harmonic homology
+    H = q I - 2 C l^T, returned as (q, l, C) with C the triple of `center`,
+    l = A C and q = C^T A C (both divided by their common gcd, which leaves
+    the projective map unchanged).
+
+    Raises NotInterior unless `center` is strictly inside the circle; once
+    that holds, H sends every conic point X to a conic point (expand
+    (HX)^T A (HX)), on the line through X and C, and to X itself only when
+    l . X = 0, which no circle point meets because the polar of an interior
+    point misses the circle.
+    """
+    if not in_open_disk(circle, center):
+        raise NotInterior(f"reversion center {center} is not interior to {circle}")
+    c = homogeneous(center)
+    l = tuple(sum(a * x for a, x in zip(row, c)) for row in conic(circle))
+    q = sum(a * x for a, x in zip(c, l))
+    g = math.gcd(q, *l)
+    return q // g, (l[0] // g, l[1] // g, l[2] // g), c
+
+
+def apply_homology(h: Homology, x: Triple) -> Triple:
+    """One reversion on primitive triples: X -> q X - 2 (l . X) C, divided
+    by the gcd.  For the triple of a circle point this is
+    `homogeneous(reversion(circle, center, affine(x)))`.
+
+    The new W stays positive.  It is never 0, since a real circle has no
+    point at infinity, so its sign is constant over the connected circle
+    and disk; for the circle's own center it is a positive multiple of
+    r^2 W, because `conic` has A[0][0] > 0.
+    """
+    q, (l0, l1, l2), (c0, c1, c2) = h
+    x0, x1, x2 = x
+    s = 2 * (l0 * x0 + l1 * x1 + l2 * x2)
+    x0, x1, x2 = q * x0 - s * c0, q * x1 - s * c1, q * x2 - s * c2
+    g = math.gcd(x0, x1, x2)
+    return (x0 // g, x1 // g, x2 // g)
 
 
 def rational_circle_point(circle: Circle, base: Point, t: Rational) -> Point:

@@ -33,7 +33,7 @@ from .classify import (
     NoCycleUpTo,
     classify,
 )
-from .geometry import Circle, Point, collinear, format_point, in_open_disk
+from .geometry import Circle, Point, collinear, format_point, homogeneous, in_open_disk
 from .hull import EndpointToken, collinear_hull, hull_isomorphism
 from .words import Word, apply_letter_permutation, pi13
 
@@ -238,21 +238,15 @@ def build_partial_iso(s: Config, r: Config, verdict: IsoVerdict,
     return table
 
 
-def _homogeneous(p: Point) -> Tuple[int, int, int]:
-    """Integers (X, Y, W) with p = (X/W, Y/W) and W > 0."""
-    return (p.x.numerator * p.y.denominator, p.y.numerator * p.x.denominator,
-            p.x.denominator * p.y.denominator)
-
-
 def _offset(a: Tuple[int, int, int], b: Tuple[int, int, int]) -> Tuple[int, int, int]:
-    """b - a for points in `_homogeneous` form, as integers (x, y, w) with
+    """b - a for points in `homogeneous` form, as integers (x, y, w) with
     b - a = (x/w, y/w) and w > 0."""
     (u, v, z), (x, y, w) = a, b
     return x * z - u * w, y * z - v * w, w * z
 
 
 def _ray(a: Tuple[int, int, int], b: Tuple[int, int, int]) -> Tuple[int, int]:
-    """The direction from a to b (distinct, in `_homogeneous` form) as a
+    """The direction from a to b (distinct, in `homogeneous` form) as a
     primitive integer vector: equal for two points b exactly when they lie
     on one ray from a, negated for the opposite ray."""
     dx, dy, _ = _offset(a, b)
@@ -284,19 +278,19 @@ def _between_rows(hull: tuple, circle: Circle,
         raise VerdictError("the hull points are not on one line in hull order")
     ranked = [row_of[t] for t in hull if t in row_of]
     found = {(min(i, k), j, max(i, k)) for i, j, k in itertools.combinations(ranked, 3)}
-    centers = [_homogeneous(c) for c in middles]
+    centers = [homogeneous(c) for c in middles]
     middle_rows = [row_of.get(c) for c in middles]
     line = {_ray(centers[0], centers[1]), _ray(centers[1], centers[0])} \
         if len(middles) > 1 else set()
     ends: List[Dict[tuple, int]] = [{} for _ in middles]  # ray from c -> row
     on_hull = set(ranked)
-    origin, r2 = _homogeneous(circle.center), circle.radius_sq
+    origin, r2 = homogeneous(circle.center), circle.radius_sq
     for p, k in row_of.items():
         if k in on_hull:
             continue
         if not isinstance(p, Point):
             raise VerdictError(f"table token {_token_str(p)} is not on the hull")
-        hp = _homogeneous(p)
+        hp = homogeneous(p)
         dx, dy, w = _offset(origin, hp)
         if (dx * dx + dy * dy) * r2.denominator != r2.numerator * w * w:  # |p - o|^2 != r^2
             raise VerdictError(f"table point {format_point(p)} is not on the circle")

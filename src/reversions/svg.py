@@ -12,7 +12,7 @@ import math
 from typing import Iterable, Optional, Sequence
 
 from .action import Config, is_cycle, offline_test_point
-from .geometry import Point, reversion
+from .geometry import Point, affine, apply_homology, homogeneous
 from .words import Signature, word_from_signature
 
 __all__ = ["render_svg", "cycle_polygon", "UnverifiedCycle"]
@@ -53,10 +53,10 @@ def cycle_polygon(config: Config, v: Signature) -> list:
         raise UnverifiedCycle("the zero vector has no cycle polygon")
     if not is_cycle(config, v):
         raise UnverifiedCycle(f"{v} is not a cycle for this configuration")
-    chain = [offline_test_point(config)]
+    chain = [homogeneous(offline_test_point(config))]
     for letter in word_from_signature(v).letters:
-        chain.append(reversion(config.circle, config.points[letter - 1], chain[-1]))
-    return chain
+        chain.append(apply_homology(config.homologies[letter - 1], chain[-1]))
+    return [affine(x) for x in chain]
 
 
 def render_svg(config: Config,

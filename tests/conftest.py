@@ -6,14 +6,16 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import pytest
 
-from reversions.action import Config, act, is_cycle
+from reversions.action import ActionError, Config, act, is_cycle
 from reversions.classify import validate_config
 from reversions.geometry import (
     Circle,
     Point,
     UNIT_CIRCLE,
     is_between,
+    on_circle,
     rational_circle_point,
+    reversion,
 )
 from reversions.hull import EndpointToken
 from reversions.iso import PartialIsoTable, Token
@@ -89,6 +91,28 @@ def halfplane_side(config: Config, p: Point) -> Side:
     if s < 0:
         return Side.MINUS
     return Side.ON_LINE
+
+
+def fraction_orbit(config: Config, c: Point, max_word_length: int) -> set:
+    """Reference for `action.orbit`: the same breadth-first enumeration
+    with each image computed by `geometry.reversion` on Fraction points."""
+    if max_word_length < 0:
+        raise ActionError(f"negative word-length bound {max_word_length}")
+    if not on_circle(config.circle, c):
+        raise ActionError(f"{c} is not on the configuration circle")
+    seen = {c}
+    frontier = {(c, 0)}
+    for _ in range(max_word_length):
+        nxt = set()
+        for p, last in frontier:
+            for letter in range(1, config.alphabet + 1):
+                if letter == last:
+                    continue
+                q = reversion(config.circle, config.points[letter - 1], p)
+                seen.add(q)
+                nxt.add((q, letter))
+        frontier = nxt
+    return seen
 
 
 def stab_contains(config: Config, c: Point, g: Word) -> bool:

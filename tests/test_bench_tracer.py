@@ -2,6 +2,7 @@
 so a rename in `reversions` breaks `perfbench/run.py --trace 1` without
 failing any library test."""
 
+import sys
 import types
 from pathlib import Path
 
@@ -32,20 +33,30 @@ def test_tracer_counts_cli_iso(tmp_path):
     assert not hasattr(cli.main, "__wrapped__")  # originals restored
 
 
-def test_classify_miss_is_linear_in_bound(tmp_path):
+def test_classify_miss_is_linear_in_bound(tmp_path, monkeypatch):
     # w = (1, 2, 6) puts the points at 0, 1/3, 5/7; a cycle would need
     # 2^a = 3^b, so the search runs to the bound.  Each of the B - 1 levels
-    # advances two chains by one two-letter step.
+    # advances two chains by one two-letter step, each letter one integer
+    # reversion step.
     bound = 20
     config = validate_config(UNIT_CIRCLE, (pt(0, 0), pt("1/3", 0), pt("5/7", 0)))
     path = tmp_path / "free.cfg"
     path.write_text(cli.serialize_config(config))
+    search = sys.modules["reversions.classify"]
+    steps = []
+    step = search.apply_homology
+
+    def counted(h, x):
+        steps.append(x)
+        return step(h, x)
+
+    monkeypatch.setattr(search, "apply_homology", counted)
     tracer = load_spans().Tracer()
     with tracer.patched(0):
         assert cli.main(["classify", str(path), "--bound", str(bound)]) == cli.EXIT_OK
     metrics = tracer.metrics()
     assert metrics["classify.classify.calls"] == 1
-    assert metrics["geometry.reversion.calls"] <= 4 * (bound - 1)
+    assert len(steps) == 4 * (bound - 1)
     assert metrics["classify.candidates_per_call"] == 0
 
 

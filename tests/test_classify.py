@@ -331,8 +331,8 @@ def test_cycle_bound_is_on_middle_entry(reverse, monkeypatch):
     assert label.vector == v
     assert signature_of(label.witness_word) == (pi13(v) if reverse else v)
 
-    def no_reversion(*args):
-        raise AssertionError("bound 1 needs no reversion")
+    def no_step(*args):
+        raise AssertionError("bound 1 needs no reversion step")
 
-    monkeypatch.setattr(sys.modules["reversions.classify"], "reversion", no_reversion)
+    monkeypatch.setattr(sys.modules["reversions.classify"], "apply_homology", no_step)
     assert classify(config, 1) == NoCycleUpTo(1)

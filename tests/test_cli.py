@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,8 @@ from reversions.cli import (
     EXIT_INVALID,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_BOUND,
+    MAX_DEPTH,
     main,
     parse_config,
     serialize_config,
@@ -244,6 +250,70 @@ def test_cli_usage_exit(capsys):
     capsys.readouterr()
     assert main(["is-cycle", "x.cfg", "--v"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_cli_in_process_calls_match_fresh_process(sym_file, tmp_path, monkeypatch, capsys):
+    # callers such as the benchmark run main many times in one process; a
+    # call, a usage error included, must leave nothing behind that changes
+    # a later one
+    monkeypatch.setenv("COLUMNS", "80")
+    src = str(Path(__import__("reversions").__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    calls = [
+        ["classify", sym_file, "--bound", "4"],
+        ["classify", "--frob", sym_file],
+        ["iso", sym_file, sym_file, "--strict"],
+        ["realize", "--v", "-1,2,-1"],
+        ["orbit", sym_file, "--point", "0,1", "--depth", "2"],
+        ["word", "signature", "2,1,2,3"],
+        ["classify", sym_file, "--bound", str(MAX_BOUND + 1)],
+        ["word", "reduce"],
+        ["classify", sym_file],
+    ]
+    for argv in calls:
+        code = main(argv)
+        got = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "reversions", *argv], env=env,
+                               cwd=tmp_path, capture_output=True, text=True)
+        assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+def test_cli_bound_budget(sym_file, capsys):
+    for command in (["classify", sym_file], ["iso", sym_file, sym_file]):
+        assert main([*command, "--bound", str(MAX_BOUND)]) == EXIT_OK
+        capsys.readouterr()
+        assert main([*command, "--bound", str(MAX_BOUND + 1)]) == EXIT_INVALID
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --bound {MAX_BOUND + 1} exceeds the budget of {MAX_BOUND}\n"
+
+
+def test_cli_depth_budget(tmp_path, capsys):
+    # one interior point: the orbit of a point has at most two points
+    path = tmp_path / "one.cfg"
+    path.write_text("circle 0 0 1\npoint 1/3 1/7\n")
+    orbit = ["orbit", str(path), "--point", "0,1", "--depth"]
+    assert main([*orbit, str(MAX_DEPTH)]) == EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert main([*orbit, str(MAX_DEPTH + 1)]) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --depth {MAX_DEPTH + 1} exceeds the budget of {MAX_DEPTH}\n"
+
+
+def test_cli_orbit_depth_budget(tmp_path, capsys):
+    path = tmp_path / "one.cfg"
+    path.write_text("circle 0 0 1\npoint 1/3 1/7\n")
+    svg = tmp_path / "out.svg"
+    render = ["render", str(path), "--svg", str(svg), "--point", "0,1", "--orbit-depth"]
+    assert main([*render, str(MAX_DEPTH)]) == EXIT_OK
+    assert svg.read_text().count('fill="green"') == 2
+    svg.unlink()
+    assert main([*render, str(MAX_DEPTH + 1)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err == f"error: --orbit-depth {MAX_DEPTH + 1} exceeds the budget of {MAX_DEPTH}\n"
+    assert not svg.exists()
 
 
 def test_cycle_polygon_closed(sym_file):
