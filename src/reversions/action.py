@@ -27,6 +27,7 @@ from .geometry import (
     homology,
     on_circle,
     rational_circle_point,
+    sorted_triples,
 )
 from .words import Signature, Word, is_balanced, word_from_signature
 
@@ -93,13 +94,18 @@ def act(config: Config, c: Point, g: Word) -> Point:
     return affine(x)
 
 
-def orbit(config: Config, c: Point, max_word_length: int) -> set:
-    """All images of c under irreducible words of length <= the bound,
-    breadth-first by word length, deduplicated exactly.
+def orbit(config: Config, c: Point, max_word_length: int) -> tuple:
+    """All images of c under words of length <= the bound, as distinct
+    points sorted by exact (x, y).
 
     Orbits are infinite in general, so the enumeration is truncated by word
-    length rather than by point count.  Points are deduplicated as their
-    canonical integer triples and converted once, at the end.
+    length rather than by point count.  The images are the ball of that
+    radius around c in the graph whose edges are the reversions, so the
+    search is breadth-first over canonical integer triples: each new point
+    is expanded once, by every letter except the one that first reached it,
+    which only leads back.  That is at most 2 |orbit| + 1 steps for three
+    points.  The triples are sorted by `sorted_triples` and converted once,
+    at the end.
     """
     if max_word_length < 0:
         raise ActionError(f"negative word-length bound {max_word_length}")
@@ -108,18 +114,18 @@ def orbit(config: Config, c: Point, max_word_length: int) -> set:
     steps = list(enumerate(config.homologies, start=1))
     start = homogeneous(c)
     seen = {start}
-    frontier = {(start, 0)}
+    frontier = [(start, 0)]
     for _ in range(max_word_length):
-        nxt = set()
-        for x, last in frontier:
+        nxt = []
+        for x, first in frontier:
             for letter, h in steps:
-                if letter == last:
-                    continue
-                y = apply_homology(h, x)
-                seen.add(y)
-                nxt.add((y, letter))
+                if letter != first:
+                    y = apply_homology(h, x)
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append((y, letter))
         frontier = nxt
-    return {affine(x) for x in seen}
+    return tuple(affine(x) for x in sorted_triples(seen))
 
 
 def offline_test_points(config: Config) -> Iterator[Point]:

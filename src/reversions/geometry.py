@@ -13,12 +13,14 @@ through an interior point C is the harmonic homology
 H = (C^T A C) I - 2 C (A C)^T, which needs no division, maps the conic to
 itself and sends a conic point to the far end of its chord through C.
 `apply_homology` applies one such step and renormalizes with one gcd, so
-the triple stays canonical (primitive, W > 0) and can be hashed; `affine`
-converts back to a Point exactly.
+the triple stays canonical (primitive, W > 0) and can be hashed;
+`sorted_triples` orders triples by their points, and `affine` converts
+back to a Point exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,6 +49,7 @@ __all__ = [
     "conic",
     "homology",
     "apply_homology",
+    "sorted_triples",
     "rational_circle_point",
     "line_line_intersection",
     "format_fraction",
@@ -208,17 +211,17 @@ def homology(circle: Circle, center: Point) -> Homology:
     l = A C and q = C^T A C (both divided by their common gcd, which leaves
     the projective map unchanged).
 
-    Raises NotInterior unless `center` is strictly inside the circle; once
-    that holds, H sends every conic point X to a conic point (expand
-    (HX)^T A (HX)), on the line through X and C, and to X itself only when
-    l . X = 0, which no circle point meets because the polar of an interior
-    point misses the circle.
+    Raises NotInterior unless `center` is strictly inside the circle, which
+    is q < 0 (see `conic`); once that holds, H sends every conic point X to
+    a conic point (expand (HX)^T A (HX)), on the line through X and C, and
+    to X itself only when l . X = 0, which no circle point meets because
+    the polar of an interior point misses the circle.
     """
-    if not in_open_disk(circle, center):
-        raise NotInterior(f"reversion center {center} is not interior to {circle}")
     c = homogeneous(center)
     l = tuple(sum(a * x for a, x in zip(row, c)) for row in conic(circle))
     q = sum(a * x for a, x in zip(c, l))
+    if q >= 0:
+        raise NotInterior(f"reversion center {center} is not interior to {circle}")
     g = math.gcd(q, *l)
     return q // g, (l[0] // g, l[1] // g, l[2] // g), c
 
@@ -239,6 +242,22 @@ def apply_homology(h: Homology, x: Triple) -> Triple:
     x0, x1, x2 = q * x0 - s * c0, q * x1 - s * c1, q * x2 - s * c2
     g = math.gcd(x0, x1, x2)
     return (x0 // g, x1 // g, x2 // g)
+
+
+def _compare(s: Triple, t: Triple) -> int:
+    """-1, 0 or 1 as the point of s is before, at or after that of t in
+    (x, y) order; exact for W > 0."""
+    a, b = s[0] * t[2], t[0] * s[2]
+    if a == b:
+        a, b = s[1] * t[2], t[1] * s[2]
+    return (a > b) - (a < b)
+
+
+def sorted_triples(triples) -> list:
+    """Triples with W > 0 in the exact (x, y) order of their points, as a
+    sort on the Fractions (X/W, Y/W) gives them, but comparing by
+    cross-multiplication (`_compare`) instead of building Fractions."""
+    return sorted(triples, key=functools.cmp_to_key(_compare))
 
 
 def rational_circle_point(circle: Circle, base: Point, t: Rational) -> Point:

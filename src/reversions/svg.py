@@ -3,41 +3,59 @@
 All decisions happen upstream in exact arithmetic; this module converts to
 floats at the last moment, formats every number with 12 significant digits
 and assembles the document in a fixed order, so identical inputs give
-byte-identical output.
+byte-identical output.  Orbit dots are drawn in the order the caller gives
+them, which is why they are taken as a sequence, not a set.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .action import Config, is_cycle, offline_test_point
 from .geometry import Point, affine, apply_homology, homogeneous
 from .words import Signature, word_from_signature
 
-__all__ = ["render_svg", "cycle_polygon", "UnverifiedCycle"]
+__all__ = ["render_svg", "cycle_polygon", "UnverifiedCycle", "OutOfFloatRange"]
 
 
 class UnverifiedCycle(ValueError):
     """Refusing to draw a polygon for a vector that is not an exact cycle."""
 
 
+class OutOfFloatRange(ValueError):
+    """The picture needs a number that a float cannot hold: one beyond the
+    float range, or a positive length that rounds to zero."""
+
+
+def _float(x) -> float:
+    try:
+        f = float(x)
+    except OverflowError:
+        f = math.inf
+    if not math.isfinite(f):
+        raise OutOfFloatRange("a coordinate of the picture is beyond the float range")
+    return f
+
+
 def _num(x) -> str:
-    return format(float(x), ".12g")
+    return format(_float(x), ".12g")
 
 
 def _chord_ends(config: Config) -> Optional[tuple]:
     if len(config.points) < 2:
         return None
     a, b = config.line()
-    dx, dy = float(b.x - a.x), float(b.y - a.y)
+    dx, dy = _float(b.x - a.x), _float(b.y - a.y)
     norm = math.hypot(dx, dy)
+    if norm == 0:
+        raise OutOfFloatRange("the interior points are too close together for a float")
     dx, dy = dx / norm, dy / norm
-    ax = float(a.x - config.circle.center.x)
-    ay = float(a.y - config.circle.center.y)
+    ax = _float(a.x - config.circle.center.x)
+    ay = _float(a.y - config.circle.center.y)
     m = ax * dx + ay * dy
-    disc = math.sqrt(max(m * m - (ax * ax + ay * ay - float(config.circle.radius_sq)), 0.0))
-    cx, cy = float(config.circle.center.x), float(config.circle.center.y)
+    disc = math.sqrt(max(m * m - (ax * ax + ay * ay - _float(config.circle.radius_sq)), 0.0))
+    cx, cy = _float(config.circle.center.x), _float(config.circle.center.y)
     px, py = cx + ax, cy + ay
     return ((px + (-m - disc) * dx, py + (-m - disc) * dy),
             (px + (-m + disc) * dx, py + (-m + disc) * dy))
@@ -60,12 +78,19 @@ def cycle_polygon(config: Config, v: Signature) -> list:
 
 
 def render_svg(config: Config,
-               orbit_points: Optional[Iterable[Point]] = None,
+               orbit_points: Optional[Sequence[Point]] = None,
                cycle_points: Optional[Sequence[Point]] = None) -> str:
-    """The configuration as SVG: circle, interior line, interior points,
-    then optional orbit dots and an optional closed cycle polygon."""
-    r = math.sqrt(float(config.circle.radius_sq))
-    cx, cy = float(config.circle.center.x), float(config.circle.center.y)
+    """The configuration as SVG: circle, interior line, an optional closed
+    cycle polygon, interior points, then optional orbit dots, kept in the
+    caller's order (`action.orbit` returns them sorted by (x, y)).
+
+    Raises OutOfFloatRange when a coordinate overflows a float, or when
+    the radius or the spacing of the interior points underflows to zero.
+    """
+    r = math.sqrt(_float(config.circle.radius_sq))
+    if r == 0:
+        raise OutOfFloatRange("the radius is too small for a float")
+    cx, cy = _float(config.circle.center.x), _float(config.circle.center.y)
     margin = 0.1 * r
     size = 2 * (r + margin)
     dot = r / 40
@@ -91,9 +116,10 @@ def render_svg(config: Config,
     for p in config.points:
         lines.append(
             f'<circle cx="{_num(p.x)}" cy="{_num(p.y)}" r="{_num(dot)}" fill="red"/>')
-    for p in sorted(orbit_points or (), key=lambda q: (q.x, q.y)):
+    orbit_dot = _num(dot * 0.7)
+    for p in orbit_points or ():
         lines.append(
-            f'<circle cx="{_num(p.x)}" cy="{_num(p.y)}" r="{_num(dot * 0.7)}" fill="green"/>')
+            f'<circle cx="{_num(p.x)}" cy="{_num(p.y)}" r="{orbit_dot}" fill="green"/>')
     lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -191,14 +191,25 @@ def brute_force_iso(sample_a: Sequence[Point],
     return None
 
 
+def _canonical_residual(points: tuple, v: Signature) -> Fraction:
+    config = Config(UNIT_CIRCLE, points, Point.of(1, 0))
+    return act(config, Point.of(0, 1), canonical_word(tuple(v))).x
+
+
 def third_point_residual(v: Signature, a: Fraction) -> Fraction:
     """First coordinate of the canonical word of v acting on (0, 1), with
     interior points (-1/2, 0), (0, 0) and a moving third point (a, 0),
     a in (0, 1); zero exactly when the configuration realizes v."""
-    pts = (Point.of(Fraction(-1, 2), 0), Point.of(0, 0),
-           Point(Fraction(a), Fraction(0)))
-    config = Config(UNIT_CIRCLE, pts, Point.of(1, 0))
-    return act(config, Point.of(0, 1), canonical_word(tuple(v))).x
+    return _canonical_residual((Point.of(Fraction(-1, 2), 0), Point.of(0, 0),
+                                Point(Fraction(a), Fraction(0))), v)
+
+
+def act_middle_point_residual(v: Signature, a: Fraction) -> Fraction:
+    """Reference for `classify.middle_point_residual`: the canonical word of
+    v acting through `act` on a freshly built configuration with interior
+    points (-1/2, 0), (a, 0), (1/2, 0)."""
+    return _canonical_residual((Point.of(Fraction(-1, 2), 0), Point(Fraction(a), Fraction(0)),
+                                Point.of(Fraction(1, 2), 0)), v)
 
 
 def count_sign_changes(values) -> int:

@@ -62,16 +62,17 @@ def test_stab_examples(sym):
 
 def test_orbit_single_point():
     config = validate_config(UNIT_CIRCLE, (pt(0, 0),))
-    assert orbit(config, pt(0, 1), 5) == {pt(0, 1), pt(0, -1)}
+    assert orbit(config, pt(0, 1), 5) == (pt(0, -1), pt(0, 1))
 
 
 def test_orbit_depth_zero(sym):
-    assert orbit(sym, pt(0, 1), 0) == {pt(0, 1)}
+    assert orbit(sym, pt(0, 1), 0) == (pt(0, 1),)
 
 
 def test_orbit_symmetric_depth_one(sym):
+    # distinct points, sorted by (x, y)
     got = orbit(sym, pt(0, 1), 1)
-    assert got == {pt(0, 1), pt(0, -1), pt("-4/5", "-3/5"), pt("4/5", "-3/5")}
+    assert got == (pt("-4/5", "-3/5"), pt(0, -1), pt(0, 1), pt("4/5", "-3/5"))
 
 
 def test_orbit_rejects_negative_bound(sym):

@@ -1,3 +1,4 @@
+import random
 import sys
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    act_middle_point_residual,
     count_sign_changes,
     primitive_candidates,
     pt,
@@ -30,7 +32,7 @@ from reversions.classify import (
     validate_config,
     verify_label,
 )
-from reversions.geometry import Circle, Point, UNIT_CIRCLE
+from reversions.geometry import Circle, NotInterior, Point, UNIT_CIRCLE
 from reversions.words import gcd_vec, is_balanced, pi13, signature_of
 
 
@@ -220,6 +222,35 @@ def test_bisection_preconditions():
         realize_by_bisection((0, 1, -1), Fraction(1, 1024))
     with pytest.raises(RealizationError):
         realize_by_bisection((-1, 2, -1), Fraction(0))
+
+
+def test_middle_point_residual_agrees_with_act():
+    # every canonical vector with v2 <= 5, at 200 seeded abscissas in (-1/2, 1/2)
+    rng = random.Random(5)
+    abscissas = []
+    for _ in range(200):
+        q = rng.randint(2, 2**31)
+        abscissas.append(Fraction(rng.randint(-((q - 1) // 2), (q - 1) // 2), q))
+    vectors = [(v1, v2, -v2 - v1) for v2 in range(2, 6) for v1 in range(-(v2 - 1), 0)]
+    assert len(vectors) == 10
+    for v in vectors:
+        for a in abscissas:
+            assert middle_point_residual(v, a) == act_middle_point_residual(v, a)
+
+
+@pytest.mark.parametrize("v, a, error", [
+    ((-1, 2, -1), Fraction(1), NotInterior),
+    ((-1, 2, -1), Fraction(-3, 2), NotInterior),
+    ((-1, 2), Fraction(0), ValueError),
+    ((1, -2, 1), Fraction(0), ValueError),
+    ((-1, 3, -1), Fraction(0), ValueError),
+])
+def test_middle_point_residual_errors_match_act(v, a, error):
+    with pytest.raises(error) as expected:
+        act_middle_point_residual(v, a)
+    with pytest.raises(error) as got:
+        middle_point_residual(v, a)
+    assert type(got.value) is type(expected.value)
 
 
 def test_third_point_scan_at_most_one_sign_change():

@@ -184,6 +184,37 @@ def test_cli_orbit(sym_file, capsys, tmp_path):
     assert svg.read_text().startswith("<?xml")
 
 
+# Configurations whose picture needs numbers outside the float range:
+# r^2 = 10^700 overflows; r^2 = 10^-800 underflows to a zero radius, with
+# or without an interior line; on the unit circle, points 10^-400 apart
+# give a zero chord direction.
+FLOAT_RANGE_CASES = {
+    "huge-radius": ("1" + "0" * 700, ["0", "1", "2"], "0,1" + "0" * 350),
+    "tiny-radius": ("1/1" + "0" * 800, ["0", "1/1" + "0" * 1200, "2/1" + "0" * 1200],
+                    "0,1/1" + "0" * 400),
+    "tiny-radius-one-point": ("1/1" + "0" * 800, ["0"], "0,1/1" + "0" * 400),
+    "close-points": ("1", ["0", "1/1" + "0" * 400, "2/1" + "0" * 400], "0,1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_RANGE_CASES))
+def test_cli_pictures_beyond_float_range_exit_2(case, tmp_path, capsys):
+    r2, xs, point = FLOAT_RANGE_CASES[case]
+    path = tmp_path / "c.cfg"
+    path.write_text(f"circle 0 0 {r2}\n" + "".join(f"point {x} 0\n" for x in xs))
+    svg = tmp_path / "out.svg"
+    assert main(["render", str(path), "--svg", str(svg)]) == EXIT_INVALID
+    assert main(["orbit", str(path), "--point", point, "--depth", "2",
+                 "--svg", str(svg)]) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("error: ") == 2 and "Traceback" not in err
+    assert not svg.exists()
+    # without a picture the orbit is exact and prints
+    assert main(["orbit", str(path), "--point", point, "--depth", "2"]) == EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) > 1
+
+
 def test_cli_render_deterministic(sym_file, tmp_path, capsys):
     out1, out2 = tmp_path / "a.svg", tmp_path / "b.svg"
     assert main(["render", sym_file, "--svg", str(out1), "--cycle", "-1,2,-1"]) == EXIT_OK

@@ -5,11 +5,13 @@ exception escape (which the console script would print as a traceback)."""
 
 import contextlib
 import io
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from reversions.classify import avoid_all_cycles, search_closing_config
+from reversions.geometry import format_fraction
 from reversions.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INVALID,
@@ -87,6 +89,40 @@ def commands(a: str, b: str, svg: str):
     ).map(lambda parts: [arg for part in parts for arg in part])
 
 
+# Unit-circle point sets scaled and shifted to magnitudes of 10^±300 to
+# 10^±800: the exact core handles them, the float picture must refuse
+# cleanly where it cannot draw them.
+UNIT_POINT_SETS = [
+    [("-1/2", "0"), ("0", "0"), ("1/2", "0")],
+    [("-2/3", "0"), ("1/5", "0"), ("3/5", "0")],
+    [("-1/2", "0"), ("1/4", "0")],
+    [("1/3", "1/7")],
+]
+
+
+def _signed(low: int, high: int):
+    return st.integers(low, high).flatmap(lambda e: st.sampled_from([e, -e]))
+
+
+@st.composite
+def extreme_configs(draw):
+    """(config text, a point on its circle): a unit-circle point set with
+    r^2 scaled to 10^±300..800, the points drawn together around the
+    center by 10^-300..800, and the center shifted by 10^±300..800, each
+    optional."""
+    ten, zero = Fraction(10), Fraction(0)
+    r = ten ** draw(st.one_of(st.just(0), _signed(150, 400)))
+    spread = ten ** draw(st.one_of(st.just(0), st.integers(-800, -300)))
+    shift = draw(st.one_of(st.just(zero), _signed(300, 800).map(lambda e: ten ** e)))
+    cx, cy = draw(st.sampled_from([(shift, zero), (zero, shift)]))
+    points = [(cx + r * spread * Fraction(x), cy + r * spread * Fraction(y))
+              for x, y in draw(st.sampled_from(UNIT_POINT_SETS))]
+    f = format_fraction
+    text = f"circle {f(cx)} {f(cy)} {f(r * r)}\n"
+    text += "".join(f"point {f(x)} {f(y)}\n" for x, y in points)
+    return text, f"{f(cx)},{f(cy + r)}"
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("cli-fuzz")
@@ -100,6 +136,26 @@ def test_cli_main_exit_codes(workdir, data, text_a, text_b):
     a.write_text(text_a)
     b.write_text(text_b)
     argv = data.draw(commands(str(a), str(b), str(svg)), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in EXIT_CODES
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), config=extreme_configs())
+def test_cli_pictures_of_extreme_magnitudes(workdir, data, config):
+    text, point = config
+    path, svg = workdir / "extreme.cfg", workdir / "extreme.svg"
+    path.write_text(text)
+    depth = data.draw(st.integers(0, 4).map(str), label="depth")
+    argv = data.draw(st.sampled_from([
+        ["render", str(path), "--svg", str(svg)],
+        ["render", str(path), "--svg", str(svg), "--point", point, "--orbit-depth", depth],
+        ["orbit", str(path), "--point", point, "--depth", depth, "--svg", str(svg)],
+    ]), label="argv")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

@@ -2,7 +2,8 @@
 on every chain: `act`, `orbit` and `cycle_polygon` run on primitive
 integer triples, and each must give exactly the points of a fold of
 `geometry.reversion`, on the unit circle, an off-centre circle and a
-circle with irrational radius."""
+circle with irrational radius.  `sorted_triples`, which orders the orbit,
+must equal the Fraction sort it replaces."""
 
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import fraction_orbit, pt
+from reversions import action
 from reversions.action import Config, act, offline_test_point, orbit
 from reversions.geometry import (
     Circle,
@@ -24,6 +26,7 @@ from reversions.geometry import (
     on_circle,
     rational_circle_point,
     reversion,
+    sorted_triples,
 )
 from reversions.svg import cycle_polygon
 from reversions.words import Word, pi13, word_from_signature
@@ -86,7 +89,58 @@ def test_act_agrees_with_reversion_fold(data, config, t):
 @given(config=configs(), t=slopes, depth=st.integers(0, 8))
 def test_orbit_agrees_with_fraction_orbit(config, t, depth):
     c = start_point(config, t)
-    assert orbit(config, c, depth) == fraction_orbit(config, c, depth)
+    got = orbit(config, c, depth)
+    assert isinstance(got, tuple)
+    assert set(got) == fraction_orbit(config, c, depth)
+    assert all((p.x, p.y) < (q.x, q.y) for p, q in zip(got, got[1:]))
+
+
+def test_orbit_expands_each_point_once(monkeypatch):
+    config = Config(UNIT_CIRCLE, (pt(0, 0), pt("1/3", 0), pt("5/7", 0)), pt(1, 0))
+    steps = []
+
+    def counted(h, x):
+        steps.append(x)
+        return apply_homology(h, x)
+
+    monkeypatch.setattr(action, "apply_homology", counted)
+    got = orbit(config, pt(0, 1), 10)
+    assert set(got) == fraction_orbit(config, pt(0, 1), 10)
+    assert len(steps) <= 2 * len(got) + 1
+
+
+def fraction_key(t):
+    return Fraction(t[0], t[2]), Fraction(t[1], t[2])
+
+
+# Triples whose float quotients tie or overflow: (k M + d, j M + e, M) for
+# small k, j, d, e and a huge M sit within 1/M of (k, j).
+near_ties = st.builds(
+    lambda k, j, d, e, m: (k * m + d, j * m + e, m),
+    st.integers(-2, 2), st.integers(-2, 2), st.integers(-3, 3), st.integers(-3, 3),
+    st.sampled_from([1, 3, 2**60 + 1, 2**80, 3**70, 10**400 + 7]))
+beyond_float = st.tuples(
+    st.sampled_from([10**400, -(10**400), 10**400 + 1, 7, 0]),
+    st.sampled_from([10**500, -3, 0, 1]), st.sampled_from([1, 2, 10**399]))
+small_triples = st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 9))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), triples=st.lists(
+    st.one_of(near_ties, beyond_float, small_triples), max_size=12))
+def test_sorted_triples_is_the_fraction_sort(data, triples):
+    shuffled = data.draw(st.permutations(triples))
+    assert sorted_triples(shuffled) == sorted(shuffled, key=fraction_key)
+
+
+def test_sorted_triples_separates_float_ties():
+    # 1 + 2^-80 and 1 are equal as floats, so a float sort would order
+    # these two on y; the exact order puts (1, 1) first
+    m = 2**80
+    assert sorted_triples([(m + 1, 0, m), (1, 1, 1)]) == [(1, 1, 1), (m + 1, 0, m)]
+    # equal x, different y, and a quotient past the float range
+    assert sorted_triples([(2, 5, 2), (1, -1, 1), (10**400, 0, 1)]) == \
+        [(1, -1, 1), (2, 5, 2), (10**400, 0, 1)]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
