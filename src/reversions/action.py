@@ -21,6 +21,7 @@ from .geometry import (
     Circle,
     Point,
     TangentDirection,
+    Triple,
     affine,
     apply_homology,
     homogeneous,
@@ -54,6 +55,12 @@ class Config:
     Built by `classify.validate_config`, which guarantees that the points
     lie on one line (vacuously for one or two points) and are monotone
     along it, each middle point between its neighbours.
+
+    Two derived values are built on first use and kept on the instance,
+    outside the fields that equality and hashing see: the integer homology
+    of each interior point, and the integer triple of the off-line test
+    point, which the cycle test, the cycle search, its witness, cycle
+    polygons and the first table seed all start from.
     """
 
     circle: Circle
@@ -63,9 +70,14 @@ class Config:
     @functools.cached_property
     def homologies(self) -> tuple:
         """The integer homology (`geometry.homology`) of each interior point,
-        in index order; built on first use and kept on the instance, outside
-        the fields that equality and hashing see."""
+        in index order."""
         return tuple(homology(self.circle, c) for c in self.points)
+
+    @functools.cached_property
+    def test_triple(self) -> Triple:
+        """The canonical triple of the first `offline_test_points` point,
+        which is on the circle by construction."""
+        return homogeneous(next(offline_test_points(self)))
 
     @property
     def alphabet(self) -> int:
@@ -87,11 +99,15 @@ def act(config: Config, c: Point, g: Word) -> Point:
             f"word alphabet {g.alphabet} != {config.alphabet} interior points")
     if not on_circle(config.circle, c):
         raise ActionError(f"{c} is not on the configuration circle")
+    return affine(_chain_end(config, homogeneous(c), g))
+
+
+def _chain_end(config: Config, x: Triple, g: Word) -> Triple:
+    """The triple x moved by the reversions of g, first letter first."""
     homologies = config.homologies
-    x = homogeneous(c)
     for letter in g.letters:
         x = apply_homology(homologies[letter - 1], x)
-    return affine(x)
+    return x
 
 
 def orbit(config: Config, c: Point, max_word_length: int) -> tuple:
@@ -145,23 +161,23 @@ def offline_test_points(config: Config) -> Iterator[Point]:
 
 
 def offline_test_point(config: Config) -> Point:
-    """The first point of `offline_test_points`."""
-    return next(offline_test_points(config))
+    """The first point of `offline_test_points`, from its cached triple."""
+    return affine(config.test_triple)
 
 
 def is_cycle(config: Config, v: Signature) -> bool:
     """Does every word of signature v fix every off-line circle point?
 
-    Evaluated at a single deterministic off-line rational point with the
-    normal-form word of signature v; by the porism this single exact test
-    decides the question for all off-line points and all words of that
-    signature.  Non-balanced vectors are rejected without evaluation: a
-    fixing word must have even length, hence a balanced signature.
+    Evaluated at the configuration's cached off-line test point with the
+    normal-form word of signature v, on integer triples; by the porism this
+    single exact test decides the question for all off-line points and all
+    words of that signature.  Non-balanced vectors are rejected without
+    evaluation: a fixing word must have even length, hence a balanced
+    signature.
     """
     if len(v) != config.alphabet:
         raise ActionError(f"vector length {len(v)} != alphabet {config.alphabet}")
     if not is_balanced(v):
         return False
-    g = word_from_signature(tuple(v))
-    p = offline_test_point(config)
-    return act(config, p, g) == p
+    p = config.test_triple  # on the circle by construction
+    return _chain_end(config, p, word_from_signature(tuple(v))) == p

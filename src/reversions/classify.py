@@ -28,7 +28,6 @@ from .geometry import (
     UNIT_CIRCLE,
     apply_homology,
     collinear,
-    homogeneous,
     homology,
     in_open_disk,
     is_between,
@@ -204,7 +203,7 @@ def _search_cycle(config: Config, v2_max: int) -> Optional[Tuple[tuple, tuple]]:
     if v2_max < 1:
         raise ValueError(f"v2_max must be >= 1, got {v2_max}")
     h1, h2, h3 = config.homologies
-    pk = qm = homogeneous(offline_test_point(config))
+    pk = qm = config.test_triple
     p_level: dict = {}  # p.(2,1)^k -> k, on integer triples
     q_level: dict = {}  # p.(3,2)^m -> m
     for n in range(1, v2_max):

@@ -10,8 +10,8 @@ Configuration files are plain text, one item per line:
 All numbers are exact rationals written as p/q (or a plain integer).
 
 Exit codes: 0 success, 2 validation or construction failure (including a
---bound or --depth above its budget), 3 inconclusive answer under --strict,
-64 usage error.
+--bound, --depth, vector entry or --width above its budget), 3
+inconclusive answer under --strict, 64 usage error.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .geometry import (
 )
 from .iso import CollisionError, ConditionallyIsomorphic, decide_iso, format_verdict
 from .svg import UnverifiedCycle, cycle_polygon, render_svg
-from .words import Word, normal_form, signature_of, word_from_str, word_to_str
+from .words import Word, is_balanced, normal_form, signature_of, word_from_str, word_to_str
 
 __all__ = ["main", "parse_config", "serialize_config", "ConfigParseError"]
 
@@ -54,12 +54,21 @@ EXIT_INCONCLUSIVE = 3
 EXIT_USAGE = 64
 
 # Budgets for the user-controlled work sizes, each under 2 s on points
-# 0, 1/3, 5/7 of the unit circle (Python 3.11, one core of a shared
-# 2-vCPU host): `iso --bound 4096` classifies two configurations in about
-# 1.4 s, and `orbit --depth 60 --svg` from (0, 1) yields 5,491 points in
-# about 0.3 s.  Larger values exit 2.
+# 0, 1/3, 5/7 (or -1/2, 0, 1/3) of the unit circle (Python 3.11, one core
+# of a shared 2-vCPU host): `iso --bound 4096` classifies two
+# configurations in about 1.4 s, and `orbit --depth 60 --svg` from (0, 1)
+# yields 5,491 points in about 0.3 s.  A balanced vector's largest entry in
+# absolute value (the middle entry of a canonical vector) is half the
+# length of its word: `is-cycle --v 4096,0,-4096` takes about 0.7 s.
+# `realize --bisect` costs grow with both its vector and the number of
+# halvings down to --width, ceil(log2(1/width)): at entry 64 and 64
+# halvings it takes about 0.3 s, at 128 and 64 about 1.4 s, and at 64 and
+# 256 about 7 s.  Larger values exit 2.
 MAX_BOUND = 4096
 MAX_DEPTH = 60
+MAX_ENTRY = 4096
+MAX_REALIZE_ENTRY = 64
+MAX_HALVINGS = 64
 
 
 class ConfigParseError(ValueError):
@@ -150,11 +159,17 @@ def _load_config(path: str) -> Config:
         return parse_config(fh.read())
 
 
-def _parse_vector(text: str) -> tuple:
+def _parse_vector(flag: str, text: str, cap: int) -> tuple:
+    """v1,v2,v3; a balanced vector has no entry beyond the budget in
+    absolute value.  An unbalanced one is answered or refused without
+    building its word, so it needs no budget."""
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"expected v1,v2,v3, got {text!r}")
-    return tuple(int(p) for p in parts)
+    v = tuple(int(p) for p in parts)
+    if is_balanced(v):
+        _within_budget(f"{flag} entry", max(abs(x) for x in v), cap)
+    return v
 
 
 def _parse_cli_point(text: str) -> Point:
@@ -242,12 +257,12 @@ def _cmd_classify(args) -> int:
 
 def _cmd_is_cycle(args) -> int:
     config = _load_config(args.file)
-    print("true" if is_cycle(config, _parse_vector(args.v)) else "false")
+    print("true" if is_cycle(config, _parse_vector("--v", args.v, MAX_ENTRY)) else "false")
     return EXIT_OK
 
 
 def _cmd_realize(args) -> int:
-    v = _parse_vector(args.v)
+    v = _parse_vector("--v", args.v, MAX_REALIZE_ENTRY)
     if args.closing:
         config = search_closing_config(v)
         if config is None:
@@ -255,7 +270,13 @@ def _cmd_realize(args) -> int:
             return EXIT_INVALID
         sys.stdout.write(serialize_config(config))
         return EXIT_OK
-    interval = realize_by_bisection(v, parse_fraction(args.width))
+    width = parse_fraction(args.width)
+    # ceil(log2(1/width)) halvings take an interval below 1 to the width; an
+    # unbalanced vector is refused before any
+    if width > 0 and is_balanced(v):
+        halvings = ((width.denominator - 1) // width.numerator).bit_length()
+        _within_budget("--width halvings", halvings, MAX_HALVINGS)
+    interval = realize_by_bisection(v, width)
     print("{} {} {} {} {}".format(*interval.vector,
                                   format_fraction(interval.a_lo),
                                   format_fraction(interval.a_hi)))
@@ -302,7 +323,7 @@ def _cmd_render(args) -> int:
     cycle_points = None
     orbit_points = None
     if args.cycle:
-        cycle_points = cycle_polygon(config, _parse_vector(args.cycle))
+        cycle_points = cycle_polygon(config, _parse_vector("--cycle", args.cycle, MAX_ENTRY))
     if args.orbit_depth is not None:
         if not args.point:
             raise ValueError("--orbit-depth needs --point")

@@ -17,6 +17,13 @@ the closed disc.  `verify_table` reads each side's triples off those two
 sources in O(n*l) exact steps, after checking in O(n) the premise that
 makes this complete: the interior hull points lie strictly inside the
 circle, and every other table point lies on the circle, off the hull line.
+
+Both run on canonical integer triples (`geometry.homogeneous`).  A build
+starts from each configuration's cached test point (`Config.test_triple`),
+takes each sampled image x.g as one homology step on the image of g's
+prefix, keys its maps by triples and checks betweenness on those keys;
+`verify_table` keys a given table's rows the same way.  Points are built
+only for the table's rows and for messages.
 """
 
 from __future__ import annotations
@@ -26,16 +33,24 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from .action import Config, act, is_cycle, offline_test_points
+from .action import Config, is_cycle, offline_test_points
 from .classify import (
     ClassLabel,
     CycleLabel,
     NoCycleUpTo,
     classify,
 )
-from .geometry import Circle, Point, collinear, format_point, homogeneous, in_open_disk
+from .geometry import (
+    Circle,
+    Point,
+    Triple,
+    affine,
+    apply_homology,
+    format_point,
+    homogeneous,
+)
 from .hull import EndpointToken, collinear_hull, hull_isomorphism
-from .words import Word, apply_letter_permutation, pi13
+from .words import Word, pi13
 
 __all__ = [
     "Isomorphic",
@@ -133,6 +148,9 @@ def decide_iso(s: Config, r: Config, v2_max: int) -> IsoVerdict:
 
 
 Token = Union[Point, EndpointToken]
+# A token as a dict key: the `homogeneous` triple of a point, which hashes
+# without the modular inverse a Fraction hash needs.
+Key = Union[Triple, EndpointToken]
 
 
 @dataclass(frozen=True)
@@ -173,22 +191,51 @@ def _mirrored(s: Config, r: Config, vector: Optional[tuple]) -> bool:
             and _stored_vector(s, vector) != _stored_vector(r, vector))
 
 
-def _orbit_seeds(config: Config, words: Sequence[Word], count: int) -> List[Point]:
-    """Deterministic off-line points whose sampled images (the point and its
-    images under the sampled words) are pairwise disjoint, so no table source
-    comes from two seeds; one seed needs no images."""
-    seeds: List[Point] = []
-    taken: Set[Point] = set()
+def _images(homologies: tuple, x: Triple, words: Sequence[Word]) -> List[Triple]:
+    """x.g for each word g, with letter i acting by homologies[i - 1].  The
+    words' prefixes form a trie, and each image is one homology step on the
+    image of its prefix, so every distinct non-empty prefix costs one step."""
+    root: dict = {}  # letter -> (image, children)
+    images = []
+    for g in words:
+        y, children = x, root
+        for letter in g.letters:
+            node = children.get(letter)
+            if node is None:
+                node = children[letter] = (apply_homology(homologies[letter - 1], y), {})
+            y, children = node
+        images.append(y)
+    return images
+
+
+def _orbit_seeds(config: Config, words: Sequence[Word], count: int) -> List[Triple]:
+    """Deterministic off-line points, as triples, whose sampled images (the
+    point and its images under the sampled words) are pairwise disjoint, so
+    no table source comes from two seeds; one seed needs no images and is
+    the cached test point."""
+    if count == 1:
+        return [config.test_triple]
+    seeds: List[Triple] = []
+    taken: Set[Triple] = set()
     for p in offline_test_points(config):
-        if count > 1:
-            reached = {p} | {act(config, p, w) for w in words}
-            if not taken.isdisjoint(reached):
-                continue
-            taken |= reached
-        seeds.append(p)
+        x = homogeneous(p)
+        reached = {x, *_images(config.homologies, x, words)}
+        if not taken.isdisjoint(reached):
+            continue
+        taken |= reached
+        seeds.append(x)
         if len(seeds) == count:
             return seeds
     raise CollisionError("seed stream exhausted")  # pragma: no cover
+
+
+def _key(token: Token) -> Key:
+    """The `homogeneous` triple of a point; an endpoint token is its own key."""
+    return homogeneous(token) if isinstance(token, Point) else token
+
+
+def _token(key: Key) -> Token:
+    return affine(key) if isinstance(key, tuple) else key
 
 
 def build_partial_iso(s: Config, r: Config, verdict: IsoVerdict,
@@ -196,7 +243,9 @@ def build_partial_iso(s: Config, r: Config, verdict: IsoVerdict,
     """Materialize the isomorphism on the hulls and on `seeds` sampled
     orbits, mapping every x.g to y.(relabelled g), then verify the whole
     table: well-defined, injective, and two-sided betweenness preserving on
-    every triple (`verify_table`)."""
+    every triple (`verify_table`).  The maps are keyed by canonical
+    triples, and the target images come from the target's homologies in
+    relabelled order; the rows become points at the end."""
     if not isinstance(verdict, Isomorphic):
         raise VerdictError(f"need an Isomorphic verdict, got {format_verdict(verdict)}")
     l = _common_size(s, r)
@@ -206,33 +255,38 @@ def build_partial_iso(s: Config, r: Config, verdict: IsoVerdict,
     src_hull, dst_hull = collinear_hull(s), collinear_hull(r)
     hull_iso = hull_isomorphism(src_hull, dst_hull, _mirrored(s, r, verdict.vector))
     sigma = hull_iso.sigma
-    mapping: Dict[Token, Token] = {}
+    mapping: Dict[Key, Key] = {}
 
-    def put(src: Token, dst: Token) -> None:
-        if src in mapping:
-            if mapping[src] != dst:
-                raise CollisionError(f"source {src} maps to both {mapping[src]} and {dst}")
-            return
-        mapping[src] = dst
+    def put(src: Key, dst: Key) -> None:
+        old = mapping.setdefault(src, dst)
+        if old != dst:
+            raise CollisionError(
+                f"source {_token(src)} maps to both {_token(old)} and {_token(dst)}")
 
     for a, b in hull_iso.pairs:
-        put(a, b)
+        put(_key(a), _key(b))
     seed_pairs = []
     if seeds > 0:
         xs = _orbit_seeds(s, sample_words, seeds)
         ys = _orbit_seeds(r, sample_words, seeds)
-        seed_pairs = list(zip(xs, ys))
-        for x, y in seed_pairs:
-            for g in sample_words:
-                put(act(s, x, g), act(r, y, apply_letter_permutation(g, sigma)))
-    targets: Dict[Token, Token] = {}
-    for src, dst in mapping.items():
-        if dst in targets:
-            raise CollisionError(f"targets collide: {targets[dst]} and {src} both map to {dst}")
-        targets[dst] = src
-    table = PartialIsoTable(tuple(mapping.items()), sigma, tuple(seed_pairs),
+        relabelled = tuple(r.homologies[j - 1] for j in sigma)
+        for x, y in zip(xs, ys):
+            seed_pairs.append((affine(x), affine(y)))
+            for a, b in zip(_images(s.homologies, x, sample_words),
+                            _images(relabelled, y, sample_words)):
+                put(a, b)
+    srcs = list(mapping)
+    dst_row: Dict[Key, int] = {}
+    for i, (src, dst) in enumerate(mapping.items()):
+        j = dst_row.setdefault(dst, i)
+        if j != i:
+            raise CollisionError(f"targets collide: {_token(srcs[j])} and "
+                                 f"{_token(src)} both map to {_token(dst)}")
+    rows = tuple((_token(a), _token(b)) for a, b in mapping.items())
+    table = PartialIsoTable(rows, sigma, tuple(seed_pairs),
                             src_hull, dst_hull, s.circle, r.circle)
-    bad = verify_table(table)
+    bad = verify_table(table, src_row={src: i for i, src in enumerate(srcs)},
+                       dst_row=dst_row)
     if bad is not None:
         raise CollisionError(f"triple check failed at {bad}")
     return table
@@ -255,7 +309,7 @@ def _ray(a: Tuple[int, int, int], b: Tuple[int, int, int]) -> Tuple[int, int]:
 
 
 def _between_rows(hull: tuple, circle: Circle,
-                  row_of: Dict[Token, int]) -> Set[tuple]:
+                  row_of: Dict[Key, int]) -> Set[tuple]:
     """The row triples (i, j, k), i < k, whose tokens on this side have
     token j strictly between tokens i and k, from the two sources of
     betweenness; raises VerdictError when the premise fails.
@@ -269,35 +323,40 @@ def _between_rows(hull: tuple, circle: Circle,
     through p and c meets the hull line only at c, so q is never a hull
     token.
     """
-    middles = hull if len(hull) == 1 else hull[1:-1]
-    for c in middles:
-        if not in_open_disk(circle, c):
+    keys = [_key(t) for t in hull]
+    middles, centers = (hull, keys) if len(hull) == 1 else (hull[1:-1], keys[1:-1])
+    origin, r2 = homogeneous(circle.center), circle.radius_sq
+
+    def power(h: Triple) -> int:
+        """The sign of |h - o|^2 - r^2, scaled by a positive integer."""
+        dx, dy, w = _offset(origin, h)
+        return (dx * dx + dy * dy) * r2.denominator - r2.numerator * w * w
+
+    for c, h in zip(middles, centers):
+        if power(h) >= 0:
             raise VerdictError(f"hull point {format_point(c)} is not inside the circle")
-    if len(middles) == 3 and (not collinear(*middles)
-                              or (middles[1] - middles[0]).dot(middles[2] - middles[1]) <= 0):
-        raise VerdictError("the hull points are not on one line in hull order")
-    ranked = [row_of[t] for t in hull if t in row_of]
+    if len(centers) == 3:
+        (ax, ay, _), (bx, by, _) = _offset(*centers[:2]), _offset(*centers[1:])
+        if ax * by != ay * bx or ax * bx + ay * by <= 0:
+            raise VerdictError("the hull points are not on one line in hull order")
+    ranked = [row_of[t] for t in keys if t in row_of]
     found = {(min(i, k), j, max(i, k)) for i, j, k in itertools.combinations(ranked, 3)}
-    centers = [homogeneous(c) for c in middles]
-    middle_rows = [row_of.get(c) for c in middles]
+    middle_rows = [row_of.get(c) for c in centers]
     line = {_ray(centers[0], centers[1]), _ray(centers[1], centers[0])} \
         if len(middles) > 1 else set()
     ends: List[Dict[tuple, int]] = [{} for _ in middles]  # ray from c -> row
     on_hull = set(ranked)
-    origin, r2 = homogeneous(circle.center), circle.radius_sq
     for p, k in row_of.items():
         if k in on_hull:
             continue
-        if not isinstance(p, Point):
+        if not isinstance(p, tuple):
             raise VerdictError(f"table token {_token_str(p)} is not on the hull")
-        hp = homogeneous(p)
-        dx, dy, w = _offset(origin, hp)
-        if (dx * dx + dy * dy) * r2.denominator != r2.numerator * w * w:  # |p - o|^2 != r^2
-            raise VerdictError(f"table point {format_point(p)} is not on the circle")
+        if power(p) != 0:
+            raise VerdictError(f"table point {format_point(affine(p))} is not on the circle")
         for center, j, rays in zip(centers, middle_rows, ends):
-            ray = _ray(center, hp)
+            ray = _ray(center, p)
             if ray in line:
-                raise VerdictError(f"table point {format_point(p)} is on the hull line")
+                raise VerdictError(f"table point {format_point(affine(p))} is on the hull line")
             i = rays.get((-ray[0], -ray[1]))
             if i is not None and j is not None:
                 found.add((min(i, k), j, max(i, k)))
@@ -305,7 +364,8 @@ def _between_rows(hull: tuple, circle: Circle,
     return found
 
 
-def verify_table(table: PartialIsoTable) -> Optional[tuple]:
+def verify_table(table: PartialIsoTable, *, src_row: Optional[Dict[Key, int]] = None,
+                 dst_row: Optional[Dict[Key, int]] = None) -> Optional[tuple]:
     """Two-sided betweenness check of the whole table; returns an offending
     source triple (end, middle, end) or None.  The table is a betweenness
     isomorphism on its domain exactly when the between-triples of its
@@ -320,10 +380,16 @@ def verify_table(table: PartialIsoTable) -> Optional[tuple]:
     circle, on one line in hull order, and every other token is a circle
     point off that line; VerdictError if not, or if the rows repeat a
     source or a target.
+
+    A caller that already holds each side's tokens keyed as here (points by
+    their `homogeneous` triples, endpoint tokens as themselves) and mapped
+    to their distinct rows, as `build_partial_iso` does, passes both maps
+    as `src_row` and `dst_row`; otherwise they are read off the rows.
     """
     rows = table.rows
-    src_row = {src: i for i, (src, _) in enumerate(rows)}
-    dst_row = {dst: i for i, (_, dst) in enumerate(rows)}
+    if src_row is None or dst_row is None:
+        src_row = {_key(src): i for i, (src, _) in enumerate(rows)}
+        dst_row = {_key(dst): i for i, (_, dst) in enumerate(rows)}
     if len(src_row) != len(rows) or len(dst_row) != len(rows):
         raise VerdictError("table rows repeat a source or a target")
     mismatch = (_between_rows(table.src_hull, table.src_circle, src_row)

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .action import Config, is_cycle, offline_test_point
-from .geometry import Point, affine, apply_homology, homogeneous
+from .action import Config, is_cycle
+from .geometry import Point, affine, apply_homology
 from .words import Signature, word_from_signature
 
 __all__ = ["render_svg", "cycle_polygon", "UnverifiedCycle", "OutOfFloatRange"]
@@ -71,7 +71,7 @@ def cycle_polygon(config: Config, v: Signature) -> list:
         raise UnverifiedCycle("the zero vector has no cycle polygon")
     if not is_cycle(config, v):
         raise UnverifiedCycle(f"{v} is not a cycle for this configuration")
-    chain = [homogeneous(offline_test_point(config))]
+    chain = [config.test_triple]
     for letter in word_from_signature(v).letters:
         chain.append(apply_homology(config.homologies[letter - 1], chain[-1]))
     return [affine(x) for x in chain]

@@ -1,12 +1,15 @@
 import enum
 import itertools
 import random
+import sys
+import types
 from fractions import Fraction
+from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import pytest
 
-from reversions.action import ActionError, Config, act, is_cycle
+from reversions.action import ActionError, Config, act, is_cycle, offline_test_points
 from reversions.classify import validate_config
 from reversions.geometry import (
     Circle,
@@ -17,9 +20,29 @@ from reversions.geometry import (
     rational_circle_point,
     reversion,
 )
-from reversions.hull import EndpointToken
-from reversions.iso import PartialIsoTable, Token
-from reversions.words import Signature, Word, canonical_word, gcd_vec, pi13
+from reversions.hull import EndpointToken, collinear_hull, hull_isomorphism
+from reversions.iso import (
+    CollisionError,
+    Isomorphic,
+    IsoVerdict,
+    PartialIsoTable,
+    Token,
+    VerdictError,
+    format_verdict,
+    verify_table,
+)
+from reversions.words import (
+    Signature,
+    Word,
+    apply_letter_permutation,
+    canonical_word,
+    gcd_vec,
+    is_balanced,
+    pi13,
+    word_from_signature,
+)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def fr(a, b=1):
@@ -271,3 +294,116 @@ def cubic_verify_table(table: PartialIsoTable) -> Optional[tuple]:
             if _triple_between(a, x, b, src_pos) != _triple_between(fa, fx, fb, dst_pos):
                 return (a, x, b)
     return None
+
+
+def act_is_cycle(config: Config, v: Signature) -> bool:
+    """Reference for `action.is_cycle`: the normal-form word of v through
+    `act` on Fraction points, at the first point of a fresh test-point
+    stream."""
+    if len(v) != config.alphabet:
+        raise ActionError(f"vector length {len(v)} != alphabet {config.alphabet}")
+    if not is_balanced(v):
+        return False
+    g = word_from_signature(tuple(v))
+    p = next(offline_test_points(config))
+    return act(config, p, g) == p
+
+
+def _act_stored_vector(config: Config, vector: tuple) -> tuple:
+    if act_is_cycle(config, vector):
+        return vector
+    swapped = pi13(vector)
+    if act_is_cycle(config, swapped):
+        return swapped
+    raise CollisionError(f"{vector} is not a cycle for the configuration")
+
+
+def _act_orbit_seeds(config: Config, words: Sequence[Word], count: int) -> List[Point]:
+    seeds: List[Point] = []
+    taken: set = set()
+    for p in offline_test_points(config):
+        if count > 1:
+            reached = {p} | {act(config, p, w) for w in words}
+            if not taken.isdisjoint(reached):
+                continue
+            taken |= reached
+        seeds.append(p)
+        if len(seeds) == count:
+            return seeds
+    raise CollisionError("seed stream exhausted")  # pragma: no cover
+
+
+def act_build_partial_iso(s: Config, r: Config, verdict: IsoVerdict,
+                          sample_words: Sequence[Word], seeds: int) -> PartialIsoTable:
+    """Reference for `iso.build_partial_iso`: one `act` per sampled word and
+    side on Fraction points, seeds and mirroring from fresh test-point
+    streams, and the well-definedness and injectivity maps keyed by
+    points; the finished table goes through `verify_table` as in the
+    library."""
+    if not isinstance(verdict, Isomorphic):
+        raise VerdictError(f"need an Isomorphic verdict, got {format_verdict(verdict)}")
+    if len(s.points) != len(r.points):
+        raise VerdictError(
+            f"configurations have {len(s.points)} vs {len(r.points)} interior points")
+    l = len(s.points)
+    for w in sample_words:
+        if w.alphabet != l:
+            raise VerdictError(f"sample word {w.letters} has alphabet {w.alphabet} != {l}")
+    src_hull, dst_hull = collinear_hull(s), collinear_hull(r)
+    mirrored = (l == 3 and verdict.vector is not None
+                and _act_stored_vector(s, verdict.vector) != _act_stored_vector(r, verdict.vector))
+    hull_iso = hull_isomorphism(src_hull, dst_hull, mirrored)
+    sigma = hull_iso.sigma
+    mapping: Dict[Token, Token] = {}
+
+    def put(src: Token, dst: Token) -> None:
+        if src in mapping:
+            if mapping[src] != dst:
+                raise CollisionError(f"source {src} maps to both {mapping[src]} and {dst}")
+            return
+        mapping[src] = dst
+
+    for a, b in hull_iso.pairs:
+        put(a, b)
+    seed_pairs = []
+    if seeds > 0:
+        xs = _act_orbit_seeds(s, sample_words, seeds)
+        ys = _act_orbit_seeds(r, sample_words, seeds)
+        seed_pairs = list(zip(xs, ys))
+        for x, y in seed_pairs:
+            for g in sample_words:
+                put(act(s, x, g), act(r, y, apply_letter_permutation(g, sigma)))
+    targets: Dict[Token, Token] = {}
+    for src, dst in mapping.items():
+        if dst in targets:
+            raise CollisionError(f"targets collide: {targets[dst]} and {src} both map to {dst}")
+        targets[dst] = src
+    table = PartialIsoTable(tuple(mapping.items()), sigma, tuple(seed_pairs),
+                            src_hull, dst_hull, s.circle, r.circle)
+    bad = verify_table(table)
+    if bad is not None:
+        raise CollisionError(f"triple check failed at {bad}")
+    return table
+
+
+def fresh(config: Config) -> Config:
+    """An equal configuration with nothing cached yet."""
+    return Config(config.circle, config.points, config.base_point)
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the exception it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def load_perfbench(name: str) -> types.ModuleType:
+    """Execute perfbench/<name>.py from its source, registered under a
+    private module name, without writing a bytecode cache next to it."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    sys.modules[module.__name__] = module
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module

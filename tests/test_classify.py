@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -13,7 +15,7 @@ from conftest import (
     scan_search_cycle,
     third_point_residual,
 )
-from reversions.action import act, is_cycle
+from reversions.action import ActionError, act, is_cycle, offline_test_points
 from reversions.classify import (
     _search_cycle,
     ConfigValidationError,
@@ -114,6 +116,16 @@ def test_classify_symmetric(sym):
     assert act(sym, label.witness_point, label.witness_word) == label.witness_point
     assert verify_label(sym, label)
     assert format_label(label) == "cycle -1 2 -1"
+
+
+def test_verify_label_with_another_witness_point(sym):
+    # classify's witness is the cached test point; any other witness point
+    # is checked with `act`, on the circle or not
+    label = classify(sym, 8)
+    other = list(itertools.islice(offline_test_points(sym), 2))[1]
+    assert verify_label(sym, dataclasses.replace(label, witness_point=other))
+    with pytest.raises(ActionError, match="is not on the configuration circle"):
+        verify_label(sym, dataclasses.replace(label, witness_point=pt(0, "1/3")))
 
 
 def test_classify_scaled_copy(sym):

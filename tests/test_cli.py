@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import pt
+from conftest import PERFBENCH, pt
 from reversions.classify import (
     SamplingExhausted,
     SignChangeError,
@@ -22,6 +23,9 @@ from reversions.cli import (
     EXIT_USAGE,
     MAX_BOUND,
     MAX_DEPTH,
+    MAX_ENTRY,
+    MAX_HALVINGS,
+    MAX_REALIZE_ENTRY,
     main,
     parse_config,
     serialize_config,
@@ -345,6 +349,84 @@ def test_cli_orbit_depth_budget(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"error: --orbit-depth {MAX_DEPTH + 1} exceeds the budget of {MAX_DEPTH}\n"
     assert not svg.exists()
+
+
+def run(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_cli_vector_budget(sym_file, tmp_path, capsys):
+    # the largest entry in absolute value is half the word length, also
+    # when the middle entry is 0; the symmetric cycle's multiples are cycles
+    svg = tmp_path / "out.svg"
+    at, over = MAX_ENTRY // 2, MAX_ENTRY // 2 + 1
+    assert run(["is-cycle", sym_file, "--v", f"-{at},{MAX_ENTRY},-{at}"], capsys) == \
+        (EXIT_OK, "true\n", "")
+    for flag, argv in (("--v", ["is-cycle", sym_file, "--v"]),
+                       ("--cycle", ["render", sym_file, "--svg", str(svg), "--cycle"])):
+        for v in (f"-{over},{MAX_ENTRY + 1},-{at}", f"{MAX_ENTRY + 1},0,-{MAX_ENTRY + 1}"):
+            assert run([*argv, v], capsys) == (
+                EXIT_INVALID, "",
+                f"error: {flag} entry {MAX_ENTRY + 1} exceeds the budget of {MAX_ENTRY}\n")
+    assert not svg.exists()
+    # an unbalanced vector builds no word, so it is not capped
+    assert run(["is-cycle", sym_file, "--v", f"{MAX_ENTRY + 1},0,0"], capsys) == \
+        (EXIT_OK, "false\n", "")
+    code, _, err = run(["render", sym_file, "--svg", str(svg), "--cycle",
+                        f"{MAX_ENTRY + 1},0,0"], capsys)
+    assert code == EXIT_INVALID and "budget" not in err
+    n = MAX_REALIZE_ENTRY
+    code, out, _ = run(["realize", "--v", f"-{n - 1},{n},-1", "--closing"], capsys)
+    assert code == EXIT_OK and out.startswith("circle ")
+    for method in ("--closing", "--bisect"):
+        assert run(["realize", "--v", f"-{n},{n + 1},-1", method], capsys) == (
+            EXIT_INVALID, "",
+            f"error: --v entry {n + 1} exceeds the budget of {MAX_REALIZE_ENTRY}\n")
+        code, _, err = run(["realize", "--v", f"-{n},{n + 1},0", method], capsys)
+        assert code == EXIT_INVALID and "balanced" in err and "budget" not in err
+
+
+def test_cli_width_budget(capsys):
+    # ceil(log2(1/width)) halvings: 2^-64 is within 64, just below it is not
+    bisect = ["realize", "--v", "-1,3,-2", "--bisect", "--width"]
+    code, out, _ = run([*bisect, f"1/{2 ** MAX_HALVINGS}"], capsys)
+    assert code == EXIT_OK
+    lo, hi = (Fraction(x) for x in out.split()[3:])
+    assert 0 < hi - lo <= Fraction(1, 2 ** MAX_HALVINGS)
+    assert run([*bisect, f"1/{2 ** MAX_HALVINGS + 1}"], capsys) == (
+        EXIT_INVALID, "",
+        f"error: --width halvings {MAX_HALVINGS + 1} exceeds the budget of {MAX_HALVINGS}\n")
+    # no budget message for widths that are not positive, or for --closing
+    code, _, err = run([*bisect, f"-1/{2 ** 100}"], capsys)
+    assert code == EXIT_INVALID and err.startswith("error: width bound must be positive")
+    code, _, err = run(["realize", "--v", "-1,3,-1", "--bisect", "--width", f"1/{2 ** 100}"],
+                       capsys)
+    assert code == EXIT_INVALID and "must be a balanced 3-vector" in err
+    code, _, _ = run(["realize", "--v", "-2,3,-1", "--closing", "--width", f"1/{2 ** 100}"],
+                     capsys)
+    assert code == EXIT_OK
+
+
+def perfbench_constants() -> dict:
+    """The module-level constants of perfbench/workloads.py, read from its
+    source without importing it."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    return {node.targets[0].id: eval(compile(ast.Expression(node.value), "workloads", "eval"),
+                                     {"Fraction": Fraction})
+            for node in tree.body
+            if isinstance(node, ast.Assign) and node.targets[0].id.isupper()}
+
+
+def test_cli_budgets_admit_the_benchmark_inputs():
+    c = perfbench_constants()
+    assert c["CLASSIFY_BOUND"] <= MAX_BOUND and c["ISO_BOUND"] <= MAX_BOUND
+    assert c["ORBIT_DEPTH"] <= MAX_DEPTH and c["RENDER_ORBIT_DEPTH"] <= MAX_DEPTH
+    assert max(c["DRAW_V2_MAX"], c["ISO_V2_MAX"]) <= MAX_ENTRY
+    assert max(c["BISECT_V2_MAX"], c["CLOSING_N_MAX"]) <= MAX_REALIZE_ENTRY
+    width = c["BISECT_WIDTH"]
+    assert ((width.denominator - 1) // width.numerator).bit_length() <= MAX_HALVINGS
 
 
 def test_cycle_polygon_closed(sym_file):

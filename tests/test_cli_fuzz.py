@@ -42,7 +42,12 @@ vectors = st.one_of(
     st.tuples(*[st.integers(-6, 6)] * 3).map(lambda v: ",".join(map(str, v))),
     st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(  # balanced
         lambda v: f"{v[0]},{-v[0] - v[1]},{v[1]}"),
-    st.sampled_from(["-1,2,-1", "-2,3,-1", "1,-3,2", "0,0,0", "1,2", "x,1,1", "", "1,,1"]))
+    st.sampled_from(["-1,2,-1", "-2,3,-1", "1,-3,2", "0,0,0", "1,2", "x,1,1", "", "1,,1",
+                     # at and beyond the vector budgets
+                     "-63,64,-1", "-1,65,-64", "4097,0,-4097", "-2049,4098,-2049",
+                     "-1000000000,2000000000,-1000000000",
+                     # unbalanced, answered or refused without work at any size
+                     "5000,0,0", "-1000000000,2000000000,1"]))
 malformed = st.lists(
     st.tuples(st.sampled_from(DIRECTIVES), st.lists(st.sampled_from(RATIONALS), max_size=4)),
     max_size=5,
@@ -70,7 +75,9 @@ def commands(a: str, b: str, svg: str):
         st.tuples(c(["is-cycle", a, "--v"]), vectors.map(lambda v: [v])),
         st.tuples(c(["realize", "--v"]), vectors.map(lambda v: [v]),
                   st.sampled_from([["--closing"], ["--bisect"], [], ["--closing", "--bisect"]]),
-                  opt(c("--width"), st.sampled_from(["1/1024", "0", "-1", "1/0", "x"]))),
+                  opt(c("--width"), st.sampled_from(
+                      ["1/1024", "0", "-1", "1/0", "x", "1/1099511627776",
+                       f"1/{2 ** 64 + 1}", f"1/{2 ** 3000}"]))),
         st.tuples(c(["iso", a]), files.map(lambda f: [f]), opt(c("--bound"), small),
                   flag("--strict")),
         st.tuples(c(["orbit", a]), opt(c("--point"), st.sampled_from(POINTS)),

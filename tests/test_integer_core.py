@@ -3,16 +3,26 @@ on every chain: `act`, `orbit` and `cycle_polygon` run on primitive
 integer triples, and each must give exactly the points of a fold of
 `geometry.reversion`, on the unit circle, an off-centre circle and a
 circle with irrational radius.  `sorted_triples`, which orders the orbit,
-must equal the Fraction sort it replaces."""
+must equal the Fraction sort it replaces.  `is_cycle` and
+`build_partial_iso`, which run on triples from the cached test point,
+must give the verdicts, tables and errors of their `act`-based
+versions."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import fraction_orbit, pt
-from reversions import action
-from reversions.action import Config, act, offline_test_point, orbit
+from conftest import (
+    act_build_partial_iso,
+    act_is_cycle,
+    fraction_orbit,
+    fresh,
+    outcome,
+    pt,
+)
+from reversions import action, iso
+from reversions.action import Config, act, is_cycle, offline_test_point, orbit
 from reversions.geometry import (
     Circle,
     NotInterior,
@@ -28,8 +38,9 @@ from reversions.geometry import (
     reversion,
     sorted_triples,
 )
+from reversions.iso import Isomorphic, build_partial_iso, decide_iso
 from reversions.svg import cycle_polygon
-from reversions.words import Word, pi13, word_from_signature
+from reversions.words import Word, enumerate_words, pi13, word_from_signature
 
 OFF_CENTRE = Circle.of(Fraction(1, 3), Fraction(-2, 5), Fraction(49, 25))
 IRRATIONAL = Circle.of(0, 0, 2)
@@ -48,12 +59,30 @@ slopes = st.fractions(Fraction(0), Fraction(30), max_denominator=20)
 
 
 @st.composite
-def configs(draw, max_points=3):
+def configs(draw, min_points=1, max_points=3):
     circle, base, _ = CIRCLES[draw(st.sampled_from(sorted(CIRCLES)))]
-    n = draw(st.integers(1, max_points))
+    n = draw(st.integers(min_points, max_points))
     deltas = draw(st.lists(st.tuples(offsets, offsets), min_size=n, max_size=n, unique=True))
     points = tuple(pt(circle.center.x + dx, circle.center.y + dy) for dx, dy in deltas)
     return Config(circle, points, base)
+
+
+def cycle_config(circle: str, s: int, v: tuple, reverse: bool) -> Config:
+    """Points at x = (w-1)/(w+1) on a diameter with w = (1, s^|v3|,
+    s^(|v1|+|v3|)) realize the canonical vector v; a similarity carries
+    them to each circle.  Reversed, they carry v's 1<->3 swap in stored
+    order."""
+    circ, base, move = CIRCLES[circle]
+    weights = (1, s ** -v[2], s ** (-v[0] - v[2]))
+    points = [move(Fraction(w - 1, w + 1), 0) for w in weights]
+    if reverse:
+        points.reverse()
+    return Config(circ, tuple(points), base)
+
+
+CYCLES = [(-1, 2, -1), (-2, 3, -1), (-3, 5, -2), (-4, 7, -3), (-5, 6, -1)]
+cycle_configs = st.builds(cycle_config, st.sampled_from(sorted(CIRCLES)), st.sampled_from([2, 3]),
+                          st.sampled_from(CYCLES), st.booleans())
 
 
 def start_point(config: Config, t: Fraction):
@@ -145,17 +174,9 @@ def test_sorted_triples_separates_float_ties():
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(circle=st.sampled_from(sorted(CIRCLES)), s=st.sampled_from([2, 3]),
-       v=st.sampled_from([(-1, 2, -1), (-2, 3, -1), (-3, 5, -2), (-4, 7, -3), (-5, 6, -1)]),
-       reverse=st.booleans())
+       v=st.sampled_from(CYCLES), reverse=st.booleans())
 def test_cycle_polygon_agrees_with_reversion_chain(circle, s, v, reverse):
-    # points at x = (w-1)/(w+1) on a diameter with w = (1, s^|v3|,
-    # s^(|v1|+|v3|)) realize v; a similarity carries them to each circle
-    circ, base, move = CIRCLES[circle]
-    weights = (1, s ** -v[2], s ** (-v[0] - v[2]))
-    points = [move(Fraction(w - 1, w + 1), 0) for w in weights]
-    if reverse:
-        points.reverse()
-    config = Config(circ, tuple(points), base)
+    config = cycle_config(circle, s, v, reverse)
     stored = pi13(v) if reverse else v
     chain = cycle_polygon(config, stored)
     expected = reversion_fold(config, offline_test_point(config),
@@ -187,3 +208,72 @@ def test_homology_needs_an_interior_center(circle):
     for center in (base, outside, circ.center + (base - circ.center).scale(2)):
         with pytest.raises(NotInterior):
             homology(circ, center)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data(), config=st.one_of(configs(), cycle_configs))
+def test_is_cycle_agrees_with_act_oracle(data, config):
+    l = config.alphabet
+    v = data.draw(st.one_of(
+        st.sampled_from(CYCLES + [pi13(v) for v in CYCLES] + [(0, 0, 0)]).map(lambda v: v[:l]),
+        st.lists(st.integers(-6, 6), min_size=l, max_size=l).map(tuple),
+        st.lists(st.integers(-3, 3), min_size=1, max_size=4).map(tuple)))
+    assert outcome(is_cycle, config, v) == outcome(act_is_cycle, fresh(config), v)
+
+
+def test_is_cycle_oracle_sees_cycles():
+    for v in CYCLES:
+        for reverse in (False, True):
+            config = cycle_config("off-centre", 2, v, reverse)
+            stored = pi13(v) if reverse else v
+            assert is_cycle(config, stored) and act_is_cycle(fresh(config), stored)
+            assert is_cycle(config, pi13(stored)) == act_is_cycle(config, pi13(stored)) \
+                == (v == pi13(v))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data(), l=st.sampled_from([1, 2, 3, 3, 3]), seeds=st.integers(0, 2),
+       length=st.integers(0, 3))
+def test_build_partial_iso_agrees_with_act_oracle(data, l, seeds, length):
+    if l < 3:
+        s = data.draw(configs(l, l), label="s")
+        r = data.draw(configs(l, l), label="r")
+        verdict = Isomorphic(None)
+    else:
+        s, r = data.draw(cycle_configs, label="s"), data.draw(cycle_configs, label="r")
+        # the pair's own verdict, or a wrong one whose failure must match
+        verdict = data.draw(st.sampled_from(
+            [decide_iso(fresh(s), fresh(r), 8), Isomorphic(None), Isomorphic((-1, 2, -1))]),
+            label="verdict")
+    words = list(enumerate_words(data.draw(st.sampled_from([l, l, 3])), length))
+    got = outcome(build_partial_iso, s, r, verdict, words, seeds)
+    assert got == outcome(act_build_partial_iso, fresh(s), fresh(r), verdict, words, seeds)
+
+
+def test_table_build_computes_the_test_point_once_and_one_step_per_word(monkeypatch):
+    # decide_iso and the one-seed table build of a fresh mirrored pair: the
+    # search, the witness, its re-check, the mirroring test and the seed
+    # all read one cached test point per configuration, and every sampled
+    # image is one homology step on the image of its prefix
+    s = cycle_config("unit", 2, (-2, 3, -1), False)
+    r = cycle_config("off-centre", 2, (-2, 3, -1), True)
+    points = []
+    steps = []
+
+    def counted_point(circle, base, t):
+        points.append(circle)
+        return rational_circle_point(circle, base, t)
+
+    def counted_step(h, x):
+        steps.append(x)
+        return apply_homology(h, x)
+
+    monkeypatch.setattr(action, "rational_circle_point", counted_point)
+    monkeypatch.setattr(iso, "apply_homology", counted_step)
+    verdict = decide_iso(s, r, 8)
+    assert verdict == Isomorphic((-2, 3, -1))
+    words = list(enumerate_words(3, 3))
+    table = build_partial_iso(s, r, verdict, words, 1)
+    assert sorted(map(id, points)) == sorted([id(s.circle), id(r.circle)])
+    assert len(steps) == 2 * (len(words) - 1)
+    assert table == act_build_partial_iso(fresh(s), fresh(r), verdict, words, 1)

@@ -5,10 +5,27 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cubic_verify_table, pt, rand_word, stab_contains, symmetric_config
+from conftest import (
+    act_build_partial_iso,
+    cubic_verify_table,
+    fresh,
+    load_perfbench,
+    outcome,
+    pt,
+    rand_word,
+    stab_contains,
+    symmetric_config,
+)
 from reversions.action import act, offline_test_points
-from reversions.classify import avoid_all_cycles, search_closing_config, validate_config
-from reversions.geometry import Circle, Point, UNIT_CIRCLE
+from reversions.classify import (
+    ConfigValidationError,
+    avoid_all_cycles,
+    default_base_point,
+    search_closing_config,
+    validate_config,
+)
+from reversions.geometry import Circle, Point, UNIT_CIRCLE, format_point
+from reversions.hull import EndpointToken
 from reversions.iso import (
     ConditionallyIsomorphic,
     Isomorphic,
@@ -211,14 +228,18 @@ def test_l2_counterexample_regression():
     # condition is what rejects it
 
 
+def cross_seed_pair(forward: bool) -> tuple:
+    a = validate_config(UNIT_CIRCLE, (pt(0, 0), pt("3/5", 0), pt("31/33", 0)))
+    b = validate_config(UNIT_CIRCLE, (pt(0, 0), pt("4/5", 0), pt("121/122", 0)))
+    return (a, b) if forward else (b, a)
+
+
 @pytest.mark.parametrize("forward", [True, False])
 def test_two_seed_table_avoids_cross_seed_products(forward):
     # on one side the second point of the seed stream is the first times
     # (1,2,3,2) = g.h^-1 for sampled words g, h; taking it as a seed makes
     # two table sources coincide with different targets
-    a = validate_config(UNIT_CIRCLE, (pt(0, 0), pt("3/5", 0), pt("31/33", 0)))
-    b = validate_config(UNIT_CIRCLE, (pt(0, 0), pt("4/5", 0), pt("121/122", 0)))
-    s, r = (a, b) if forward else (b, a)
+    s, r = cross_seed_pair(forward)
     verdict = decide_iso(s, r, 5)
     assert verdict == Isomorphic((-3, 5, -2))
     table = build_partial_iso(s, r, verdict, list(enumerate_words(3, 2)), 2)
@@ -226,8 +247,8 @@ def test_two_seed_table_avoids_cross_seed_products(forward):
     assert verify_table(table) is None
 
 
-def built_tables() -> list:
-    """Tables from build_partial_iso for l = 1, 2, 3, with the target stored
+def table_cases() -> list:
+    """(s, r, verdict, words, seeds) for l = 1, 2, 3, with the target stored
     straight and mirrored, on one and two seeds."""
     one_a = validate_config(UNIT_CIRCLE, (pt("1/8", "1/8"),))
     one_b = validate_config(Circle.of(2, 1, 9), (pt(2, 0),))
@@ -243,8 +264,55 @@ def built_tables() -> list:
             r = scaled_translated(s, 2, 3, 1)
             r = validate_config(r.circle, r.points[::-1] if mirror else r.points)
             cases.append((s, r, decide_iso(s, r, 8), list(enumerate_words(3, 2))))
-    return [build_partial_iso(s, r, verdict, words, seeds)
-            for s, r, verdict, words in cases for seeds in (1, 2)]
+    return [case + (seeds,) for case in cases for seeds in (1, 2)]
+
+
+def built_tables() -> list:
+    return [build_partial_iso(*case) for case in table_cases()]
+
+
+def test_build_partial_iso_agrees_with_act_oracle():
+    # mirrored storage, two seeds, l = 1, 2, 3 and the cross-seed pair: the
+    # same rows in the same order, sigma, seed pairs, hulls and circles
+    cases = table_cases() + [
+        (s, r, Isomorphic((-3, 5, -2)), list(enumerate_words(3, 2)), 2)
+        for s, r in map(cross_seed_pair, (True, False))]
+    for s, r, verdict, words, seeds in cases:
+        table = build_partial_iso(s, r, verdict, words, seeds)
+        assert table == act_build_partial_iso(fresh(s), fresh(r), verdict, words, seeds)
+
+
+def perfbench_pairs(seed: int, count: int):
+    """`iso-pairs`-style pairs from the benchmark's closed forms: cycle
+    configurations moved by rational similarities, stored in opposite
+    orders, one in four of different classes."""
+    gen = load_perfbench("gen")
+    rng = random.Random(seed)
+    vectors = gen.canonical_vectors(7)
+    for i in range(count):
+        va = rng.choice(vectors)
+        vb = rng.choice(vectors) if i % 4 == 0 else va
+        yield gen.iso_pair(rng, va, vb, tuple(rng.sample(gen.CYCLE_BASES, 2)))
+
+
+FAILURES = ("is not a cycle", "maps to both", "targets collide")
+
+
+def test_build_partial_iso_agrees_with_act_oracle_on_perfbench_pairs():
+    # the pair's verdict and the trivial one, on one and two seeds: equal
+    # tables where the build succeeds, the same error where it fails
+    words = list(enumerate_words(3, 3))
+    kinds = set()
+    for a, b in perfbench_pairs(1, 24):
+        for verdict in (Isomorphic(a.canonical), Isomorphic(None)):
+            for seeds in (1, 2):
+                got = outcome(build_partial_iso, a.config, b.config, verdict, words, seeds)
+                want = outcome(act_build_partial_iso, fresh(a.config), fresh(b.config),
+                               verdict, words, seeds)
+                assert got == want
+                kinds.add("table" if isinstance(got, PartialIsoTable) else
+                          next(k for k in FAILURES if k in got[1]))
+    assert kinds == {"table", *FAILURES}
 
 
 def mutants(tables: list, count: int, seed: int):
@@ -285,7 +353,14 @@ def test_verify_table_agrees_with_cubic_on_mutants():
     assert verdicts.count(True) >= 40 and verdicts.count(False) >= 40
 
 
+def premise_error(table: PartialIsoTable) -> str:
+    with pytest.raises(VerdictError) as err:
+        verify_table(table)
+    return str(err.value)
+
+
 def test_verify_table_premise():
+    # the rows are keyed by triples, the messages print points
     two_a = validate_config(UNIT_CIRCLE, (pt("-1/2", 0), pt("1/4", 0)))
     two_b = validate_config(Circle.of(0, 0, 4), (pt(-1, "1/2"), pt(1, "1/2")))
     table = build_partial_iso(two_a, two_b, Isomorphic(None),
@@ -294,13 +369,12 @@ def test_verify_table_premise():
     assert verify_table(dataclasses.replace(table, rows=table.rows + ((pt(0, 1), far),))) is None
     # two sources with one target
     shared = dataclasses.replace(table, rows=table.rows + ((pt(0, 1), table.rows[-1][1]),))
-    with pytest.raises(VerdictError):
-        verify_table(shared)
+    assert premise_error(shared) == "table rows repeat a source or a target"
     # a non-hull point off its circle, or on its hull line
-    for bad_src in (pt(0, "1/2"), pt(-1, 0)):
+    for bad_src, text in ((pt(0, "1/2"), "table point 0 1/2 is not on the circle"),
+                          (pt(-1, 0), "table point -1 0 is on the hull line")):
         bad = dataclasses.replace(table, rows=table.rows + ((bad_src, far),))
-        with pytest.raises(VerdictError):
-            verify_table(bad)
+        assert premise_error(bad) == text
     # a middle hull token outside the open disc: the hull-only table of the
     # symmetric configuration against circles through or inside (1/2, 0)
     sym = symmetric_config()
@@ -308,14 +382,57 @@ def test_verify_table_premise():
     assert verify_table(hull_only) is None
     for radius_sq in ("1/4", "1/5"):
         bad = dataclasses.replace(hull_only, dst_circle=Circle.of(0, 0, Fraction(radius_sq)))
-        with pytest.raises(VerdictError):
-            verify_table(bad)
-    # interior hull points off one line, or out of line order
+        assert premise_error(bad) == "hull point -1/2 0 is not inside the circle"
+    # interior hull points off one line, out of line order, or repeated
     low, high = hull_only.src_hull[0], hull_only.src_hull[-1]
     for middles in ((pt("-1/2", 0), pt(0, "1/4"), pt("1/2", 0)),
-                    (pt(0, 0), pt("-1/2", 0), pt("1/2", 0))):
+                    (pt(0, 0), pt("-1/2", 0), pt("1/2", 0)),
+                    (pt(0, 0), pt(0, 0), pt("1/2", 0))):
         hull = (low,) + middles + (high,)
-        bad = PartialIsoTable(tuple(zip(hull, hull)), (1, 2, 3), (), hull, hull,
-                              UNIT_CIRCLE, UNIT_CIRCLE)
-        with pytest.raises(VerdictError):
-            verify_table(bad)
+        bad = PartialIsoTable(tuple((t, t) for t in dict.fromkeys(hull)), (1, 2, 3), (),
+                              hull, hull, UNIT_CIRCLE, UNIT_CIRCLE)
+        assert premise_error(bad) == "the hull points are not on one line in hull order"
+
+
+def premise_mutants(tables: list):
+    """(mutant, the VerdictError text it must raise, kind) from built
+    tables: the last non-hull source or target moved halfway to its
+    circle's centre, the source moved to a rational end of its hull chord,
+    and an endpoint token in place of a point beside a one-point hull."""
+    for table in tables:
+        i = max(k for k, (a, _) in enumerate(table.rows) if a not in table.src_hull)
+        a, b = table.rows[i]
+
+        def with_row(row):
+            return dataclasses.replace(table, rows=table.rows[:i] + (row,) + table.rows[i + 1:])
+
+        for side, circle in ((0, table.src_circle), (1, table.dst_circle)):
+            p = table.rows[i][side]
+            m = Point((p.x + circle.center.x) / 2, (p.y + circle.center.y) / 2)
+            yield (with_row((m, b) if side == 0 else (a, m)),
+                   f"table point {format_point(m)} is not on the circle", "off-circle")
+        c = table.src_circle
+        middles = table.src_hull[1:-1]
+        if len(middles) > 1 and all(q.y == c.center.y for q in middles):
+            try:
+                end = default_base_point(c)  # (cx + r, cy) when r is rational
+            except ConfigValidationError:
+                continue
+            yield (with_row((end, b)),
+                   f"table point {format_point(end)} is on the hull line", "on-line")
+        if len(table.src_hull) == 1:
+            for row, role in (((EndpointToken("low"), b), "low"),
+                              ((a, EndpointToken("high")), "high")):
+                yield (with_row(row),
+                       f"table token endpoint-{role} is not on the hull", "non-hull token")
+
+
+def test_verify_table_premise_mutants():
+    # verify_table refuses every table outside its premise, with the
+    # offending point printed, where the cubic check (which assumes the
+    # premise) may pass it
+    kinds = set()
+    for table, text, kind in premise_mutants(built_tables()):
+        assert premise_error(table) == text
+        kinds.add(kind)
+    assert kinds == {"off-circle", "on-line", "non-hull token"}
