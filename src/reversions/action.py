@@ -111,8 +111,9 @@ def _chain_end(config: Config, x: Triple, g: Word) -> Triple:
 
 
 def orbit(config: Config, c: Point, max_word_length: int) -> tuple:
-    """All images of c under words of length <= the bound, as distinct
-    points sorted by exact (x, y).
+    """All images of c under words of length <= the bound, as the distinct
+    canonical triples (`geometry.homogeneous`) of their points, sorted by
+    exact (x, y); `geometry.affine` gives the point of each.
 
     Orbits are infinite in general, so the enumeration is truncated by word
     length rather than by point count.  The images are the ball of that
@@ -120,8 +121,9 @@ def orbit(config: Config, c: Point, max_word_length: int) -> tuple:
     search is breadth-first over canonical integer triples: each new point
     is expanded once, by every letter except the one that first reached it,
     which only leads back.  That is at most 2 |orbit| + 1 steps for three
-    points.  The triples are sorted by `sorted_triples` and converted once,
-    at the end.
+    points.  The triples are sorted by `sorted_triples` and returned as
+    they are: the CLI prints them with `format_triple` and `svg.render_svg`
+    draws them, with no Point in between.
     """
     if max_word_length < 0:
         raise ActionError(f"negative word-length bound {max_word_length}")
@@ -141,7 +143,7 @@ def orbit(config: Config, c: Point, max_word_length: int) -> tuple:
                         seen.add(y)
                         nxt.append((y, letter))
         frontier = nxt
-    return tuple(affine(x) for x in sorted_triples(seen))
+    return tuple(sorted_triples(seen))
 
 
 def offline_test_points(config: Config) -> Iterator[Point]:

@@ -17,7 +17,9 @@ inconclusive answer under --strict, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import os
 import re
+import stat
 import sys
 from typing import List, Optional
 
@@ -40,6 +42,7 @@ from .geometry import (
     Point,
     format_fraction,
     format_point,
+    format_triple,
     parse_fraction,
 )
 from .iso import CollisionError, ConditionallyIsomorphic, decide_iso, format_verdict
@@ -57,7 +60,7 @@ EXIT_USAGE = 64
 # 0, 1/3, 5/7 (or -1/2, 0, 1/3) of the unit circle (Python 3.11, one core
 # of a shared 2-vCPU host): `iso --bound 4096` classifies two
 # configurations in about 1.4 s, and `orbit --depth 60 --svg` from (0, 1)
-# yields 5,491 points in about 0.3 s.  A balanced vector's largest entry in
+# yields 5,491 points in about 0.1 s.  A balanced vector's largest entry in
 # absolute value (the middle entry of a canonical vector) is half the
 # length of its word: `is-cycle --v 4096,0,-4096` takes about 0.7 s.
 # `realize --bisect` costs grow with both its vector and the number of
@@ -292,16 +295,37 @@ def _cmd_iso(args) -> int:
     return EXIT_OK
 
 
+def _write_svg(path: str, svg: str) -> None:
+    """Write the picture to `path` in place: open without truncating
+    (a new file gets mode 0o666 less the umask, as `open(path, "w")` gives
+    it), write the UTF-8 bytes, then cut a regular file to the bytes
+    written.  Truncating an existing file on open costs more than the
+    rewrite on some filesystems.  The cut runs also when a write fails, so
+    the file then holds at most what was written, as with a truncating
+    open; a file that is not regular, such as /dev/null, is not cut."""
+    data = memoryview(svg.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        written = 0
+        try:
+            while written < len(data):
+                written += os.write(fd, data[written:])
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
+
+
 def _cmd_orbit(args) -> int:
     depth = _within_budget("--depth", args.depth, MAX_DEPTH)
     config = _load_config(args.file)
     start = _parse_cli_point(args.point)
     points = orbit(config, start, depth)
-    svg = render_svg(config, orbit_points=points) if args.svg else None
-    sys.stdout.write("".join(format_point(p) + "\n" for p in points))
-    if svg is not None:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+    # the picture first, so a command that fails prints no orbit
+    if args.svg:
+        _write_svg(args.svg, render_svg(config, orbit_points=points))
+    sys.stdout.write("".join(format_triple(t) + "\n" for t in points))
     return EXIT_OK
 
 
@@ -328,9 +352,8 @@ def _cmd_render(args) -> int:
         if not args.point:
             raise ValueError("--orbit-depth needs --point")
         orbit_points = orbit(config, _parse_cli_point(args.point), args.orbit_depth)
-    svg = render_svg(config, orbit_points=orbit_points, cycle_points=cycle_points)
-    with open(args.svg, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    _write_svg(args.svg, render_svg(config, orbit_points=orbit_points,
+                                    cycle_points=cycle_points))
     return EXIT_OK
 
 

@@ -14,8 +14,9 @@ H = (C^T A C) I - 2 C (A C)^T, which needs no division, maps the conic to
 itself and sends a conic point to the far end of its chord through C.
 `apply_homology` applies one such step and renormalizes with one gcd, so
 the triple stays canonical (primitive, W > 0) and can be hashed;
-`sorted_triples` orders triples by their points, and `affine` converts
-back to a Point exactly.
+`sorted_triples` orders triples by their points, `affine` converts
+back to a Point exactly, and `format_triple` prints the point of a triple
+without building one.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ __all__ = [
     "format_fraction",
     "parse_fraction",
     "format_point",
+    "format_triple",
     "parse_point",
 ]
 
@@ -310,6 +312,21 @@ def parse_fraction(text: str) -> Fraction:
 
 def format_point(p: Point) -> str:
     return f"{format_fraction(p.x)} {format_fraction(p.y)}"
+
+
+def _format_ratio(n: int, d: int) -> str:
+    """`format_fraction(Fraction(n, d))` for d > 0."""
+    g = math.gcd(n, d)
+    return str(n // d) if g == d else f"{n // g}/{d // g}"
+
+
+def format_triple(t: Triple) -> str:
+    """`format_point(affine(t))` for a triple with W != 0, reduced with one
+    gcd per coordinate instead of through two Fractions."""
+    x, y, w = t
+    if w < 0:
+        x, y, w = -x, -y, -w
+    return f"{_format_ratio(x, w)} {_format_ratio(y, w)}"
 
 
 def parse_point(text: str) -> Point:

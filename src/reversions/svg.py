@@ -3,8 +3,10 @@
 All decisions happen upstream in exact arithmetic; this module converts to
 floats at the last moment, formats every number with 12 significant digits
 and assembles the document in a fixed order, so identical inputs give
-byte-identical output.  Orbit dots are drawn in the order the caller gives
-them, which is why they are taken as a sequence, not a set.
+byte-identical output.  Orbit dots and cycle polygons arrive as canonical
+integer triples (X, Y, W) and each coordinate is drawn as X / W; orbit
+dots are drawn in the order the caller gives them, which is why they are
+taken as a sequence, not a set.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from typing import Optional, Sequence
 
 from .action import Config, is_cycle
-from .geometry import Point, affine, apply_homology
+from .geometry import Triple, apply_homology
 from .words import Signature, word_from_signature
 
 __all__ = ["render_svg", "cycle_polygon", "UnverifiedCycle", "OutOfFloatRange"]
@@ -28,18 +30,33 @@ class OutOfFloatRange(ValueError):
     float range, or a positive length that rounds to zero."""
 
 
+_BEYOND = "a coordinate of the picture is beyond the float range"
+
+
 def _float(x) -> float:
     try:
         f = float(x)
     except OverflowError:
         f = math.inf
     if not math.isfinite(f):
-        raise OutOfFloatRange("a coordinate of the picture is beyond the float range")
+        raise OutOfFloatRange(_BEYOND)
     return f
 
 
 def _num(x) -> str:
     return format(_float(x), ".12g")
+
+
+def _coords(t: Triple) -> tuple:
+    """The two formatted coordinates of a triple's point.  Int true
+    division X / W is correctly rounded, so it is the float of
+    Fraction(X, W), and it raises OverflowError where that does; it never
+    gives an infinity."""
+    x, y, w = t
+    try:
+        return format(x / w, ".12g"), format(y / w, ".12g")
+    except OverflowError:
+        raise OutOfFloatRange(_BEYOND) from None
 
 
 def _chord_ends(config: Config) -> Optional[tuple]:
@@ -62,10 +79,11 @@ def _chord_ends(config: Config) -> Optional[tuple]:
 
 
 def cycle_polygon(config: Config, v: Signature) -> list:
-    """The closed chain of a verified cycle: the deterministic off-line test
-    point followed by its images under each successive reversion of the
-    signature word.  Refuses when v is not an exact nonzero cycle (the zero
-    vector's empty word gives no polygon)."""
+    """The closed chain of a verified cycle, as canonical triples: the
+    deterministic off-line test point followed by its images under each
+    successive reversion of the signature word (`geometry.affine` gives
+    the point of each).  Refuses when v is not an exact nonzero cycle (the
+    zero vector's empty word gives no polygon)."""
     v = tuple(v)
     if not any(v):
         raise UnverifiedCycle("the zero vector has no cycle polygon")
@@ -74,15 +92,16 @@ def cycle_polygon(config: Config, v: Signature) -> list:
     chain = [config.test_triple]
     for letter in word_from_signature(v).letters:
         chain.append(apply_homology(config.homologies[letter - 1], chain[-1]))
-    return [affine(x) for x in chain]
+    return chain
 
 
 def render_svg(config: Config,
-               orbit_points: Optional[Sequence[Point]] = None,
-               cycle_points: Optional[Sequence[Point]] = None) -> str:
+               orbit_points: Optional[Sequence[Triple]] = None,
+               cycle_points: Optional[Sequence[Triple]] = None) -> str:
     """The configuration as SVG: circle, interior line, an optional closed
-    cycle polygon, interior points, then optional orbit dots, kept in the
-    caller's order (`action.orbit` returns them sorted by (x, y)).
+    cycle polygon (the triples of `cycle_polygon`), interior points, then
+    optional orbit dots (triples, as `action.orbit` returns them sorted by
+    (x, y)), kept in the caller's order.
 
     Raises OutOfFloatRange when a coordinate overflows a float, or when
     the radius or the spacing of the interior points underflows to zero.
@@ -109,7 +128,7 @@ def render_svg(config: Config,
             f'<line x1="{_num(x1)}" y1="{_num(y1)}" x2="{_num(x2)}" y2="{_num(y2)}" '
             f'stroke="gray" stroke-width="{_num(r / 200)}"/>')
     if cycle_points:
-        path = " ".join(f"{_num(p.x)},{_num(p.y)}" for p in cycle_points)
+        path = " ".join("{},{}".format(*_coords(t)) for t in cycle_points)
         lines.append(
             f'<polygon points="{path}" fill="none" stroke="blue" '
             f'stroke-width="{_num(r / 150)}"/>')
@@ -117,9 +136,9 @@ def render_svg(config: Config,
         lines.append(
             f'<circle cx="{_num(p.x)}" cy="{_num(p.y)}" r="{_num(dot)}" fill="red"/>')
     orbit_dot = _num(dot * 0.7)
-    for p in orbit_points or ():
-        lines.append(
-            f'<circle cx="{_num(p.x)}" cy="{_num(p.y)}" r="{orbit_dot}" fill="green"/>')
+    for t in orbit_points or ():
+        x, y = _coords(t)
+        lines.append(f'<circle cx="{x}" cy="{y}" r="{orbit_dot}" fill="green"/>')
     lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

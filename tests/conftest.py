@@ -1,5 +1,6 @@
 import enum
 import itertools
+import math
 import random
 import sys
 import types
@@ -9,12 +10,14 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import pytest
 
-from reversions.action import ActionError, Config, act, is_cycle, offline_test_points
+from reversions.action import ActionError, Config, act, is_cycle, offline_test_points, orbit
 from reversions.classify import validate_config
 from reversions.geometry import (
     Circle,
     Point,
     UNIT_CIRCLE,
+    affine,
+    format_point,
     is_between,
     on_circle,
     rational_circle_point,
@@ -31,6 +34,7 @@ from reversions.iso import (
     format_verdict,
     verify_table,
 )
+from reversions.svg import OutOfFloatRange, UnverifiedCycle, _chord_ends, _float, _num
 from reversions.words import (
     Signature,
     Word,
@@ -136,6 +140,78 @@ def fraction_orbit(config: Config, c: Point, max_word_length: int) -> set:
                 nxt.add((q, letter))
         frontier = nxt
     return seen
+
+
+def point_orbit(config: Config, c: Point, max_word_length: int) -> tuple:
+    """The orbit as Points, in the order `action.orbit` gives its triples.
+    That set and order are checked against `fraction_orbit` and the
+    Fraction sort in test_integer_core.py; this is the input of the Point
+    path that `point_orbit_stdout` and `point_render_svg` draw from."""
+    return tuple(map(affine, orbit(config, c, max_word_length)))
+
+
+def point_orbit_stdout(points: Sequence[Point]) -> str:
+    """Reference for what `orbit` prints: one `format_point` line per
+    point."""
+    return "".join(format_point(p) + "\n" for p in points)
+
+
+def point_cycle_polygon(config: Config, v: Signature) -> List[Point]:
+    """Reference for `svg.cycle_polygon`: the chain of `geometry.reversion`
+    images of the first off-line test point under the normal-form word of
+    a cycle verified by `act_is_cycle`."""
+    v = tuple(v)
+    if not any(v):
+        raise UnverifiedCycle("the zero vector has no cycle polygon")
+    if not act_is_cycle(config, v):
+        raise UnverifiedCycle(f"{v} is not a cycle for this configuration")
+    chain = [next(offline_test_points(config))]
+    for letter in word_from_signature(v).letters:
+        chain.append(reversion(config.circle, config.points[letter - 1], chain[-1]))
+    return chain
+
+
+def point_render_svg(config: Config,
+                     orbit_points: Optional[Sequence[Point]] = None,
+                     cycle_points: Optional[Sequence[Point]] = None) -> str:
+    """Reference for `svg.render_svg` on Points: every coordinate goes
+    through `float` of its Fraction."""
+    r = math.sqrt(_float(config.circle.radius_sq))
+    if r == 0:
+        raise OutOfFloatRange("the radius is too small for a float")
+    cx, cy = _float(config.circle.center.x), _float(config.circle.center.y)
+    margin = 0.1 * r
+    size = 2 * (r + margin)
+    dot = r / 40
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{_num(cx - r - margin)} '
+        f'{_num(-cy - r - margin)} {_num(size)} {_num(size)}">',
+        '<g transform="scale(1,-1)">',
+        f'<circle cx="{_num(cx)}" cy="{_num(cy)}" r="{_num(r)}" '
+        f'fill="none" stroke="black" stroke-width="{_num(r / 100)}"/>',
+    ]
+    ends = _chord_ends(config)
+    if ends is not None:
+        (x1, y1), (x2, y2) = ends
+        lines.append(
+            f'<line x1="{_num(x1)}" y1="{_num(y1)}" x2="{_num(x2)}" y2="{_num(y2)}" '
+            f'stroke="gray" stroke-width="{_num(r / 200)}"/>')
+    if cycle_points:
+        path = " ".join(f"{_num(p.x)},{_num(p.y)}" for p in cycle_points)
+        lines.append(
+            f'<polygon points="{path}" fill="none" stroke="blue" '
+            f'stroke-width="{_num(r / 150)}"/>')
+    for p in config.points:
+        lines.append(
+            f'<circle cx="{_num(p.x)}" cy="{_num(p.y)}" r="{_num(dot)}" fill="red"/>')
+    orbit_dot = _num(dot * 0.7)
+    for p in orbit_points or ():
+        lines.append(
+            f'<circle cx="{_num(p.x)}" cy="{_num(p.y)}" r="{orbit_dot}" fill="green"/>')
+    lines.append("</g>")
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
 
 
 def stab_contains(config: Config, c: Point, g: Word) -> bool:

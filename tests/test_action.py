@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import Side, halfplane_side, pt, rand_word, stab_contains
+from conftest import Side, halfplane_side, point_orbit, pt, rand_word, stab_contains
 from reversions.action import (
     ActionError,
     act,
@@ -62,16 +62,16 @@ def test_stab_examples(sym):
 
 def test_orbit_single_point():
     config = validate_config(UNIT_CIRCLE, (pt(0, 0),))
-    assert orbit(config, pt(0, 1), 5) == (pt(0, -1), pt(0, 1))
+    assert point_orbit(config, pt(0, 1), 5) == (pt(0, -1), pt(0, 1))
 
 
 def test_orbit_depth_zero(sym):
-    assert orbit(sym, pt(0, 1), 0) == (pt(0, 1),)
+    assert orbit(sym, pt(0, 1), 0) == ((0, 1, 1),)
 
 
 def test_orbit_symmetric_depth_one(sym):
     # distinct points, sorted by (x, y)
-    got = orbit(sym, pt(0, 1), 1)
+    got = point_orbit(sym, pt(0, 1), 1)
     assert got == (pt("-4/5", "-3/5"), pt(0, -1), pt(0, 1), pt("4/5", "-3/5"))
 
 

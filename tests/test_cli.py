@@ -1,6 +1,8 @@
 import ast
+import errno
 import os
 import random
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -236,6 +238,130 @@ def test_cli_render_refuses_non_cycle(sym_file, tmp_path, capsys):
     assert main(["render", sym_file, "--svg", str(out), "--cycle", "0,0,0"]) == EXIT_INVALID
     assert not out.exists()
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# An SVG path is opened without truncation, written, and then a regular
+# file is cut to the bytes written, so an existing picture is rewritten in
+# place.
+OLD_PICTURE = b"<old picture/>\n" * 4000
+PICTURES = {
+    "render": ["render", "{cfg}", "--svg", "{svg}", "--cycle", "-1,2,-1",
+               "--orbit-depth", "2", "--point", "0,1"],
+    "orbit": ["orbit", "{cfg}", "--point", "0,1", "--depth", "2", "--svg", "{svg}"],
+}
+
+
+def picture_argv(kind: str, cfg, svg) -> list:
+    return [a.format(cfg=cfg, svg=svg) for a in PICTURES[kind]]
+
+
+@pytest.mark.parametrize("kind", sorted(PICTURES))
+def test_cli_svg_rewrite_leaves_only_the_new_bytes(kind, sym_file, tmp_path, capsys):
+    new, old = tmp_path / "new.svg", tmp_path / "old.svg"
+    assert main(picture_argv(kind, sym_file, new)) == EXIT_OK
+    old.write_bytes(OLD_PICTURE)
+    assert main(picture_argv(kind, sym_file, old)) == EXIT_OK
+    assert len(new.read_bytes()) < len(OLD_PICTURE)
+    assert old.read_bytes() == new.read_bytes()
+
+
+def test_cli_svg_through_a_symlink_updates_its_target(sym_file, tmp_path, capsys):
+    new, target, link = tmp_path / "new.svg", tmp_path / "target.svg", tmp_path / "link.svg"
+    assert main(picture_argv("render", sym_file, new)) == EXIT_OK
+    target.write_bytes(OLD_PICTURE)
+    link.symlink_to(target)
+    assert main(picture_argv("render", sym_file, link)) == EXIT_OK
+    assert link.is_symlink()
+    assert target.read_bytes() == new.read_bytes()
+
+
+def test_cli_svg_to_a_device_is_not_truncated(sym_file, tmp_path, capsys, monkeypatch):
+    cut = []
+
+    def ftruncate(fd, length):
+        cut.append(length)
+        return os_ftruncate(fd, length)
+
+    os_ftruncate = os.ftruncate
+    monkeypatch.setattr(os, "ftruncate", ftruncate)
+    for kind in sorted(PICTURES):
+        assert main(picture_argv(kind, sym_file, os.devnull)) == EXIT_OK
+    assert cut == []
+    svg = tmp_path / "out.svg"
+    assert main(picture_argv("render", sym_file, svg)) == EXIT_OK
+    assert cut == [len(svg.read_bytes())]
+
+
+def test_cli_svg_new_file_mode_follows_the_umask(sym_file, tmp_path, capsys):
+    svg = tmp_path / "out.svg"
+    old = os.umask(0o027)
+    try:
+        assert main(picture_argv("render", sym_file, svg)) == EXIT_OK
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(svg.stat().st_mode) == 0o666 & ~0o027
+
+
+@pytest.mark.parametrize("kind", sorted(PICTURES))
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_cli_unwritable_svg_exits_2_and_prints_nothing(kind, target, sym_file, tmp_path,
+                                                       capsys):
+    path = tmp_path if target == "directory" else tmp_path / "missing" / "out.svg"
+    assert main(picture_argv(kind, sym_file, path)) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
+def test_cli_failed_svg_write_keeps_only_what_was_written(sym_file, tmp_path, capsys,
+                                                         monkeypatch):
+    svg = tmp_path / "out.svg"
+    svg.write_bytes(OLD_PICTURE)
+    os_write = os.write
+    calls = []
+
+    def short_then_full(fd, data):
+        calls.append(len(data))
+        if len(calls) == 1:
+            return os_write(fd, data[:100])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "write", short_then_full)
+    assert main(picture_argv("orbit", sym_file, svg)) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == "" and "No space left" in err
+    monkeypatch.undo()
+    new = tmp_path / "new.svg"
+    assert main(picture_argv("orbit", sym_file, new)) == EXIT_OK
+    assert svg.read_bytes() == new.read_bytes()[:100]
+
+
+def test_cli_refused_picture_leaves_the_file_unchanged(sym_file, tmp_path, capsys,
+                                                      monkeypatch):
+    svg = tmp_path / "out.svg"
+    svg.write_bytes(OLD_PICTURE)
+    # UnverifiedCycle
+    for v in ("-2,3,-1", "0,0,0"):
+        assert main(["render", sym_file, "--svg", str(svg), "--cycle", v]) == EXIT_INVALID
+    # OutOfFloatRange from the configuration
+    for case in sorted(FLOAT_RANGE_CASES):
+        r2, xs, point = FLOAT_RANGE_CASES[case]
+        path = tmp_path / "c.cfg"
+        path.write_text(f"circle 0 0 {r2}\n" + "".join(f"point {x} 0\n" for x in xs))
+        assert main(["render", str(path), "--svg", str(svg)]) == EXIT_INVALID
+        assert main(["orbit", str(path), "--point", point, "--depth", "2",
+                     "--svg", str(svg)]) == EXIT_INVALID
+    # OutOfFloatRange from an orbit point, which no circle whose own
+    # picture fits in floats has: X / W overflows
+    monkeypatch.setattr("reversions.cli.orbit", lambda *args: ((0, 1, 1), (10**400, 0, 1)))
+    for kind in sorted(PICTURES):
+        assert main(picture_argv(kind, sym_file, svg)) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("error: ") == 2 + 2 * len(FLOAT_RANGE_CASES) + 2
+    assert err.count("beyond the float range") >= 2 and "Traceback" not in err
+    assert svg.read_bytes() == OLD_PICTURE
 
 
 def test_cli_sign_change_error_exit(monkeypatch, capsys):

@@ -120,8 +120,10 @@ def test_orbit_agrees_with_fraction_orbit(config, t, depth):
     c = start_point(config, t)
     got = orbit(config, c, depth)
     assert isinstance(got, tuple)
-    assert set(got) == fraction_orbit(config, c, depth)
-    assert all((p.x, p.y) < (q.x, q.y) for p, q in zip(got, got[1:]))
+    points = tuple(map(affine, got))
+    assert set(points) == fraction_orbit(config, c, depth)
+    assert all((p.x, p.y) < (q.x, q.y) for p, q in zip(points, points[1:]))
+    assert all(homogeneous(p) == x for p, x in zip(points, got))
 
 
 def test_orbit_expands_each_point_once(monkeypatch):
@@ -134,7 +136,7 @@ def test_orbit_expands_each_point_once(monkeypatch):
 
     monkeypatch.setattr(action, "apply_homology", counted)
     got = orbit(config, pt(0, 1), 10)
-    assert set(got) == fraction_orbit(config, pt(0, 1), 10)
+    assert set(map(affine, got)) == fraction_orbit(config, pt(0, 1), 10)
     assert len(steps) <= 2 * len(got) + 1
 
 
@@ -181,7 +183,8 @@ def test_cycle_polygon_agrees_with_reversion_chain(circle, s, v, reverse):
     chain = cycle_polygon(config, stored)
     expected = reversion_fold(config, offline_test_point(config),
                               word_from_signature(stored).letters)
-    assert chain == expected
+    assert [affine(x) for x in chain] == expected
+    assert chain == [homogeneous(p) for p in expected]
     assert chain[-1] == chain[0]
 
 
