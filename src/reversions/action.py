@@ -13,21 +13,23 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 from .geometry import (
     Circle,
+    Conic,
+    NotOnCircle,
     Point,
-    TangentDirection,
     Triple,
     affine,
     apply_homology,
+    conic,
     homogeneous,
     homology,
-    on_circle,
-    rational_circle_point,
+    line_through,
+    quadric,
     sorted_triples,
 )
 from .words import Signature, Word, is_balanced, word_from_signature
@@ -56,11 +58,13 @@ class Config:
     lie on one line (vacuously for one or two points) and are monotone
     along it, each middle point between its neighbours.
 
-    Two derived values are built on first use and kept on the instance,
-    outside the fields that equality and hashing see: the integer homology
-    of each interior point, and the integer triple of the off-line test
-    point, which the cycle test, the cycle search, its witness, cycle
-    polygons and the first table seed all start from.
+    Three derived values are built on first use and kept on the instance,
+    outside the fields that equality and hashing see: the circle's integer
+    conic, which validation, the start-point checks of `act` and `orbit`
+    and the homologies all read; the integer homology of each interior
+    point; and the integer triple of the off-line test point, which the
+    cycle test, the cycle search, its witness, cycle polygons and the first
+    table seed all start from.
     """
 
     circle: Circle
@@ -68,16 +72,21 @@ class Config:
     base_point: Point
 
     @functools.cached_property
+    def conic(self) -> Conic:
+        """The circle's integer conic matrix (`geometry.conic`)."""
+        return conic(self.circle)
+
+    @functools.cached_property
     def homologies(self) -> tuple:
         """The integer homology (`geometry.homology`) of each interior point,
-        in index order."""
-        return tuple(homology(self.circle, c) for c in self.points)
+        in index order, all from the one cached conic."""
+        return tuple(homology(self.circle, c, self.conic) for c in self.points)
 
     @functools.cached_property
     def test_triple(self) -> Triple:
-        """The canonical triple of the first `offline_test_points` point,
-        which is on the circle by construction."""
-        return homogeneous(next(offline_test_points(self)))
+        """The first triple of the off-line test-point stream, which is on
+        the circle by construction."""
+        return next(_test_triples(self))
 
     @property
     def alphabet(self) -> int:
@@ -97,9 +106,16 @@ def act(config: Config, c: Point, g: Word) -> Point:
     if g.alphabet != config.alphabet:
         raise ActionError(
             f"word alphabet {g.alphabet} != {config.alphabet} interior points")
-    if not on_circle(config.circle, c):
+    x = _on_circle_triple(config, c)
+    return affine(_chain_end(config, x, g))
+
+
+def _on_circle_triple(config: Config, c: Point) -> Triple:
+    """The triple of c, which must lie on the circle: X^T A X = 0."""
+    x = homogeneous(c)
+    if quadric(config.conic, x) != 0:
         raise ActionError(f"{c} is not on the configuration circle")
-    return affine(_chain_end(config, homogeneous(c), g))
+    return x
 
 
 def _chain_end(config: Config, x: Triple, g: Word) -> Triple:
@@ -127,10 +143,8 @@ def orbit(config: Config, c: Point, max_word_length: int) -> tuple:
     """
     if max_word_length < 0:
         raise ActionError(f"negative word-length bound {max_word_length}")
-    if not on_circle(config.circle, c):
-        raise ActionError(f"{c} is not on the configuration circle")
+    start = _on_circle_triple(config, c)
     steps = list(enumerate(config.homologies, start=1))
-    start = homogeneous(c)
     seen = {start}
     frontier = [(start, 0)]
     for _ in range(max_word_length):
@@ -146,20 +160,45 @@ def orbit(config: Config, c: Point, max_word_length: int) -> tuple:
     return tuple(sorted_triples(seen))
 
 
-def offline_test_points(config: Config) -> Iterator[Point]:
-    """Deterministic rational circle points off the interior line: chords
-    through the base point with slopes 1, 1/2, 1/3, ...  Rational points are
-    dense on the circle, so on-line hits are skipped and the stream is
-    effectively inexhaustible.  A single interior point has no line to
-    avoid."""
-    a, b = config.line() if len(config.points) > 1 else (None, None)
+def _test_triples(config: Config) -> Iterator[Triple]:
+    """The off-line test points as canonical triples: the second ends of
+    the chords through the base point with directions (k, 1), k = 1, 2, ...
+    (slopes 1, 1/2, 1/3, ...), skipping the tangent direction and the hits
+    on the interior line.  Rational points are dense on the circle, so the
+    stream is effectively inexhaustible.  A single interior point has no
+    line to avoid.
+
+    With the base (X/W, Y/W), the center (u/z, v/z) and
+    N = k (X z - u W) + (Y z - v W), which is W z times the dot product of
+    the direction with base - center, the chord's far end is
+    (X z (k^2 + 1) - 2 k N, Y z (k^2 + 1) - 2 N, W z (k^2 + 1)) up to
+    its gcd; N = 0 is the tangent.  Raises NotOnCircle for a base point
+    off the circle, which only a Config built without `validate_config`
+    can have.
+    """
+    base = x0, x1, x2 = homogeneous(config.base_point)
+    if quadric(config.conic, base) != 0:
+        raise NotOnCircle(f"{config.base_point} is not on {config.circle}")
+    u, v, z = homogeneous(config.circle.center)
+    ex, ey = x0 * z - u * x2, x1 * z - v * x2
+    line = line_through(*map(homogeneous, config.line())) if len(config.points) > 1 else None
     for k in itertools.count(1):
-        try:
-            p = rational_circle_point(config.circle, config.base_point, Fraction(1, k))
-        except TangentDirection:
+        n = k * ex + ey
+        if n == 0:
             continue
-        if a is None or (b - a).cross(p - a) != 0:
-            yield p
+        m = z * (k * k + 1)
+        p0, p1, p2 = x0 * m - 2 * k * n, x1 * m - 2 * n, x2 * m
+        if line is None or line[0] * p0 + line[1] * p1 + line[2] * p2 != 0:
+            g = math.gcd(p0, p1, p2)
+            yield p0 // g, p1 // g, p2 // g
+
+
+def offline_test_points(config: Config) -> Iterator[Point]:
+    """The off-line test points, one `geometry.affine` point per triple of
+    the stream that `Config.test_triple` starts: chords through the base
+    point with slopes 1, 1/2, 1/3, ..., skipping the tangent and the hits
+    on the interior line."""
+    return map(affine, _test_triples(config))
 
 
 def offline_test_point(config: Config) -> Point:

@@ -27,12 +27,14 @@ from .geometry import (
     Point,
     UNIT_CIRCLE,
     apply_homology,
-    collinear,
+    conic,
+    homogeneous,
     homology,
     in_open_disk,
-    is_between,
     line_line_intersection,
+    line_through,
     on_circle,
+    quadric,
     rational_circle_point,
     reversion,
 )
@@ -155,35 +157,51 @@ def default_base_point(circle: Circle) -> Point:
 def validate_config(circle: Circle, points, base_point: Optional[Point] = None) -> Config:
     """Check distinctness, interiority and (for three or more points)
     collinearity and monotone order, and attach a rational seed point on
-    the circle.  Each failed check is reported under its own name."""
+    the circle.  Each failed check is reported under its own name.
+
+    The checks run on the `homogeneous` triples of the points, against the
+    circle's integer conic A (`geometry.conic`), which the returned Config
+    keeps as `Config.conic`: a point is inside when X^T A X < 0 and the
+    base point is on the circle when X^T A X = 0 (`geometry.quadric`);
+    three points are collinear when their 3x3 determinant vanishes
+    (`geometry.line_through`); and of three distinct collinear points the
+    middle one is strictly between the others when the two segment
+    vectors, cross-multiplied to integers, have a positive dot product.
+    """
     points = tuple(points)
     if not points:
         raise ConfigValidationError("count", "need at least one interior point")
-    for i, p in enumerate(points):
-        for q in points[i + 1:]:
-            if p == q:
-                raise ConfigValidationError(
-                    "distinctness", f"interior point {p} repeated")
-    for p in points:
-        if not in_open_disk(circle, p):
+    triples = [homogeneous(p) for p in points]
+    for i, x in enumerate(triples):
+        if x in triples[i + 1:]:
+            raise ConfigValidationError(
+                "distinctness", f"interior point {points[i]} repeated")
+    matrix = conic(circle)
+    for p, x in zip(points, triples):
+        if quadric(matrix, x) >= 0:
             raise ConfigValidationError(
                 "interiority", f"{p} is not strictly inside the circle")
     if len(points) >= 3:
-        a, b = points[0], points[1]
-        for p in points[2:]:
-            if not collinear(a, b, p):
+        n0, n1, n2 = line_through(triples[0], triples[1])
+        for p, (x0, x1, x2) in zip(points[2:], triples[2:]):
+            if n0 * x0 + n1 * x1 + n2 * x2 != 0:
                 raise ConfigValidationError(
                     "collinearity", f"{p} is off the line of the first two points")
-        for left, mid, right in zip(points, points[1:], points[2:]):
-            if not is_between(left, mid, right):
+        for mid, (l0, l1, l2), (m0, m1, m2), (r0, r1, r2) in zip(
+                points[1:], triples, triples[1:], triples[2:]):
+            # (mid - left) . (right - mid), times the positive l2 m2^2 r2
+            if (m0 * l2 - l0 * m2) * (r0 * m2 - m0 * r2) \
+                    + (m1 * l2 - l1 * m2) * (r1 * m2 - m1 * r2) <= 0:
                 raise ConfigValidationError(
                     "ordering", f"{mid} is not between its neighbours")
     if base_point is None:
         base_point = default_base_point(circle)
-    elif not on_circle(circle, base_point):
+    elif quadric(matrix, homogeneous(base_point)) != 0:
         raise ConfigValidationError(
             "base_point", f"{base_point} is not on the circle")
-    return Config(circle, points, base_point)
+    config = Config(circle, points, base_point)
+    config.__dict__["conic"] = matrix  # the cached property's slot
+    return config
 
 
 def _search_cycle(config: Config, v2_max: int) -> Optional[Tuple[tuple, tuple]]:

@@ -352,6 +352,8 @@ def _cmd_render(args) -> int:
         if not args.point:
             raise ValueError("--orbit-depth needs --point")
         orbit_points = orbit(config, _parse_cli_point(args.point), args.orbit_depth)
+    elif args.point is not None:
+        raise ValueError("--point needs --orbit-depth")
     _write_svg(args.svg, render_svg(config, orbit_points=orbit_points,
                                     cycle_points=cycle_points))
     return EXIT_OK

@@ -8,8 +8,9 @@ irrational radius still have all-rational data.
 
 Chains of reversions run in integer projective coordinates instead.  A
 point is the primitive triple (X, Y, W), W > 0, of `homogeneous`; the
-circle is the integer conic X^T A X = 0 of `conic`; and the reversion
-through an interior point C is the harmonic homology
+circle is the integer conic X^T A X = 0 of `conic`, whose `quadric` is
+negative inside the circle, zero on it and positive outside; and the
+reversion through an interior point C is the harmonic homology
 H = (C^T A C) I - 2 C (A C)^T, which needs no division, maps the conic to
 itself and sends a conic point to the far end of its chord through C.
 `apply_homology` applies one such step and renormalizes with one gcd, so
@@ -21,7 +22,6 @@ without building one.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +29,8 @@ from typing import Optional, Tuple, Union
 
 Rational = Union[Fraction, int]
 Triple = Tuple[int, int, int]
+# The symmetric integer matrix A of a circle's conic X^T A X = 0.
+Conic = Tuple[Triple, Triple, Triple]
 # (q, l, C): the homology X -> q X - 2 (l . X) C of an interior point C.
 Homology = Tuple[int, Triple, Triple]
 
@@ -48,6 +50,8 @@ __all__ = [
     "homogeneous",
     "affine",
     "conic",
+    "quadric",
+    "line_through",
     "homology",
     "apply_homology",
     "sorted_triples",
@@ -190,7 +194,7 @@ def affine(h: Triple) -> Point:
     return Point(Fraction(x, w), Fraction(y, w))
 
 
-def conic(circle: Circle) -> Tuple[Triple, Triple, Triple]:
+def conic(circle: Circle) -> Conic:
     """The primitive symmetric integer matrix A, with A[0][0] > 0, such
     that X^T A X = 0 exactly for the homogeneous triples of the circle's
     points.
@@ -207,11 +211,30 @@ def conic(circle: Circle) -> Tuple[Triple, Triple, Triple]:
     return ((a, 0, b), (0, a, e), (b, e, f))
 
 
-def homology(circle: Circle, center: Point) -> Homology:
+def quadric(matrix: Conic, x: Triple) -> int:
+    """X^T A X for the `conic` matrix A: for W != 0 it is negative, zero
+    or positive as the point of x is inside, on or outside the circle."""
+    (a, _, b), (_, _, e), (_, _, f) = matrix
+    x0, x1, x2 = x
+    return a * (x0 * x0 + x1 * x1) + (2 * (b * x0 + e * x1) + f * x2) * x2
+
+
+def line_through(x: Triple, y: Triple) -> Triple:
+    """The line through the points of two triples, as the coefficient
+    triple n = x cross y: a triple p lies on it exactly when n . p = 0,
+    the determinant of x, y and p.  It is (0, 0, 0) when x and y are the
+    same point."""
+    x0, x1, x2 = x
+    y0, y1, y2 = y
+    return x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0
+
+
+def homology(circle: Circle, center: Point, matrix: Optional[Conic] = None) -> Homology:
     """The reversion through `center` as the integer harmonic homology
     H = q I - 2 C l^T, returned as (q, l, C) with C the triple of `center`,
     l = A C and q = C^T A C (both divided by their common gcd, which leaves
-    the projective map unchanged).
+    the projective map unchanged).  `matrix` is the circle's `conic`, when
+    the caller already has it.
 
     Raises NotInterior unless `center` is strictly inside the circle, which
     is q < 0 (see `conic`); once that holds, H sends every conic point X to
@@ -219,13 +242,14 @@ def homology(circle: Circle, center: Point) -> Homology:
     to X itself only when l . X = 0, which no circle point meets because
     the polar of an interior point misses the circle.
     """
-    c = homogeneous(center)
-    l = tuple(sum(a * x for a, x in zip(row, c)) for row in conic(circle))
-    q = sum(a * x for a, x in zip(c, l))
+    (a, _, b), (_, _, e), (_, _, f) = conic(circle) if matrix is None else matrix
+    c = c0, c1, c2 = homogeneous(center)
+    l0, l1, l2 = a * c0 + b * c2, a * c1 + e * c2, b * c0 + e * c1 + f * c2
+    q = c0 * l0 + c1 * l1 + c2 * l2
     if q >= 0:
         raise NotInterior(f"reversion center {center} is not interior to {circle}")
-    g = math.gcd(q, *l)
-    return q // g, (l[0] // g, l[1] // g, l[2] // g), c
+    g = math.gcd(q, l0, l1, l2)
+    return q // g, (l0 // g, l1 // g, l2 // g), c
 
 
 def apply_homology(h: Homology, x: Triple) -> Triple:
@@ -246,20 +270,18 @@ def apply_homology(h: Homology, x: Triple) -> Triple:
     return (x0 // g, x1 // g, x2 // g)
 
 
-def _compare(s: Triple, t: Triple) -> int:
-    """-1, 0 or 1 as the point of s is before, at or after that of t in
-    (x, y) order; exact for W > 0."""
-    a, b = s[0] * t[2], t[0] * s[2]
-    if a == b:
-        a, b = s[1] * t[2], t[1] * s[2]
-    return (a > b) - (a < b)
-
-
 def sorted_triples(triples) -> list:
     """Triples with W > 0 in the exact (x, y) order of their points, as a
-    sort on the Fractions (X/W, Y/W) gives them, but comparing by
-    cross-multiplication (`_compare`) instead of building Fractions."""
-    return sorted(triples, key=functools.cmp_to_key(_compare))
+    stable sort on the Fractions (X/W, Y/W) gives them, but on the integer
+    key (floor(x 2^s), floor(y 2^s)) with s = 2 b, where every W < 2^b.
+
+    The key is exact.  Two distinct values X1/W1 != X2/W2 differ by at
+    least 1/(W1 W2) > 2^-s, so their scaled values differ by more than 1
+    and their floors keep their order; equal values give equal floors.
+    """
+    triples = list(triples)
+    s = 2 * max((t[2].bit_length() for t in triples), default=0)
+    return sorted(triples, key=lambda t: ((t[0] << s) // t[2], (t[1] << s) // t[2]))
 
 
 def rational_circle_point(circle: Circle, base: Point, t: Rational) -> Point:

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from .action import Config, is_cycle, offline_test_points
+from .action import Config, _test_triples, is_cycle
 from .classify import (
     ClassLabel,
     CycleLabel,
@@ -217,8 +217,7 @@ def _orbit_seeds(config: Config, words: Sequence[Word], count: int) -> List[Trip
         return [config.test_triple]
     seeds: List[Triple] = []
     taken: Set[Triple] = set()
-    for p in offline_test_points(config):
-        x = homogeneous(p)
+    for x in _test_triples(config):
         reached = {x, *_images(config.homologies, x, words)}
         if not taken.isdisjoint(reached):
             continue

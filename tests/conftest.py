@@ -1,4 +1,5 @@
 import enum
+import functools
 import itertools
 import math
 import random
@@ -10,14 +11,18 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import pytest
 
-from reversions.action import ActionError, Config, act, is_cycle, offline_test_points, orbit
-from reversions.classify import validate_config
+from reversions.action import ActionError, Config, act, is_cycle, orbit
+from reversions.classify import ConfigValidationError, default_base_point, validate_config
 from reversions.geometry import (
     Circle,
     Point,
+    TangentDirection,
+    Triple,
     UNIT_CIRCLE,
     affine,
+    collinear,
     format_point,
+    in_open_disk,
     is_between,
     on_circle,
     rational_circle_point,
@@ -65,6 +70,70 @@ def symmetric_config() -> Config:
 @pytest.fixture
 def sym() -> Config:
     return symmetric_config()
+
+
+def fraction_validate_config(circle: Circle, points,
+                             base_point: Optional[Point] = None) -> Config:
+    """Reference for `classify.validate_config`: the same checks in the
+    same order with the Fraction predicates `in_open_disk`, `collinear`,
+    `is_between` and `on_circle`."""
+    points = tuple(points)
+    if not points:
+        raise ConfigValidationError("count", "need at least one interior point")
+    for i, p in enumerate(points):
+        for q in points[i + 1:]:
+            if p == q:
+                raise ConfigValidationError(
+                    "distinctness", f"interior point {p} repeated")
+    for p in points:
+        if not in_open_disk(circle, p):
+            raise ConfigValidationError(
+                "interiority", f"{p} is not strictly inside the circle")
+    if len(points) >= 3:
+        a, b = points[0], points[1]
+        for p in points[2:]:
+            if not collinear(a, b, p):
+                raise ConfigValidationError(
+                    "collinearity", f"{p} is off the line of the first two points")
+        for left, mid, right in zip(points, points[1:], points[2:]):
+            if not is_between(left, mid, right):
+                raise ConfigValidationError(
+                    "ordering", f"{mid} is not between its neighbours")
+    if base_point is None:
+        base_point = default_base_point(circle)
+    elif not on_circle(circle, base_point):
+        raise ConfigValidationError(
+            "base_point", f"{base_point} is not on the circle")
+    return Config(circle, points, base_point)
+
+
+def fraction_offline_test_points(config: Config) -> Iterator[Point]:
+    """Reference for `action.offline_test_points`: chords through the base
+    point with slopes 1, 1/2, 1/3, ... by `rational_circle_point` on
+    Fractions, skipping the tangent and the hits on the interior line."""
+    a, b = config.line() if len(config.points) > 1 else (None, None)
+    for k in itertools.count(1):
+        try:
+            p = rational_circle_point(config.circle, config.base_point, Fraction(1, k))
+        except TangentDirection:
+            continue
+        if a is None or (b - a).cross(p - a) != 0:
+            yield p
+
+
+def _compare_triples(s: Triple, t: Triple) -> int:
+    """-1, 0 or 1 as the point of s is before, at or after that of t in
+    (x, y) order; exact for W > 0."""
+    a, b = s[0] * t[2], t[0] * s[2]
+    if a == b:
+        a, b = s[1] * t[2], t[1] * s[2]
+    return (a > b) - (a < b)
+
+
+def cmp_sorted_triples(triples) -> list:
+    """Reference for `geometry.sorted_triples`: a sort by
+    cross-multiplied comparisons of each pair."""
+    return sorted(triples, key=functools.cmp_to_key(_compare_triples))
 
 
 def rand_fraction(rng: random.Random, span: int = 12) -> Fraction:
@@ -165,7 +234,7 @@ def point_cycle_polygon(config: Config, v: Signature) -> List[Point]:
         raise UnverifiedCycle("the zero vector has no cycle polygon")
     if not act_is_cycle(config, v):
         raise UnverifiedCycle(f"{v} is not a cycle for this configuration")
-    chain = [next(offline_test_points(config))]
+    chain = [next(fraction_offline_test_points(config))]
     for letter in word_from_signature(v).letters:
         chain.append(reversion(config.circle, config.points[letter - 1], chain[-1]))
     return chain
@@ -381,7 +450,7 @@ def act_is_cycle(config: Config, v: Signature) -> bool:
     if not is_balanced(v):
         return False
     g = word_from_signature(tuple(v))
-    p = next(offline_test_points(config))
+    p = next(fraction_offline_test_points(config))
     return act(config, p, g) == p
 
 
@@ -397,7 +466,7 @@ def _act_stored_vector(config: Config, vector: tuple) -> tuple:
 def _act_orbit_seeds(config: Config, words: Sequence[Word], count: int) -> List[Point]:
     seeds: List[Point] = []
     taken: set = set()
-    for p in offline_test_points(config):
+    for p in fraction_offline_test_points(config):
         if count > 1:
             reached = {p} | {act(config, p, w) for w in words}
             if not taken.isdisjoint(reached):

@@ -240,6 +240,21 @@ def test_cli_render_refuses_non_cycle(sym_file, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("extra", [[], ["--cycle", "-1,2,-1"]])
+def test_cli_render_point_and_orbit_depth_need_each_other(extra, sym_file, tmp_path, capsys):
+    out = tmp_path / "no.svg"
+    render = ["render", sym_file, "--svg", str(out), *extra]
+    assert run([*render, "--point", "0,1"], capsys) == \
+        (EXIT_INVALID, "", "error: --point needs --orbit-depth\n")
+    assert not out.exists()
+    assert run([*render, "--orbit-depth", "2"], capsys) == \
+        (EXIT_INVALID, "", "error: --orbit-depth needs --point\n")
+    assert not out.exists()
+    assert run([*render, "--point", "0,1", "--orbit-depth", "2"], capsys) == (EXIT_OK, "", "")
+    _, orbit_out, _ = run(["orbit", sym_file, "--point", "0,1", "--depth", "2"], capsys)
+    assert out.read_text().count('fill="green"') == len(orbit_out.splitlines()) == 8
+
+
 # An SVG path is opened without truncation, written, and then a regular
 # file is cut to the bytes written, so an existing picture is rewritten in
 # place.

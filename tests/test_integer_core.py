@@ -3,7 +3,8 @@ on every chain: `act`, `orbit` and `cycle_polygon` run on primitive
 integer triples, and each must give exactly the points of a fold of
 `geometry.reversion`, on the unit circle, an off-centre circle and a
 circle with irrational radius.  `sorted_triples`, which orders the orbit,
-must equal the Fraction sort it replaces.  `is_cycle` and
+must equal the Fraction sort and the cross-multiplying comparison sort it
+replaces.  `is_cycle` and
 `build_partial_iso`, which run on triples from the cached test point,
 must give the verdicts, tables and errors of their `act`-based
 versions."""
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     act_build_partial_iso,
     act_is_cycle,
+    cmp_sorted_triples,
     fraction_orbit,
     fresh,
     outcome,
@@ -161,7 +163,8 @@ small_triples = st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(1,
     st.one_of(near_ties, beyond_float, small_triples), max_size=12))
 def test_sorted_triples_is_the_fraction_sort(data, triples):
     shuffled = data.draw(st.permutations(triples))
-    assert sorted_triples(shuffled) == sorted(shuffled, key=fraction_key)
+    assert sorted_triples(shuffled) == sorted(shuffled, key=fraction_key) \
+        == cmp_sorted_triples(shuffled)
 
 
 def test_sorted_triples_separates_float_ties():
@@ -172,6 +175,15 @@ def test_sorted_triples_separates_float_ties():
     # equal x, different y, and a quotient past the float range
     assert sorted_triples([(2, 5, 2), (1, -1, 1), (10**400, 0, 1)]) == \
         [(1, -1, 1), (2, 5, 2), (10**400, 0, 1)]
+    # consecutive Fibonacci ratios F(n)/F(n+1) differ by 1/(F(n+1) F(n+2)),
+    # far below 2^-b for denominators near 2^b, so the integer key needs
+    # all 2 b bits of its shift to keep them apart
+    fib = [0, 1]
+    while len(fib) < 112:
+        fib.append(fib[-1] + fib[-2])
+    triples = [(fib[n], 0, fib[n + 1]) for n in range(100, 110)]
+    assert sorted_triples(triples[::-1]) == sorted(triples, key=fraction_key) \
+        == cmp_sorted_triples(triples[::-1])
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -262,16 +274,19 @@ def test_table_build_computes_the_test_point_once_and_one_step_per_word(monkeypa
     r = cycle_config("off-centre", 2, (-2, 3, -1), True)
     points = []
     steps = []
+    stream = action._test_triples
 
-    def counted_point(circle, base, t):
-        points.append(circle)
-        return rational_circle_point(circle, base, t)
+    def counted_points(config):
+        for x in stream(config):
+            points.append(config.circle)
+            yield x
 
     def counted_step(h, x):
         steps.append(x)
         return apply_homology(h, x)
 
-    monkeypatch.setattr(action, "rational_circle_point", counted_point)
+    monkeypatch.setattr(action, "_test_triples", counted_points)
+    monkeypatch.setattr(iso, "_test_triples", counted_points)
     monkeypatch.setattr(iso, "apply_homology", counted_step)
     verdict = decide_iso(s, r, 8)
     assert verdict == Isomorphic((-2, 3, -1))
