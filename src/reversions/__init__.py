@@ -25,12 +25,7 @@ from .geometry import (
     Circle,
     Point,
     UNIT_CIRCLE,
-    collinear,
-    in_open_disk,
     is_between,
-    line_line_intersection,
-    on_circle,
-    rational_circle_point,
     reversion,
 )
 from .hull import collinear_hull, hull_isomorphism

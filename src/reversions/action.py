@@ -41,7 +41,6 @@ __all__ = [
     "orbit",
     "is_cycle",
     "offline_test_point",
-    "offline_test_points",
 ]
 
 
@@ -91,12 +90,6 @@ class Config:
     @property
     def alphabet(self) -> int:
         return len(self.points)
-
-    def line(self) -> tuple:
-        """Two distinct points spanning the interior line (stored order)."""
-        if len(self.points) < 2:
-            raise ActionError("configuration has no interior line")
-        return (self.points[0], self.points[1])
 
 
 def act(config: Config, c: Point, g: Word) -> Point:
@@ -181,7 +174,7 @@ def _test_triples(config: Config) -> Iterator[Triple]:
         raise NotOnCircle(f"{config.base_point} is not on {config.circle}")
     u, v, z = homogeneous(config.circle.center)
     ex, ey = x0 * z - u * x2, x1 * z - v * x2
-    line = line_through(*map(homogeneous, config.line())) if len(config.points) > 1 else None
+    line = line_through(*map(homogeneous, config.points[:2])) if len(config.points) > 1 else None
     for k in itertools.count(1):
         n = k * ex + ey
         if n == 0:
@@ -193,16 +186,9 @@ def _test_triples(config: Config) -> Iterator[Triple]:
             yield p0 // g, p1 // g, p2 // g
 
 
-def offline_test_points(config: Config) -> Iterator[Point]:
-    """The off-line test points, one `geometry.affine` point per triple of
-    the stream that `Config.test_triple` starts: chords through the base
-    point with slopes 1, 1/2, 1/3, ..., skipping the tangent and the hits
-    on the interior line."""
-    return map(affine, _test_triples(config))
-
-
 def offline_test_point(config: Config) -> Point:
-    """The first point of `offline_test_points`, from its cached triple."""
+    """The point of the cached first triple of the off-line test-point
+    stream (`Config.test_triple`)."""
     return affine(config.test_triple)
 
 

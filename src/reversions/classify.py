@@ -8,7 +8,7 @@ search walks the two point chains p.(2,1)^k and p.(3,2)^m from one off-line
 rational point p and joins them on exact equality, so a bound B costs
 O(B) reversions; the two constructors go the other way and produce a
 configuration realizing a prescribed vector, one by exact chord closing,
-one by certified bisection on the middle point.
+with no search, one by certified bisection on the middle point.
 """
 
 from __future__ import annotations
@@ -23,20 +23,14 @@ from typing import Optional, Tuple, Union
 from .action import Config, act, offline_test_point
 from .geometry import (
     Circle,
-    DegenerateLine,
     Point,
     UNIT_CIRCLE,
     apply_homology,
     conic,
     homogeneous,
     homology,
-    in_open_disk,
-    line_line_intersection,
     line_through,
-    on_circle,
     quadric,
-    rational_circle_point,
-    reversion,
 )
 from .words import (
     Signature,
@@ -295,74 +289,52 @@ def format_label(label: ClassLabel) -> str:
     return f"no-cycle-upto {label.v2_bound}"
 
 
-_X_AXIS = (Point.of(0, 0), Point.of(1, 0))
-
-
 def realize_by_closing(v: Signature, c1x: Fraction, c2x: Fraction,
-                       p0: Point) -> Optional[Config]:
+                       p0: Point) -> Config:
     """Construct an exact configuration with cycle v by closing the chord.
 
     For v = (v1, v2, -1) the word (2,1)^|v1| (2,3) uses the third point
     once, as its final reversion.  Apply every reversion but that last one
-    to p0, giving q; the final reversion must send q back to p0, so the
-    third point is forced: the crossing of chord [q, p0] with the axis.
-    When that crossing is interior, ordered after the second point, and the
-    full word then fixes p0 exactly, the configuration is returned;
-    otherwise None (the forced point can land outside the disk or out of
-    order for particular choices).
-    """
+    to the triple of p0, giving q; the final reversion must send q back to
+    p0, so the third point is forced: the meet of `line_through(q, p0)`
+    with the axis (0, 1, 0).  Reversions are hyperbolic half-turns, so q
+    is on the other half circle (the chord meets the axis inside the
+    disk) and (2, 3) undoes the translation (2,1)^|v1|, so the third point
+    lies beyond the second: valid input never fails, and SignChangeError
+    marks a bug."""
     v = tuple(v)
     if len(v) != 3 or not is_balanced(v) or v[2] != -1 or v[0] > -1:
         raise RealizationError(
             f"{v} must be balanced with v3 = -1 and v1 <= -1")
     if not (-1 < c1x < c2x < 1):
         raise RealizationError(f"need -1 < c1x < c2x < 1, got {c1x}, {c2x}")
-    if not on_circle(UNIT_CIRCLE, p0):
+    matrix = conic(UNIT_CIRCLE)
+    x = homogeneous(p0)
+    if quadric(matrix, x) != 0:
         raise RealizationError(f"{p0} is not on the unit circle")
     if p0.y == 0:
         raise RealizationError("p0 must be off the x-axis")
     c1 = Point(Fraction(c1x), Fraction(0))
     c2 = Point(Fraction(c2x), Fraction(0))
+    steps = (homology(UNIT_CIRCLE, c1, matrix), homology(UNIT_CIRCLE, c2, matrix))
     word = canonical_word(v)
-    q = p0
+    q = x
     for letter in word.letters[:-1]:
-        q = reversion(UNIT_CIRCLE, (c1, c2)[letter - 1], q)
-    if q == p0:
-        return None
-    try:
-        c3 = line_line_intersection(q, p0, *_X_AXIS)
-    except DegenerateLine:
-        return None
-    if c3 is None or not in_open_disk(UNIT_CIRCLE, c3) or c3.x <= c2x:
-        return None
+        q = apply_homology(steps[letter - 1], q)
+    a, _, c = line_through(q, x)  # meets the axis at (-c, 0, a)
+    if a == 0:
+        raise SignChangeError(f"the closing chord for {v} does not cross the axis")
+    c3 = Point(Fraction(-c, a), Fraction(0))
     config = validate_config(UNIT_CIRCLE, (c1, c2, c3))
     if act(config, p0, word) != p0:
-        return None
+        raise SignChangeError(f"the closed word of {v} does not fix {p0}")
     return config
 
 
-def search_closing_config(v: Signature) -> Optional[Config]:
-    """Deterministic grid retry over (c1x, c2x, start chord slope) until the
-    closing construction succeeds."""
-    west = Point.of(-1, 0)
-    starts = []
-    for t in (1, Fraction(1, 2), Fraction(1, 3), 2, Fraction(2, 3), 3):
-        p = rational_circle_point(UNIT_CIRCLE, west, t)
-        if p.y != 0:
-            starts.append(p)
-    c1_grid = [Fraction(-1, 2), Fraction(-3, 5), Fraction(-2, 5),
-               Fraction(-7, 10), Fraction(-3, 10), Fraction(-2, 3)]
-    c2_grid = [Fraction(0), Fraction(1, 8), Fraction(-1, 8),
-               Fraction(1, 5), Fraction(-1, 5), Fraction(1, 4)]
-    for c1x in c1_grid:
-        for c2x in c2_grid:
-            if c1x >= c2x:
-                continue
-            for p0 in starts:
-                config = realize_by_closing(v, c1x, c2x, p0)
-                if config is not None:
-                    return config
-    return None
+def search_closing_config(v: Signature) -> Config:
+    """The closing construction with c1 = (-1/2, 0), c2 = (0, 0) and
+    p0 = (0, 1), which succeeds for every valid v (`realize_by_closing`)."""
+    return realize_by_closing(v, Fraction(-1, 2), Fraction(0), Point.of(0, 1))
 
 
 @functools.cache

@@ -267,11 +267,7 @@ def _cmd_is_cycle(args) -> int:
 def _cmd_realize(args) -> int:
     v = _parse_vector("--v", args.v, MAX_REALIZE_ENTRY)
     if args.closing:
-        config = search_closing_config(v)
-        if config is None:
-            print("closing construction failed on the search grid", file=sys.stderr)
-            return EXIT_INVALID
-        sys.stdout.write(serialize_config(config))
+        sys.stdout.write(serialize_config(search_closing_config(v)))
         return EXIT_OK
     width = parse_fraction(args.width)
     # ceil(log2(1/width)) halvings take an interval below 1 to the width; an

@@ -37,14 +37,10 @@ Homology = Tuple[int, Triple, Triple]
 __all__ = [
     "Point",
     "Circle",
+    "UNIT_CIRCLE",
     "GeometryError",
     "NotOnCircle",
     "NotInterior",
-    "TangentDirection",
-    "DegenerateLine",
-    "on_circle",
-    "in_open_disk",
-    "collinear",
     "is_between",
     "reversion",
     "homogeneous",
@@ -55,13 +51,10 @@ __all__ = [
     "homology",
     "apply_homology",
     "sorted_triples",
-    "rational_circle_point",
-    "line_line_intersection",
     "format_fraction",
     "parse_fraction",
     "format_point",
     "format_triple",
-    "parse_point",
 ]
 
 
@@ -75,15 +68,6 @@ class NotOnCircle(GeometryError):
 
 class NotInterior(GeometryError):
     """A point required to lie strictly inside the circle does not."""
-
-
-class TangentDirection(GeometryError):
-    """The requested chord direction is tangent, so the second intersection
-    coincides with the base point."""
-
-
-class DegenerateLine(GeometryError):
-    """A line was specified by two equal points."""
 
 
 @dataclass(frozen=True)
@@ -131,20 +115,6 @@ class Circle:
 UNIT_CIRCLE = Circle.of(0, 0, 1)
 
 
-def on_circle(circle: Circle, p: Point) -> bool:
-    return (p - circle.center).norm_sq() == circle.radius_sq
-
-
-def in_open_disk(circle: Circle, p: Point) -> bool:
-    return (p - circle.center).norm_sq() < circle.radius_sq
-
-
-def collinear(a: Point, b: Point, c: Point) -> bool:
-    """Exact determinant test; degenerate triples (repeated points) count
-    as collinear."""
-    return (b - a).cross(c - a) == 0
-
-
 def is_between(a: Point, x: Point, b: Point) -> bool:
     """x lies strictly inside the open segment (a, b).
 
@@ -170,12 +140,12 @@ def reversion(circle: Circle, center: Point, p: Point) -> Point:
     distinct from p, t > 1, and `center` lies strictly between p and the
     result; applying the map twice gives p back.
     """
-    if not on_circle(circle, p):
+    w = p - circle.center
+    if w.norm_sq() != circle.radius_sq:
         raise NotOnCircle(f"{p} is not on {circle}")
-    if not in_open_disk(circle, center):
+    if (center - circle.center).norm_sq() >= circle.radius_sq:
         raise NotInterior(f"reversion center {center} is not interior to {circle}")
     d = center - p
-    w = p - circle.center
     t = Fraction(-2) * w.dot(d) / d.norm_sq()
     return p + d.scale(t)
 
@@ -284,38 +254,6 @@ def sorted_triples(triples) -> list:
     return sorted(triples, key=lambda t: ((t[0] << s) // t[2], (t[1] << s) // t[2]))
 
 
-def rational_circle_point(circle: Circle, base: Point, t: Rational) -> Point:
-    """The second intersection of `circle` with the line through `base` of
-    direction (1, t).
-
-    Same known-root computation as `reversion`.  Raises if (1, t) is the
-    tangent direction at `base`, since then the two intersections coincide.
-    """
-    if not on_circle(circle, base):
-        raise NotOnCircle(f"{base} is not on {circle}")
-    d = Point.of(1, Fraction(t))
-    w = base - circle.center
-    wd = w.dot(d)
-    if wd == 0:
-        raise TangentDirection(f"direction (1, {t}) is tangent at {base}")
-    s = Fraction(-2) * wd / d.norm_sq()
-    return base + d.scale(s)
-
-
-def line_line_intersection(p1: Point, p2: Point, q1: Point, q2: Point) -> Optional[Point]:
-    """Intersection of line(p1,p2) with line(q1,q2); None when parallel or
-    coincident."""
-    if p1 == p2 or q1 == q2:
-        raise DegenerateLine("line endpoints coincide")
-    dp = p2 - p1
-    dq = q2 - q1
-    denom = dp.cross(dq)
-    if denom == 0:
-        return None
-    t = (q1 - p1).cross(dq) / denom
-    return p1 + dp.scale(t)
-
-
 def format_fraction(x: Fraction) -> str:
     """p/q with the denominator omitted when it is 1."""
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
@@ -349,10 +287,3 @@ def format_triple(t: Triple) -> str:
     if w < 0:
         x, y, w = -x, -y, -w
     return f"{_format_ratio(x, w)} {_format_ratio(y, w)}"
-
-
-def parse_point(text: str) -> Point:
-    parts = text.split()
-    if len(parts) != 2:
-        raise ValueError(f"expected two coordinates, got {text!r}")
-    return Point(parse_fraction(parts[0]), parse_fraction(parts[1]))

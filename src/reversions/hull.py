@@ -3,9 +3,10 @@
 For collinear interior points the collinear hull inside circle-plus-points
 is just the points themselves together with the two ends of their chord.
 `validate_config` stores the points in their order along the line, so the
-hull is the stored points between a low and a high chord-end token.  The
-two chord ends are irrational in general, so the tokens carry only their
-position along the line; `svg` computes the float chord ends for drawing.
+hull is the stored points' canonical triples between a low and a high
+chord-end token.  The two chord ends are irrational in general, so the
+tokens carry only their position along the line; `svg` computes the float
+chord ends for drawing.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .action import Config
+from .geometry import homogeneous
 
 __all__ = [
     "EndpointToken",
@@ -33,11 +35,12 @@ class EndpointToken:
 
 def collinear_hull(config: Config) -> tuple:
     """The collinear hull of the interior points in line order: the low
-    chord end, the points in stored order, the high chord end.  A single
-    interior point is its own hull."""
-    if len(config.points) == 1:
-        return config.points
-    return (EndpointToken("low"),) + config.points + (EndpointToken("high"),)
+    chord end, the triples of the points in stored order, the high chord
+    end.  A single interior point is its own hull."""
+    points = tuple(map(homogeneous, config.points))
+    if len(points) == 1:
+        return points
+    return (EndpointToken("low"),) + points + (EndpointToken("high"),)
 
 
 @dataclass(frozen=True)

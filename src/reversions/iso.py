@@ -18,12 +18,12 @@ sources in O(n*l) exact steps, after checking in O(n) the premise that
 makes this complete: the interior hull points lie strictly inside the
 circle, and every other table point lies on the circle, off the hull line.
 
-Both run on canonical integer triples (`geometry.homogeneous`).  A build
-starts from each configuration's cached test point (`Config.test_triple`),
-takes each sampled image x.g as one homology step on the image of g's
-prefix, keys its maps by triples and checks betweenness on those keys;
-`verify_table` keys a given table's rows the same way.  Points are built
-only for the table's rows and for messages.
+Tables hold points as canonical triples (`geometry.homogeneous`) and the
+chord ends as tokens, in rows, seed pairs and hulls.  A build starts from
+each configuration's cached test point (`Config.test_triple`) and takes
+each sampled image x.g as one homology step on the image of g's prefix;
+`verify_table` reads its maps off the rows and refuses non-canonical
+triples, so no point appears under two keys.
 """
 
 from __future__ import annotations
@@ -42,12 +42,11 @@ from .classify import (
 )
 from .geometry import (
     Circle,
-    Point,
     Triple,
-    affine,
     apply_homology,
-    format_point,
-    homogeneous,
+    conic,
+    format_triple,
+    quadric,
 )
 from .hull import EndpointToken, collinear_hull, hull_isomorphism
 from .words import Word, pi13
@@ -147,24 +146,22 @@ def decide_iso(s: Config, r: Config, v2_max: int) -> IsoVerdict:
     return NotIsomorphic(label_s, label_r)
 
 
-Token = Union[Point, EndpointToken]
-# A token as a dict key: the `homogeneous` triple of a point, which hashes
-# without the modular inverse a Fraction hash needs.
+# A table key: the canonical triple of a point, or a chord-end token.
 Key = Union[Triple, EndpointToken]
 
 
 @dataclass(frozen=True)
 class PartialIsoTable:
     """A finite, exactly verified piece of a betweenness isomorphism: hull
-    tokens matched ordinally, sampled orbit points matched through the
-    relabelled words.  src_hull and dst_hull list each side's hull tokens
-    in its own line order, which is all the endpoint tokens have for
-    coordinates; src_circle and dst_circle are each side's circle, against
-    which `verify_table` checks its premise."""
+    keys matched ordinally, sampled orbit points matched through the
+    relabelled words.  src_hull and dst_hull list each side's hull keys
+    (`collinear_hull`) in its own line order, which is all the endpoint
+    tokens have for coordinates; src_circle and dst_circle are each side's
+    circle, against which `verify_table` checks its premise."""
 
-    rows: tuple  # ((source token, target token), ...)
+    rows: tuple  # ((source key, target key), ...)
     sigma: tuple
-    seed_pairs: tuple  # ((x_seed, y_seed), ...)
+    seed_pairs: tuple  # ((x_seed, y_seed), ...), as triples
     src_hull: tuple
     dst_hull: tuple
     src_circle: Circle
@@ -228,23 +225,14 @@ def _orbit_seeds(config: Config, words: Sequence[Word], count: int) -> List[Trip
     raise CollisionError("seed stream exhausted")  # pragma: no cover
 
 
-def _key(token: Token) -> Key:
-    """The `homogeneous` triple of a point; an endpoint token is its own key."""
-    return homogeneous(token) if isinstance(token, Point) else token
-
-
-def _token(key: Key) -> Token:
-    return affine(key) if isinstance(key, tuple) else key
-
-
 def build_partial_iso(s: Config, r: Config, verdict: IsoVerdict,
                       sample_words: Sequence[Word], seeds: int) -> PartialIsoTable:
     """Materialize the isomorphism on the hulls and on `seeds` sampled
     orbits, mapping every x.g to y.(relabelled g), then verify the whole
     table: well-defined, injective, and two-sided betweenness preserving on
-    every triple (`verify_table`).  The maps are keyed by canonical
-    triples, and the target images come from the target's homologies in
-    relabelled order; the rows become points at the end."""
+    every triple (`verify_table`).  The rows hold the keys as they are
+    built, canonical triples and chord-end tokens, and the target images
+    come from the target's homologies in relabelled order."""
     if not isinstance(verdict, Isomorphic):
         raise VerdictError(f"need an Isomorphic verdict, got {format_verdict(verdict)}")
     l = _common_size(s, r)
@@ -260,45 +248,41 @@ def build_partial_iso(s: Config, r: Config, verdict: IsoVerdict,
         old = mapping.setdefault(src, dst)
         if old != dst:
             raise CollisionError(
-                f"source {_token(src)} maps to both {_token(old)} and {_token(dst)}")
+                f"source {_key_str(src)} maps to both {_key_str(old)} and {_key_str(dst)}")
 
     for a, b in hull_iso.pairs:
-        put(_key(a), _key(b))
-    seed_pairs = []
+        put(a, b)
+    seed_pairs: tuple = ()
     if seeds > 0:
-        xs = _orbit_seeds(s, sample_words, seeds)
-        ys = _orbit_seeds(r, sample_words, seeds)
+        seed_pairs = tuple(zip(_orbit_seeds(s, sample_words, seeds),
+                               _orbit_seeds(r, sample_words, seeds)))
         relabelled = tuple(r.homologies[j - 1] for j in sigma)
-        for x, y in zip(xs, ys):
-            seed_pairs.append((affine(x), affine(y)))
+        for x, y in seed_pairs:
             for a, b in zip(_images(s.homologies, x, sample_words),
                             _images(relabelled, y, sample_words)):
                 put(a, b)
-    srcs = list(mapping)
-    dst_row: Dict[Key, int] = {}
-    for i, (src, dst) in enumerate(mapping.items()):
-        j = dst_row.setdefault(dst, i)
-        if j != i:
-            raise CollisionError(f"targets collide: {_token(srcs[j])} and "
-                                 f"{_token(src)} both map to {_token(dst)}")
-    rows = tuple((_token(a), _token(b)) for a, b in mapping.items())
-    table = PartialIsoTable(rows, sigma, tuple(seed_pairs),
+    sources: Dict[Key, Key] = {}
+    for src, dst in mapping.items():
+        first = sources.setdefault(dst, src)
+        if first != src:
+            raise CollisionError(f"targets collide: {_key_str(first)} and "
+                                 f"{_key_str(src)} both map to {_key_str(dst)}")
+    table = PartialIsoTable(tuple(mapping.items()), sigma, seed_pairs,
                             src_hull, dst_hull, s.circle, r.circle)
-    bad = verify_table(table, src_row={src: i for i, src in enumerate(srcs)},
-                       dst_row=dst_row)
+    bad = verify_table(table)
     if bad is not None:
-        raise CollisionError(f"triple check failed at {bad}")
+        raise CollisionError("triple check failed at " + ", ".join(map(_key_str, bad)))
     return table
 
 
-def _offset(a: Tuple[int, int, int], b: Tuple[int, int, int]) -> Tuple[int, int, int]:
+def _offset(a: Triple, b: Triple) -> Triple:
     """b - a for points in `homogeneous` form, as integers (x, y, w) with
     b - a = (x/w, y/w) and w > 0."""
     (u, v, z), (x, y, w) = a, b
     return x * z - u * w, y * z - v * w, w * z
 
 
-def _ray(a: Tuple[int, int, int], b: Tuple[int, int, int]) -> Tuple[int, int]:
+def _ray(a: Triple, b: Triple) -> Tuple[int, int]:
     """The direction from a to b (distinct, in `homogeneous` form) as a
     primitive integer vector: equal for two points b exactly when they lie
     on one ray from a, negated for the opposite ray."""
@@ -309,39 +293,32 @@ def _ray(a: Tuple[int, int, int], b: Tuple[int, int, int]) -> Tuple[int, int]:
 
 def _between_rows(hull: tuple, circle: Circle,
                   row_of: Dict[Key, int]) -> Set[tuple]:
-    """The row triples (i, j, k), i < k, whose tokens on this side have
-    token j strictly between tokens i and k, from the two sources of
-    betweenness; raises VerdictError when the premise fails.
+    """The row triples (i, j, k), i < k, whose keys on this side have key
+    j strictly between keys i and k, from the two sources of betweenness;
+    raises VerdictError when the premise fails.
 
-    The middle hull tokens are interior points on one line, in hull order,
-    and every other table token is a circle point off that line.  Then no
+    The middle hull keys are interior points on one line, in hull order,
+    and every other table key is a circle point off that line.  Then no
     circle point (chord ends included) is strictly between two points of
-    the closed disc, so the middle of a triple is a middle hull token c.
-    Its ends are either two hull tokens, between in hull order, or two
+    the closed disc, so the middle of a triple is a middle hull key c.
+    Its ends are either two hull keys, between in hull order, or two
     circle points on opposite rays from c: the chord p - c - q.  The line
     through p and c meets the hull line only at c, so q is never a hull
-    token.
+    key.
     """
-    keys = [_key(t) for t in hull]
-    middles, centers = (hull, keys) if len(hull) == 1 else (hull[1:-1], keys[1:-1])
-    origin, r2 = homogeneous(circle.center), circle.radius_sq
-
-    def power(h: Triple) -> int:
-        """The sign of |h - o|^2 - r^2, scaled by a positive integer."""
-        dx, dy, w = _offset(origin, h)
-        return (dx * dx + dy * dy) * r2.denominator - r2.numerator * w * w
-
-    for c, h in zip(middles, centers):
-        if power(h) >= 0:
-            raise VerdictError(f"hull point {format_point(c)} is not inside the circle")
-    if len(centers) == 3:
-        (ax, ay, _), (bx, by, _) = _offset(*centers[:2]), _offset(*centers[1:])
+    middles = hull if len(hull) == 1 else hull[1:-1]
+    matrix = conic(circle)
+    for c in middles:
+        if quadric(matrix, c) >= 0:
+            raise VerdictError(f"hull point {format_triple(c)} is not inside the circle")
+    if len(middles) == 3:
+        (ax, ay, _), (bx, by, _) = _offset(*middles[:2]), _offset(*middles[1:])
         if ax * by != ay * bx or ax * bx + ay * by <= 0:
             raise VerdictError("the hull points are not on one line in hull order")
-    ranked = [row_of[t] for t in keys if t in row_of]
+    ranked = [row_of[t] for t in hull if t in row_of]
     found = {(min(i, k), j, max(i, k)) for i, j, k in itertools.combinations(ranked, 3)}
-    middle_rows = [row_of.get(c) for c in centers]
-    line = {_ray(centers[0], centers[1]), _ray(centers[1], centers[0])} \
+    middle_rows = [row_of.get(c) for c in middles]
+    line = {_ray(middles[0], middles[1]), _ray(middles[1], middles[0])} \
         if len(middles) > 1 else set()
     ends: List[Dict[tuple, int]] = [{} for _ in middles]  # ray from c -> row
     on_hull = set(ranked)
@@ -349,13 +326,13 @@ def _between_rows(hull: tuple, circle: Circle,
         if k in on_hull:
             continue
         if not isinstance(p, tuple):
-            raise VerdictError(f"table token {_token_str(p)} is not on the hull")
-        if power(p) != 0:
-            raise VerdictError(f"table point {format_point(affine(p))} is not on the circle")
-        for center, j, rays in zip(centers, middle_rows, ends):
+            raise VerdictError(f"table token {_key_str(p)} is not on the hull")
+        if quadric(matrix, p) != 0:
+            raise VerdictError(f"table point {format_triple(p)} is not on the circle")
+        for center, j, rays in zip(middles, middle_rows, ends):
             ray = _ray(center, p)
             if ray in line:
-                raise VerdictError(f"table point {format_point(affine(p))} is on the hull line")
+                raise VerdictError(f"table point {format_triple(p)} is on the hull line")
             i = rays.get((-ray[0], -ray[1]))
             if i is not None and j is not None:
                 found.add((min(i, k), j, max(i, k)))
@@ -363,32 +340,32 @@ def _between_rows(hull: tuple, circle: Circle,
     return found
 
 
-def verify_table(table: PartialIsoTable, *, src_row: Optional[Dict[Key, int]] = None,
-                 dst_row: Optional[Dict[Key, int]] = None) -> Optional[tuple]:
+def verify_table(table: PartialIsoTable) -> Optional[tuple]:
     """Two-sided betweenness check of the whole table; returns an offending
-    source triple (end, middle, end) or None.  The table is a betweenness
-    isomorphism on its domain exactly when the between-triples of its
-    sources map onto those of its targets.
+    source triple (end, middle, end) of keys or None.  The table is a
+    betweenness isomorphism on its domain exactly when the between-triples
+    of its sources map onto those of its targets.
 
     In a circle with collinear interior points, strict betweenness has two
     sources: the order along the collinear hull, and the chords p - c_i -
     p.i through the interior points.  Each side's triples are read off
     those two in O(n*l) exact steps (see `_between_rows`), instead of
     testing every triple.  The premise that makes this complete is checked
-    on both sides in O(n): every middle hull token lies strictly inside its
-    circle, on one line in hull order, and every other token is a circle
-    point off that line; VerdictError if not, or if the rows repeat a
-    source or a target.
-
-    A caller that already holds each side's tokens keyed as here (points by
-    their `homogeneous` triples, endpoint tokens as themselves) and mapped
-    to their distinct rows, as `build_partial_iso` does, passes both maps
-    as `src_row` and `dst_row`; otherwise they are read off the rows.
+    on both sides in O(n): every middle hull key lies strictly inside its
+    circle, on one line in hull order, and every other key is a circle
+    point off that line.  VerdictError if not, if a key is neither an
+    endpoint token nor a canonical triple (integers, W > 0, gcd 1), or if
+    the rows repeat a source or a target.
     """
     rows = table.rows
-    if src_row is None or dst_row is None:
-        src_row = {_key(src): i for i, (src, _) in enumerate(rows)}
-        dst_row = {_key(dst): i for i, (_, dst) in enumerate(rows)}
+    for key in itertools.chain(table.src_hull, table.dst_hull, *rows):
+        if not isinstance(key, EndpointToken) and not (
+                isinstance(key, tuple) and len(key) == 3
+                and type(key[0]) is type(key[1]) is type(key[2]) is int
+                and key[2] > 0 and math.gcd(*key) == 1):
+            raise VerdictError(f"table key {key!r} is not a canonical triple")
+    src_row = {src: i for i, (src, _) in enumerate(rows)}
+    dst_row = {dst: i for i, (_, dst) in enumerate(rows)}
     if len(src_row) != len(rows) or len(dst_row) != len(rows):
         raise VerdictError("table rows repeat a source or a target")
     mismatch = (_between_rows(table.src_hull, table.src_circle, src_row)
@@ -403,11 +380,11 @@ def serialize_table(table: PartialIsoTable) -> str:
     """Header naming the permutation, then one tab-separated row per pair."""
     lines = ["sigma\t" + " ".join(str(x) for x in table.sigma)]
     for src, dst in table.rows:
-        lines.append(f"{_token_str(src)}\t->\t{_token_str(dst)}")
+        lines.append(f"{_key_str(src)}\t->\t{_key_str(dst)}")
     return "\n".join(lines) + "\n"
 
 
-def _token_str(token: Token) -> str:
-    if isinstance(token, EndpointToken):
-        return f"endpoint-{token.role}"
-    return format_point(token)
+def _key_str(key: Key) -> str:
+    if isinstance(key, EndpointToken):
+        return f"endpoint-{key.role}"
+    return format_triple(key)

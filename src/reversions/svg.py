@@ -62,7 +62,7 @@ def _coords(t: Triple) -> tuple:
 def _chord_ends(config: Config) -> Optional[tuple]:
     if len(config.points) < 2:
         return None
-    a, b = config.line()
+    a, b = config.points[:2]
     dx, dy = _float(b.x - a.x), _float(b.y - a.y)
     norm = math.hypot(dx, dy)
     if norm == 0:

@@ -1,3 +1,4 @@
+import dataclasses
 import enum
 import functools
 import itertools
@@ -7,34 +8,37 @@ import sys
 import types
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import pytest
 
-from reversions.action import ActionError, Config, act, is_cycle, orbit
-from reversions.classify import ConfigValidationError, default_base_point, validate_config
+from reversions.action import ActionError, Config, _test_triples, act, is_cycle, orbit
+from reversions.classify import (
+    ConfigValidationError,
+    RealizationError,
+    default_base_point,
+    validate_config,
+)
 from reversions.geometry import (
     Circle,
+    GeometryError,
+    NotOnCircle,
     Point,
-    TangentDirection,
+    Rational,
     Triple,
     UNIT_CIRCLE,
     affine,
-    collinear,
     format_point,
-    in_open_disk,
+    homogeneous,
     is_between,
-    on_circle,
-    rational_circle_point,
     reversion,
 )
-from reversions.hull import EndpointToken, collinear_hull, hull_isomorphism
+from reversions.hull import EndpointToken, hull_isomorphism
 from reversions.iso import (
     CollisionError,
     Isomorphic,
     IsoVerdict,
     PartialIsoTable,
-    Token,
     VerdictError,
     format_verdict,
     verify_table,
@@ -60,6 +64,69 @@ def fr(a, b=1):
 
 def pt(x, y):
     return Point(Fraction(x), Fraction(y))
+
+
+class TangentDirection(GeometryError):
+    """The requested chord direction is tangent, so the second intersection
+    coincides with the base point."""
+
+
+class DegenerateLine(GeometryError):
+    """A line was specified by two equal points."""
+
+
+def on_circle(circle: Circle, p: Point) -> bool:
+    return (p - circle.center).norm_sq() == circle.radius_sq
+
+
+def in_open_disk(circle: Circle, p: Point) -> bool:
+    return (p - circle.center).norm_sq() < circle.radius_sq
+
+
+def collinear(a: Point, b: Point, c: Point) -> bool:
+    """Exact determinant test; degenerate triples (repeated points) count
+    as collinear."""
+    return (b - a).cross(c - a) == 0
+
+
+def rational_circle_point(circle: Circle, base: Point, t: Rational) -> Point:
+    """The second intersection of `circle` with the line through `base` of
+    direction (1, t).
+
+    Same known-root computation as `reversion`.  Raises if (1, t) is the
+    tangent direction at `base`, since then the two intersections coincide.
+    """
+    if not on_circle(circle, base):
+        raise NotOnCircle(f"{base} is not on {circle}")
+    d = Point.of(1, Fraction(t))
+    w = base - circle.center
+    wd = w.dot(d)
+    if wd == 0:
+        raise TangentDirection(f"direction (1, {t}) is tangent at {base}")
+    s = Fraction(-2) * wd / d.norm_sq()
+    return base + d.scale(s)
+
+
+def line_line_intersection(p1: Point, p2: Point, q1: Point, q2: Point) -> Optional[Point]:
+    """Intersection of line(p1,p2) with line(q1,q2); None when parallel or
+    coincident."""
+    if p1 == p2 or q1 == q2:
+        raise DegenerateLine("line endpoints coincide")
+    dp = p2 - p1
+    dq = q2 - q1
+    denom = dp.cross(dq)
+    if denom == 0:
+        return None
+    t = (q1 - p1).cross(dq) / denom
+    return p1 + dp.scale(t)
+
+
+def offline_test_points(config: Config) -> Iterator[Point]:
+    """The off-line test points, one `geometry.affine` point per triple of
+    the stream that `Config.test_triple` starts: chords through the base
+    point with slopes 1, 1/2, 1/3, ..., skipping the tangent and the hits
+    on the interior line."""
+    return map(affine, _test_triples(config))
 
 
 def symmetric_config() -> Config:
@@ -111,7 +178,7 @@ def fraction_offline_test_points(config: Config) -> Iterator[Point]:
     """Reference for `action.offline_test_points`: chords through the base
     point with slopes 1, 1/2, 1/3, ... by `rational_circle_point` on
     Fractions, skipping the tangent and the hits on the interior line."""
-    a, b = config.line() if len(config.points) > 1 else (None, None)
+    a, b = config.points[:2] if len(config.points) > 1 else (None, None)
     for k in itertools.count(1):
         try:
             p = rational_circle_point(config.circle, config.base_point, Fraction(1, k))
@@ -180,7 +247,9 @@ class Side(enum.Enum):
 def halfplane_side(config: Config, p: Point) -> Side:
     """Which side of the interior line p lies on; the sign is the exact
     cross product against the stored point order."""
-    a, b = config.line()
+    if len(config.points) < 2:
+        raise ActionError("configuration has no interior line")
+    a, b = config.points[:2]
     s = (b - a).cross(p - a)
     if s > 0:
         return Side.PLUS
@@ -410,6 +479,24 @@ def scan_search_cycle(config: Config, v2_max: int) -> Optional[Tuple[tuple, tupl
     return None
 
 
+# A table token of the Point oracles: a point, or a chord end.
+Token = Union[Point, EndpointToken]
+
+
+def point_of(key) -> Token:
+    """The Point of a table key's triple; a chord-end token stays itself."""
+    return affine(key) if isinstance(key, tuple) else key
+
+
+def token_text(token) -> str:
+    """How table messages print a key or token: the point as `format_point`
+    gives it, a chord end as endpoint-<role>."""
+    token = point_of(token)
+    if isinstance(token, EndpointToken):
+        return f"endpoint-{token.role}"
+    return format_point(token)
+
+
 def _triple_between(a: Token, x: Token, b: Token,
                     pos: Dict[Token, int]) -> bool:
     """Strict betweenness extended to endpoint tokens: ordinal along the
@@ -427,17 +514,19 @@ def _triple_between(a: Token, x: Token, b: Token,
 
 def cubic_verify_table(table: PartialIsoTable) -> Optional[tuple]:
     """Reference for `iso.verify_table`: two-sided betweenness check over
-    every triple of the table domain; returns an offending source triple or
-    None.  Checking all triples is exactly the condition that every small
-    subsample passes the brute-force oracle: a restriction is an
-    isomorphism if and only if each of its triples agrees on both sides."""
-    src_pos = {t: i for i, t in enumerate(table.src_hull)}
-    dst_pos = {t: i for i, t in enumerate(table.dst_hull)}
-    rows = list(table.rows)
-    for r1, r2, r3 in itertools.combinations(rows, 3):
-        for (a, fa), (x, fx), (b, fb) in ((r1, r2, r3), (r2, r1, r3), (r1, r3, r2)):
+    every triple of the table domain, on the Points of its keys; returns an
+    offending source triple of keys or None.  Checking all triples is
+    exactly the condition that every small subsample passes the
+    brute-force oracle: a restriction is an isomorphism if and only if
+    each of its triples agrees on both sides."""
+    src_pos = {point_of(t): i for i, t in enumerate(table.src_hull)}
+    dst_pos = {point_of(t): i for i, t in enumerate(table.dst_hull)}
+    rows = [(point_of(a), point_of(b)) for a, b in table.rows]
+    for r1, r2, r3 in itertools.combinations(range(len(rows)), 3):
+        for i, j, k in ((r1, r2, r3), (r2, r1, r3), (r1, r3, r2)):
+            (a, fa), (x, fx), (b, fb) = rows[i], rows[j], rows[k]
             if _triple_between(a, x, b, src_pos) != _triple_between(fa, fx, fb, dst_pos):
-                return (a, x, b)
+                return tuple(table.rows[m][0] for m in (i, j, k))
     return None
 
 
@@ -478,13 +567,33 @@ def _act_orbit_seeds(config: Config, words: Sequence[Word], count: int) -> List[
     raise CollisionError("seed stream exhausted")  # pragma: no cover
 
 
+def point_hull(config: Config) -> tuple:
+    """Reference for `hull.collinear_hull` on Points: the low chord end,
+    the points in stored order, the high chord end; one point alone."""
+    if len(config.points) == 1:
+        return config.points
+    return (EndpointToken("low"),) + config.points + (EndpointToken("high"),)
+
+
+def keyed_table(table: PartialIsoTable) -> PartialIsoTable:
+    """The table with every Point of its rows, seed pairs and hulls
+    replaced by its `homogeneous` triple, the key the library uses."""
+    def key(token):
+        return homogeneous(token) if isinstance(token, Point) else token
+
+    return dataclasses.replace(
+        table, rows=tuple((key(a), key(b)) for a, b in table.rows),
+        seed_pairs=tuple((key(x), key(y)) for x, y in table.seed_pairs),
+        src_hull=tuple(map(key, table.src_hull)), dst_hull=tuple(map(key, table.dst_hull)))
+
+
 def act_build_partial_iso(s: Config, r: Config, verdict: IsoVerdict,
                           sample_words: Sequence[Word], seeds: int) -> PartialIsoTable:
     """Reference for `iso.build_partial_iso`: one `act` per sampled word and
-    side on Fraction points, seeds and mirroring from fresh test-point
-    streams, and the well-definedness and injectivity maps keyed by
-    points; the finished table goes through `verify_table` as in the
-    library."""
+    side on Fraction points, hulls of Points, seeds and mirroring from
+    fresh test-point streams, and the well-definedness and injectivity maps
+    keyed by points; the finished table is keyed by `keyed_table` and goes
+    through `verify_table` as in the library."""
     if not isinstance(verdict, Isomorphic):
         raise VerdictError(f"need an Isomorphic verdict, got {format_verdict(verdict)}")
     if len(s.points) != len(r.points):
@@ -494,7 +603,7 @@ def act_build_partial_iso(s: Config, r: Config, verdict: IsoVerdict,
     for w in sample_words:
         if w.alphabet != l:
             raise VerdictError(f"sample word {w.letters} has alphabet {w.alphabet} != {l}")
-    src_hull, dst_hull = collinear_hull(s), collinear_hull(r)
+    src_hull, dst_hull = point_hull(s), point_hull(r)
     mirrored = (l == 3 and verdict.vector is not None
                 and _act_stored_vector(s, verdict.vector) != _act_stored_vector(r, verdict.vector))
     hull_iso = hull_isomorphism(src_hull, dst_hull, mirrored)
@@ -504,7 +613,8 @@ def act_build_partial_iso(s: Config, r: Config, verdict: IsoVerdict,
     def put(src: Token, dst: Token) -> None:
         if src in mapping:
             if mapping[src] != dst:
-                raise CollisionError(f"source {src} maps to both {mapping[src]} and {dst}")
+                raise CollisionError(f"source {token_text(src)} maps to both "
+                                     f"{token_text(mapping[src])} and {token_text(dst)}")
             return
         mapping[src] = dst
 
@@ -521,14 +631,79 @@ def act_build_partial_iso(s: Config, r: Config, verdict: IsoVerdict,
     targets: Dict[Token, Token] = {}
     for src, dst in mapping.items():
         if dst in targets:
-            raise CollisionError(f"targets collide: {targets[dst]} and {src} both map to {dst}")
+            raise CollisionError(f"targets collide: {token_text(targets[dst])} and "
+                                 f"{token_text(src)} both map to {token_text(dst)}")
         targets[dst] = src
-    table = PartialIsoTable(tuple(mapping.items()), sigma, tuple(seed_pairs),
-                            src_hull, dst_hull, s.circle, r.circle)
+    table = keyed_table(PartialIsoTable(tuple(mapping.items()), sigma, tuple(seed_pairs),
+                                        src_hull, dst_hull, s.circle, r.circle))
     bad = verify_table(table)
     if bad is not None:
-        raise CollisionError(f"triple check failed at {bad}")
+        raise CollisionError("triple check failed at " + ", ".join(map(token_text, bad)))
     return table
+
+
+_X_AXIS = (Point.of(0, 0), Point.of(1, 0))
+
+
+def fraction_realize_by_closing(v: Signature, c1x: Fraction, c2x: Fraction,
+                                p0: Point) -> Optional[Config]:
+    """Reference for `classify.realize_by_closing`: the chain of
+    `geometry.reversion` on Fraction points, the forced third point by
+    `line_line_intersection` with the axis, and None where the forced
+    point is not interior and beyond the second one, or the word does not
+    fix p0."""
+    v = tuple(v)
+    if len(v) != 3 or not is_balanced(v) or v[2] != -1 or v[0] > -1:
+        raise RealizationError(
+            f"{v} must be balanced with v3 = -1 and v1 <= -1")
+    if not (-1 < c1x < c2x < 1):
+        raise RealizationError(f"need -1 < c1x < c2x < 1, got {c1x}, {c2x}")
+    if not on_circle(UNIT_CIRCLE, p0):
+        raise RealizationError(f"{p0} is not on the unit circle")
+    if p0.y == 0:
+        raise RealizationError("p0 must be off the x-axis")
+    c1 = Point(Fraction(c1x), Fraction(0))
+    c2 = Point(Fraction(c2x), Fraction(0))
+    word = canonical_word(v)
+    q = p0
+    for letter in word.letters[:-1]:
+        q = reversion(UNIT_CIRCLE, (c1, c2)[letter - 1], q)
+    if q == p0:
+        return None
+    try:
+        c3 = line_line_intersection(q, p0, *_X_AXIS)
+    except DegenerateLine:
+        return None
+    if c3 is None or not in_open_disk(UNIT_CIRCLE, c3) or c3.x <= c2x:
+        return None
+    config = validate_config(UNIT_CIRCLE, (c1, c2, c3))
+    if act(config, p0, word) != p0:
+        return None
+    return config
+
+
+def fraction_search_closing_config(v: Signature) -> Optional[Config]:
+    """Reference for `classify.search_closing_config`: the grid retry over
+    (c1x, c2x, start chord slope) that it replaced, first success wins."""
+    west = Point.of(-1, 0)
+    starts = []
+    for t in (1, Fraction(1, 2), Fraction(1, 3), 2, Fraction(2, 3), 3):
+        p = rational_circle_point(UNIT_CIRCLE, west, t)
+        if p.y != 0:
+            starts.append(p)
+    c1_grid = [Fraction(-1, 2), Fraction(-3, 5), Fraction(-2, 5),
+               Fraction(-7, 10), Fraction(-3, 10), Fraction(-2, 3)]
+    c2_grid = [Fraction(0), Fraction(1, 8), Fraction(-1, 8),
+               Fraction(1, 5), Fraction(-1, 5), Fraction(1, 4)]
+    for c1x in c1_grid:
+        for c2x in c2_grid:
+            if c1x >= c2x:
+                continue
+            for p0 in starts:
+                config = fraction_realize_by_closing(v, c1x, c2x, p0)
+                if config is not None:
+                    return config
+    return None
 
 
 def fresh(config: Config) -> Config:

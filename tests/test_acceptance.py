@@ -9,6 +9,11 @@ from conftest import (
     betweenness_iso_ok,
     brute_force_iso,
     count_sign_changes,
+    in_open_disk,
+    line_line_intersection,
+    offline_test_points,
+    on_circle,
+    point_of,
     pt,
     rand_interior_point,
     rand_raw_letters,
@@ -17,7 +22,7 @@ from conftest import (
     stab_contains,
     symmetric_config,
 )
-from reversions.action import act, is_cycle, offline_test_points
+from reversions.action import act, is_cycle
 from reversions.classify import (
     CycleLabel,
     NoCycleUpTo,
@@ -32,10 +37,7 @@ from reversions.geometry import (
     Circle,
     Point,
     UNIT_CIRCLE,
-    in_open_disk,
     is_between,
-    line_line_intersection,
-    on_circle,
     reversion,
 )
 from reversions.iso import (
@@ -256,8 +258,8 @@ def test_isomorphism_end_to_end():
     words = list(enumerate_words(3, 3))
     table = build_partial_iso(sym, moved, verdict, words, 2)
     assert verify_table(table) is None
-    exact_rows = [(a, b) for a, b in table.rows
-                  if isinstance(a, Point) and isinstance(b, Point)]
+    exact_rows = [(point_of(a), point_of(b)) for a, b in table.rows
+                  if isinstance(a, tuple) and isinstance(b, tuple)]
     exact_rows.sort(key=lambda row: (row[0].x, row[0].y))
     assert len(exact_rows) >= 8
     for offset in range(0, len(exact_rows) - 8 + 1, 4):

@@ -3,15 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import Side, halfplane_side, point_orbit, pt, rand_word, stab_contains
-from reversions.action import (
-    ActionError,
-    act,
-    is_cycle,
-    offline_test_point,
+from conftest import (
+    Side,
+    halfplane_side,
     offline_test_points,
-    orbit,
+    point_orbit,
+    pt,
+    rand_word,
+    stab_contains,
 )
+from reversions.action import ActionError, act, is_cycle, offline_test_point, orbit
 from reversions.classify import validate_config
 from reversions.geometry import UNIT_CIRCLE
 from reversions.words import Word, normal_form, signature_of

@@ -5,17 +5,22 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     act_middle_point_residual,
     count_sign_changes,
+    fraction_realize_by_closing,
+    fraction_search_closing_config,
+    offline_test_points,
+    outcome,
     primitive_candidates,
     pt,
     scan_search_cycle,
     third_point_residual,
 )
-from reversions.action import ActionError, act, is_cycle, offline_test_points
+from reversions.action import ActionError, act, is_cycle
+from reversions.cli import serialize_config
 from reversions.classify import (
     _search_cycle,
     ConfigValidationError,
@@ -201,6 +206,55 @@ def test_search_closing_corpus():
         config = search_closing_config(v)
         assert config is not None
         assert classify(config, 8).vector == v
+
+
+def test_search_closing_config_matches_the_grid_oracle():
+    # the grid's first cell always succeeds, so one construction there
+    # gives the configuration the whole grid search gave
+    for n in range(2, 65):
+        v = (-(n - 1), n, -1)
+        assert serialize_config(search_closing_config(v)) == \
+            serialize_config(fraction_search_closing_config(v)), n
+
+
+def unit_circle_point(t: Fraction) -> Point:
+    """The rational point ((1 - t^2) / (1 + t^2), 2t / (1 + t^2)), on the
+    upper half circle for t > 0 and on the lower one for t < 0."""
+    return Point((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
+
+
+abscissas = st.fractions(Fraction(-19, 20), Fraction(19, 20), max_denominator=20)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(k=st.integers(1, 12),
+       cs=st.lists(abscissas, min_size=2, max_size=2, unique=True).map(sorted),
+       t=st.fractions(Fraction(-8), Fraction(8), max_denominator=9).filter(bool))
+@example(k=1, cs=[Fraction(-1, 2), Fraction(0)], t=Fraction(-1))
+@example(k=12, cs=[Fraction(9, 10), Fraction(19, 20)], t=Fraction(1, 9))
+def test_realize_by_closing_never_fails_and_matches_the_oracle(k, cs, t):
+    v = (-k, k + 1, -1)
+    p0 = unit_circle_point(t)
+    config = realize_by_closing(v, cs[0], cs[1], p0)
+    assert config == fraction_realize_by_closing(v, cs[0], cs[1], p0)
+    assert is_cycle(config, v)
+
+
+@pytest.mark.parametrize("args", [
+    ((-1, 2, -2), Fraction(-1, 2), Fraction(0), pt(0, 1)),
+    ((1, -2, 1), Fraction(-1, 2), Fraction(0), pt(0, 1)),
+    ((-1, 3, -1), Fraction(-1, 2), Fraction(0), pt(0, 1)),
+    ((-1, 1), Fraction(-1, 2), Fraction(0), pt(0, 1)),
+    ((-1, 2, -1), Fraction(1, 2), Fraction(0), pt(0, 1)),
+    ((-1, 2, -1), Fraction(-1), Fraction(0), pt(0, 1)),
+    ((-1, 2, -1), Fraction(0), Fraction(1), pt(0, 1)),
+    ((-1, 2, -1), Fraction(-1, 2), Fraction(0), pt(1, 1)),
+    ((-1, 2, -1), Fraction(-1, 2), Fraction(0), pt(-1, 0)),
+])
+def test_realize_by_closing_refusals_match_the_oracle(args):
+    got = outcome(realize_by_closing, *args)
+    assert got == outcome(fraction_realize_by_closing, *args)
+    assert got[0] is RealizationError
 
 
 def test_bisection_symmetric_root():

@@ -4,26 +4,27 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import pt, rand_interior_point, rand_unit_circle_point
+from conftest import (
+    DegenerateLine,
+    TangentDirection,
+    collinear,
+    in_open_disk,
+    line_line_intersection,
+    on_circle,
+    pt,
+    rand_interior_point,
+    rand_unit_circle_point,
+    rational_circle_point,
+)
 from reversions.geometry import (
     Circle,
-    DegenerateLine,
     GeometryError,
     NotInterior,
     NotOnCircle,
-    Point,
-    TangentDirection,
     UNIT_CIRCLE,
-    collinear,
     format_fraction,
-    format_point,
-    in_open_disk,
     is_between,
-    line_line_intersection,
-    on_circle,
     parse_fraction,
-    parse_point,
-    rational_circle_point,
     reversion,
 )
 
@@ -164,16 +165,8 @@ def test_fraction_round_trip(x):
     assert parse_fraction(format_fraction(x)) == x
 
 
-@given(fractions_st, fractions_st)
-def test_point_round_trip(x, y):
-    p = Point(x, y)
-    assert parse_point(format_point(p)) == p
-
-
 def test_fraction_parse_errors():
     with pytest.raises(ValueError):
         parse_fraction("1/0")
     with pytest.raises(ValueError):
         parse_fraction("a/2")
-    with pytest.raises(ValueError):
-        parse_point("1 2 3")

@@ -8,12 +8,13 @@ from conftest import (
     CapExceeded,
     betweenness_iso_ok,
     brute_force_iso,
+    collinear,
     is_extreme_in_sample,
     pt,
 )
 from reversions.action import act, offline_test_point
 from reversions.classify import validate_config
-from reversions.geometry import Circle, Point, UNIT_CIRCLE, collinear
+from reversions.geometry import Circle, UNIT_CIRCLE, affine
 from reversions.hull import EndpointToken, collinear_hull, hull_isomorphism
 from reversions.svg import _chord_ends
 from reversions.words import Word
@@ -21,7 +22,8 @@ from reversions.words import Word
 
 def test_hull_symmetric(sym):
     hull = collinear_hull(sym)
-    assert hull == (EndpointToken("low"), pt("-1/2", 0), pt(0, 0), pt("1/2", 0),
+    # the points as canonical triples (X, Y, W): W > 0, gcd 1
+    assert hull == (EndpointToken("low"), (-1, 0, 2), (0, 0, 1), (1, 0, 2),
                     EndpointToken("high"))
     # chord ends of the x-axis line are (-1, 0) and (1, 0)
     low, high = _chord_ends(sym)
@@ -39,13 +41,13 @@ def test_hull_endpoint_approx_on_circle():
 
 def test_hull_single_point():
     config = validate_config(UNIT_CIRCLE, (pt("1/3", "1/7"),))
-    assert collinear_hull(config) == (pt("1/3", "1/7"),)
+    assert collinear_hull(config) == ((7, 3, 21),)
 
 
 def test_hull_two_points():
     config = validate_config(UNIT_CIRCLE, (pt("-1/2", 0), pt("1/4", 0)))
-    assert collinear_hull(config) == (EndpointToken("low"), pt("-1/2", 0),
-                                      pt("1/4", 0), EndpointToken("high"))
+    assert collinear_hull(config) == (EndpointToken("low"), (-1, 0, 2),
+                                      (1, 0, 4), EndpointToken("high"))
 
 
 def test_hull_orders_along_line():
@@ -54,8 +56,8 @@ def test_hull_orders_along_line():
     config = validate_config(
         UNIT_CIRCLE, (pt("1/2", 0), pt(0, 0), pt("-1/2", 0)))
     hull = collinear_hull(config)
-    assert hull[1:-1] == config.points
-    assert [p.x for p in hull[1:-1]] == [Fraction(1, 2), 0, Fraction(-1, 2)]
+    assert tuple(map(affine, hull[1:-1])) == config.points
+    assert [affine(t).x for t in hull[1:-1]] == [Fraction(1, 2), 0, Fraction(-1, 2)]
 
 
 def test_hull_closure_breaks_off_line(sym):
@@ -64,7 +66,7 @@ def test_hull_closure_breaks_off_line(sym):
     hull = collinear_hull(sym)
     q = offline_test_point(sym)
     r = act(sym, q, Word((1,), 3))
-    hull_points = {t for t in hull if isinstance(t, Point)}
+    hull_points = {affine(t) for t in hull if isinstance(t, tuple)}
     assert collinear(q, sym.points[0], r)
     assert r not in hull_points and r != q
 
@@ -161,8 +163,8 @@ def test_hull_iso_agrees_with_brute_force_on_surrogates(sym):
     mapping = brute_force_iso(sample_a, sample_b)
     assert mapping is not None
     for a_tok, b_tok in iso.pairs:
-        if isinstance(a_tok, Point):
-            assert mapping[a_tok] == b_tok
+        if isinstance(a_tok, tuple):
+            assert mapping[affine(a_tok)] == affine(b_tok)
     # both matchings, with the stand-ins in place of the endpoint tokens,
     # are betweenness isomorphisms of the samples
     stand_a = dict(zip(collinear_hull(sym), sample_a))

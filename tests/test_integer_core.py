@@ -20,8 +20,11 @@ from conftest import (
     cmp_sorted_triples,
     fraction_orbit,
     fresh,
+    in_open_disk,
+    on_circle,
     outcome,
     pt,
+    rational_circle_point,
 )
 from reversions import action, iso
 from reversions.action import Config, act, is_cycle, offline_test_point, orbit
@@ -34,9 +37,6 @@ from reversions.geometry import (
     conic,
     homogeneous,
     homology,
-    in_open_disk,
-    on_circle,
-    rational_circle_point,
     reversion,
     sorted_triples,
 )

@@ -15,11 +15,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     fraction_offline_test_points,
     fraction_validate_config,
+    offline_test_points,
     outcome,
     pt,
 )
 from reversions import action, geometry
-from reversions.action import Config, _test_triples, act, offline_test_points, orbit
+from reversions.action import Config, _test_triples, act, orbit
 from reversions.classify import ConfigValidationError, CycleLabel, classify, validate_config
 from reversions.cli import parse_config
 from reversions.geometry import Circle, NotOnCircle, Point, conic, homogeneous

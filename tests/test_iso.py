@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,14 +10,17 @@ from conftest import (
     act_build_partial_iso,
     cubic_verify_table,
     fresh,
+    keyed_table,
     load_perfbench,
+    offline_test_points,
     outcome,
     pt,
     rand_word,
     stab_contains,
     symmetric_config,
 )
-from reversions.action import act, offline_test_points
+from reversions import geometry
+from reversions.action import act
 from reversions.classify import (
     ConfigValidationError,
     avoid_all_cycles,
@@ -24,7 +28,7 @@ from reversions.classify import (
     search_closing_config,
     validate_config,
 )
-from reversions.geometry import Circle, Point, UNIT_CIRCLE, format_point
+from reversions.geometry import Circle, Point, UNIT_CIRCLE, affine, format_point, homogeneous
 from reversions.hull import EndpointToken
 from reversions.iso import (
     ConditionallyIsomorphic,
@@ -124,15 +128,15 @@ def test_build_table_scaled(sym):
     table = build_partial_iso(sym, other, verdict, words, 2)
     assert verify_table(table) is None
     assert len(table.seed_pairs) == 2
-    # interior points map by sigma
+    # interior points map by sigma; every point is keyed by its triple
     mapping = dict(table.rows)
     for i, p in enumerate(sym.points):
-        assert mapping[p] == other.points[table.sigma[i] - 1]
+        assert mapping[homogeneous(p)] == homogeneous(other.points[table.sigma[i] - 1])
     # sampled action points map equivariantly
     for x, y in table.seed_pairs:
         for g in words:
-            assert mapping[act(sym, x, g)] == \
-                act(other, y, apply_letter_permutation(g, table.sigma))
+            assert mapping[homogeneous(act(sym, affine(x), g))] == homogeneous(
+                act(other, affine(y), apply_letter_permutation(g, table.sigma)))
 
 
 def test_build_table_mirrored_storage():
@@ -144,7 +148,7 @@ def test_build_table_mirrored_storage():
     assert table.sigma == (3, 2, 1)
     assert verify_table(table) is None
     mapping = dict(table.rows)
-    assert mapping[base.points[0]] == mirrored.points[2]
+    assert mapping[homogeneous(base.points[0])] == homogeneous(mirrored.points[2])
 
 
 def test_build_table_rejects_non_isomorphic(sym):
@@ -174,8 +178,8 @@ def test_stabilizer_matching(sym):
     for x, y in table.seed_pairs:
         for _ in range(20):
             g = rand_word(rng, 3, rng.randint(0, 8))
-            assert stab_contains(sym, x, g) == \
-                stab_contains(other, y, apply_letter_permutation(g, table.sigma))
+            assert stab_contains(sym, affine(x), g) == \
+                stab_contains(other, affine(y), apply_letter_permutation(g, table.sigma))
 
 
 def test_table_l2_and_l1():
@@ -214,8 +218,8 @@ def chord_end_swap_table() -> PartialIsoTable:
         (ps[0], ps[0]), (ps[1], ps[1]),
     )
     hull_order = (x1, config.points[0], config.points[1], x2)
-    return PartialIsoTable(rows, (1, 2), ((ps[0], ps[0]),), hull_order, hull_order,
-                           UNIT_CIRCLE, UNIT_CIRCLE)
+    return keyed_table(PartialIsoTable(rows, (1, 2), ((ps[0], ps[0]),), hull_order, hull_order,
+                                       UNIT_CIRCLE, UNIT_CIRCLE))
 
 
 def test_l2_counterexample_regression():
@@ -360,19 +364,19 @@ def premise_error(table: PartialIsoTable) -> str:
 
 
 def test_verify_table_premise():
-    # the rows are keyed by triples, the messages print points
+    # the rows hold canonical triples, the messages print points
     two_a = validate_config(UNIT_CIRCLE, (pt("-1/2", 0), pt("1/4", 0)))
     two_b = validate_config(Circle.of(0, 0, 4), (pt(-1, "1/2"), pt(1, "1/2")))
     table = build_partial_iso(two_a, two_b, Isomorphic(None),
                               list(enumerate_words(2, 2)), 1)
-    far = pt(0, 2)  # on the target circle, off its hull line
-    assert verify_table(dataclasses.replace(table, rows=table.rows + ((pt(0, 1), far),))) is None
+    top, far = (0, 1, 1), (0, 2, 1)  # far is on the target circle, off its hull line
+    assert verify_table(dataclasses.replace(table, rows=table.rows + ((top, far),))) is None
     # two sources with one target
-    shared = dataclasses.replace(table, rows=table.rows + ((pt(0, 1), table.rows[-1][1]),))
+    shared = dataclasses.replace(table, rows=table.rows + ((top, table.rows[-1][1]),))
     assert premise_error(shared) == "table rows repeat a source or a target"
     # a non-hull point off its circle, or on its hull line
-    for bad_src, text in ((pt(0, "1/2"), "table point 0 1/2 is not on the circle"),
-                          (pt(-1, 0), "table point -1 0 is on the hull line")):
+    for bad_src, text in (((0, 1, 2), "table point 0 1/2 is not on the circle"),
+                          ((-1, 0, 1), "table point -1 0 is on the hull line")):
         bad = dataclasses.replace(table, rows=table.rows + ((bad_src, far),))
         assert premise_error(bad) == text
     # a middle hull token outside the open disc: the hull-only table of the
@@ -388,7 +392,7 @@ def test_verify_table_premise():
     for middles in ((pt("-1/2", 0), pt(0, "1/4"), pt("1/2", 0)),
                     (pt(0, 0), pt("-1/2", 0), pt("1/2", 0)),
                     (pt(0, 0), pt(0, 0), pt("1/2", 0))):
-        hull = (low,) + middles + (high,)
+        hull = (low,) + tuple(map(homogeneous, middles)) + (high,)
         bad = PartialIsoTable(tuple((t, t) for t in dict.fromkeys(hull)), (1, 2, 3), (),
                               hull, hull, UNIT_CIRCLE, UNIT_CIRCLE)
         assert premise_error(bad) == "the hull points are not on one line in hull order"
@@ -407,18 +411,18 @@ def premise_mutants(tables: list):
             return dataclasses.replace(table, rows=table.rows[:i] + (row,) + table.rows[i + 1:])
 
         for side, circle in ((0, table.src_circle), (1, table.dst_circle)):
-            p = table.rows[i][side]
+            p = affine(table.rows[i][side])
             m = Point((p.x + circle.center.x) / 2, (p.y + circle.center.y) / 2)
-            yield (with_row((m, b) if side == 0 else (a, m)),
+            yield (with_row((homogeneous(m), b) if side == 0 else (a, homogeneous(m))),
                    f"table point {format_point(m)} is not on the circle", "off-circle")
         c = table.src_circle
         middles = table.src_hull[1:-1]
-        if len(middles) > 1 and all(q.y == c.center.y for q in middles):
+        if len(middles) > 1 and all(affine(q).y == c.center.y for q in middles):
             try:
                 end = default_base_point(c)  # (cx + r, cy) when r is rational
             except ConfigValidationError:
                 continue
-            yield (with_row((end, b)),
+            yield (with_row((homogeneous(end), b)),
                    f"table point {format_point(end)} is on the hull line", "on-line")
         if len(table.src_hull) == 1:
             for row, role in (((EndpointToken("low"), b), "low"),
@@ -436,3 +440,63 @@ def test_verify_table_premise_mutants():
         assert premise_error(table) == text
         kinds.add(kind)
     assert kinds == {"off-circle", "on-line", "non-hull token"}
+
+
+def test_verify_table_refuses_keys_that_are_not_canonical():
+    # a point has one canonical triple (W > 0, gcd 1); any other triple of
+    # it, or a Point, would let one point appear under two keys
+    sym = symmetric_config()
+    table = build_partial_iso(sym, sym, Isomorphic((-1, 2, -1)), list(enumerate_words(3, 2)), 1)
+    assert verify_table(table) is None
+    i = max(k for k, (a, _) in enumerate(table.rows) if a not in table.src_hull)
+    x, y, w = table.rows[i][0]
+    for bad in ((2 * x, 2 * y, 2 * w), (-x, -y, -w), (x, y, 0), (0, 0, 0),
+                (Fraction(x), y, w), (x, y), affine((x, y, w))):
+        for row in ((bad, table.rows[i][1]), (table.rows[i][1], bad)):
+            mutant = dataclasses.replace(
+                table, rows=table.rows[:i] + (row,) + table.rows[i + 1:])
+            assert premise_error(mutant) == f"table key {bad!r} is not a canonical triple"
+    for side in ("src_hull", "dst_hull"):
+        hull = getattr(table, side)
+        doubled = (hull[0], tuple(2 * c for c in hull[1])) + hull[2:]
+        assert premise_error(dataclasses.replace(table, **{side: doubled})) == \
+            f"table key {doubled[1]!r} is not a canonical triple"
+
+
+def test_build_partial_iso_makes_no_affine_call(monkeypatch):
+    # the rows, seed pairs and hulls hold the triples they are built on
+    cases = table_cases()  # the verdicts build witness points
+    calls = []
+    original = geometry.affine
+
+    def counted(h):
+        calls.append(h)
+        return original(h)
+
+    patched = [name for name, module in list(sys.modules.items())
+               if name.startswith("reversions") and getattr(module, "affine", None) is original]
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "affine", counted)
+    assert "reversions.geometry" in patched and "reversions.action" in patched
+    for s, r, verdict, words, seeds in cases:
+        table = build_partial_iso(fresh(s), fresh(r), verdict, words, seeds)
+        assert all(isinstance(key, tuple) for key, _ in table.seed_pairs)
+    assert calls == []
+
+
+def test_iso_pairs_tables_match_the_act_oracle(tmp_path, monkeypatch):
+    # every isomorphic pair of the benchmark's iso-pairs workload, seed 7,
+    # with its table build: the library's table is the oracle's Point
+    # table with each point keyed by `homogeneous`
+    monkeypatch.setitem(sys.modules, "gen", load_perfbench("gen"))
+    workloads = load_perfbench("workloads")
+    ops = [op for op in workloads.build_iso_pairs(random.Random(7), tmp_path).ops
+           if op.vector is not None]
+    assert len(ops) == 96
+    for op in ops:
+        a, b = op.cases
+        verdict = Isomorphic(op.vector)
+        table = build_partial_iso(a.config, b.config, verdict, op.words, workloads.TABLE_SEEDS)
+        assert table == act_build_partial_iso(fresh(a.config), fresh(b.config), verdict,
+                                              op.words, workloads.TABLE_SEEDS)
+        assert table.sigma == op.sigma
