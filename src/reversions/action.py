@@ -15,7 +15,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .geometry import (
     Circle,
@@ -40,6 +40,7 @@ __all__ = [
     "act",
     "orbit",
     "is_cycle",
+    "cycle_word",
     "offline_test_point",
 ]
 
@@ -192,19 +193,27 @@ def offline_test_point(config: Config) -> Point:
     return affine(config.test_triple)
 
 
+def cycle_word(config: Config, v: Signature) -> Optional[Word]:
+    """The normal-form word of signature v that the cycle test runs from
+    the test point, or None for an unbalanced v, which is never a cycle: a
+    fixing word must have even length, hence a balanced signature.
+    Raises ActionError unless v has one entry per interior point."""
+    if len(v) != config.alphabet:
+        raise ActionError(f"vector length {len(v)} != alphabet {config.alphabet}")
+    return word_from_signature(tuple(v)) if is_balanced(v) else None
+
+
 def is_cycle(config: Config, v: Signature) -> bool:
     """Does every word of signature v fix every off-line circle point?
 
     Evaluated at the configuration's cached off-line test point with the
-    normal-form word of signature v, on integer triples; by the porism this
-    single exact test decides the question for all off-line points and all
-    words of that signature.  Non-balanced vectors are rejected without
-    evaluation: a fixing word must have even length, hence a balanced
-    signature.
+    normal-form word of signature v (`cycle_word`), on integer triples; by
+    the porism this single exact test decides the question for all
+    off-line points and all words of that signature.  Non-balanced
+    vectors are rejected without evaluation.
     """
-    if len(v) != config.alphabet:
-        raise ActionError(f"vector length {len(v)} != alphabet {config.alphabet}")
-    if not is_balanced(v):
+    word = cycle_word(config, v)
+    if word is None:
         return False
     p = config.test_triple  # on the circle by construction
-    return _chain_end(config, p, word_from_signature(tuple(v))) == p
+    return _chain_end(config, p, word) == p

@@ -8,7 +8,11 @@ search walks the two point chains p.(2,1)^k and p.(3,2)^m from one off-line
 rational point p and joins them on exact equality, so a bound B costs
 O(B) reversions; the two constructors go the other way and produce a
 configuration realizing a prescribed vector, one by exact chord closing,
-with no search, one by certified bisection on the middle point.
+with no search, one by certified bisection on the middle point.  The
+bisection signs one exact residual polynomial pair per vector: the X and
+W of the canonical word's chain as binary forms in the numerator and
+denominator of the middle abscissa, built once from the homologies and
+evaluated on integers at each halving.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from typing import Optional, Tuple, Union
 from .action import Config, act, offline_test_point
 from .geometry import (
     Circle,
+    Homology,
+    NotInterior,
     Point,
     UNIT_CIRCLE,
     apply_homology,
@@ -65,8 +71,9 @@ __all__ = [
     "avoid_all_cycles",
 ]
 
-# First inward shift of the bisection endpoints from -1/2 and 1/2.
-BISECTION_DELTA = Fraction(1, 1024)
+# The first inward shift of the bisection endpoints from -1/2 and 1/2 is
+# 2^-BISECTION_SHIFT_BITS.
+BISECTION_SHIFT_BITS = 10
 # Third-point samples tried by avoid_all_cycles.
 SAMPLING_BUDGET = 100
 
@@ -345,22 +352,80 @@ def _end_homologies() -> tuple:
             homology(UNIT_CIRCLE, Point.of(Fraction(1, 2), 0)))
 
 
+def _swap_factors(h: Homology) -> Tuple[int, int]:
+    """(s, t) with H e+ = s e- and H e- = t e+ for the homology H of a
+    point on the axis y = 0, where e+ and e- are the triples (1, 0, 1) and
+    (-1, 0, 1) of the axis ends, which H swaps."""
+    q, (l0, _, l2), (_, _, c2) = h
+    return q - 2 * (l0 + l2) * c2, q - 2 * (l2 - l0) * c2
+
+
+def _residual_forms(v: Signature) -> tuple:
+    """The residual polynomials of v as the coordinates alpha and beta of
+    (X, W) = alpha e+ + beta e-, where X and W are those of the canonical
+    word of v acting on (0, 1) with interior points (-1/2, 0), (n/d, 0)
+    and (1/2, 0), as binary forms in (n, d): X = alpha - beta and
+    W = alpha + beta.  Each coordinate is a triple (c, i, j) that stands
+    for the form c (d - n)^(2i) (d + n)^(2j) (`_form_at`).
+
+    Every interior point is on the axis, so its homology swaps the axis
+    ends e+ and e- with two scalings (`_swap_factors`) and leaves the
+    Y of a triple out of X and W.  For the middle point, unreduced, the
+    homology is H(x) = q x - 2 (l . x) C with C = (n, 0, d),
+    l = (n, 0, -d) and q = n^2 - d^2; it sends e+ to (n - d)^2 e- and e-
+    to (n + d)^2 e+.  The walk starts from alpha = beta = 1, twice the
+    triple of (0, 1), and takes no gcd.  At any (n, d) with d > 0 and
+    n/d = a, the chain that `apply_homology` runs differs from this walk
+    only by positive factors: it divides each step by a positive gcd, and
+    its middle homology is this H divided by a positive number, the
+    square of d over the reduced denominator of a times the gcd that
+    `homology` divides by.  So X(n, d) and W(n, d) are one positive
+    multiple of the chain's X and W: the residual is X/W exactly, and as
+    the chain keeps W > 0, it has the sign of X.
+    Raises ValueError unless v is a canonical 3-vector.
+    """
+    word = canonical_word(tuple(v))
+    ends = [_swap_factors(h) for h in _end_homologies()]
+    alpha = beta = (1, 0, 0)
+    for letter in word.letters:
+        (ca, ia, ja), (cb, ib, jb) = alpha, beta
+        if letter == 2:  # H e+ = (n - d)^2 e-, H e- = (n + d)^2 e+
+            alpha, beta = (cb, ib, jb + 1), (ca, ia + 1, ja)
+        else:
+            s, t = ends[letter // 2]
+            alpha, beta = (t * cb, ib, jb), (s * ca, ia, ja)
+    return alpha, beta
+
+
+def _form_at(form: tuple, n: int, d: int) -> int:
+    """The form c (d - n)^(2i) (d + n)^(2j) of a triple (c, i, j) at (n, d)."""
+    c, i, j = form
+    return c * (d - n) ** (2 * i) * (d + n) ** (2 * j)
+
+
+def _residual_sign(forms: tuple, n: int, d: int) -> int:
+    """The sign of the residual at n/d, d > 0: that of alpha - beta."""
+    fa, fb = _form_at(forms[0], n, d), _form_at(forms[1], n, d)
+    return (fa > fb) - (fa < fb)
+
+
 def middle_point_residual(v: Signature, a: Fraction) -> Fraction:
     """First coordinate of the canonical word of v acting on (0, 1), with
     interior points (-1/2, 0), (a, 0), (1/2, 0); zero exactly when the
     configuration realizes v.
 
-    Only the middle homology is built per call; the two end ones are
-    cached.  Raises ValueError unless v is a canonical 3-vector, and
-    NotInterior unless -1 < a < 1.
+    Evaluates the residual polynomials of `_residual_forms` at the
+    numerator and denominator of a.  Raises ValueError unless v is a
+    canonical 3-vector, and NotInterior unless -1 < a < 1.
     """
-    word = canonical_word(tuple(v))
-    first, last = _end_homologies()
-    homologies = (first, homology(UNIT_CIRCLE, Point(Fraction(a), Fraction(0))), last)
-    x = (0, 1, 1)  # the triple of (0, 1)
-    for letter in word.letters:
-        x = apply_homology(homologies[letter - 1], x)
-    return Fraction(x[0], x[2])
+    alpha, beta = _residual_forms(v)
+    a = Fraction(a)
+    n, d = a.numerator, a.denominator
+    if n * n >= d * d:
+        raise NotInterior(
+            f"reversion center {Point(a, Fraction(0))} is not interior to {UNIT_CIRCLE}")
+    fa, fb = _form_at(alpha, n, d), _form_at(beta, n, d)
+    return Fraction(fa - fb, fa + fb)
 
 
 def realize_by_bisection(v: Signature, width_bound: Fraction) -> RealizationInterval:
@@ -369,10 +434,15 @@ def realize_by_bisection(v: Signature, width_bound: Fraction) -> RealizationInte
 
     The residual is positive just right of -1/2 and negative just left of
     1/2 (the configuration degenerates at the exact endpoints, so they are
-    shifted inward by BISECTION_DELTA, halving the shift if the sign pattern
-    is not yet visible).  There is at most one root in the family, so the
-    certified enclosure is unique.  An exact root hit ends with a recentred
-    interval whose endpoint signs are still verified.
+    shifted inward by 2^-BISECTION_SHIFT_BITS, halving the shift if the
+    sign pattern is not yet visible).  There is at most one root in the
+    family, so the certified enclosure is unique.  An exact root hit ends
+    with a recentred interval whose endpoint signs are still verified.
+
+    The residual polynomials of `_residual_forms` are built once, and the
+    residual at each point is signed by one evaluation of them.  The
+    endpoints are integer numerators over one power of two 2^e, and a
+    halving doubles both and takes their sum as the midpoint over 2^(e+1).
     """
     v = tuple(v)
     if len(v) != 3 or not is_balanced(v):
@@ -385,32 +455,31 @@ def realize_by_bisection(v: Signature, width_bound: Fraction) -> RealizationInte
     width_bound = Fraction(width_bound)
     if width_bound <= 0:
         raise RealizationError(f"width bound must be positive, got {width_bound}")
-    half = Fraction(1, 2)
-    delta = BISECTION_DELTA
-    for _ in range(24):
-        lo, hi = -half + delta, half - delta
-        flo, fhi = middle_point_residual(v, lo), middle_point_residual(v, hi)
-        if flo > 0 and fhi < 0:
+    forms = _residual_forms(v)
+    for e in range(BISECTION_SHIFT_BITS, BISECTION_SHIFT_BITS + 24):
+        lo, hi = 1 - (1 << (e - 1)), (1 << (e - 1)) - 1  # -1/2 + 2^-e, 1/2 - 2^-e
+        if _residual_sign(forms, lo, 1 << e) > 0 and _residual_sign(forms, hi, 1 << e) < 0:
             break
-        delta /= 2
     else:
         raise SignChangeError(
             f"no certified sign change near the endpoints for {v}")
-    while hi - lo > width_bound:
-        mid = (lo + hi) / 2
-        fmid = middle_point_residual(v, mid)
+    p, q = width_bound.numerator, width_bound.denominator
+    while (hi - lo) * q > p << e:
+        mid, lo, hi, e = lo + hi, 2 * lo, 2 * hi, e + 1
+        fmid = _residual_sign(forms, mid, 1 << e)
         if fmid > 0:
             lo = mid
         elif fmid < 0:
             hi = mid
         else:
-            lo = mid - width_bound / 2
-            hi = mid + width_bound / 2
-            if middle_point_residual(v, lo) <= 0 or middle_point_residual(v, hi) >= 0:
+            root = Fraction(mid, 1 << e)
+            a_lo, a_hi = root - width_bound / 2, root + width_bound / 2
+            if _residual_sign(forms, a_lo.numerator, a_lo.denominator) <= 0 \
+                    or _residual_sign(forms, a_hi.numerator, a_hi.denominator) >= 0:
                 raise SignChangeError(
-                    f"endpoint signs failed around the exact root {mid} for {v}")
-            break
-    return RealizationInterval(v, lo, hi)
+                    f"endpoint signs failed around the exact root {root} for {v}")
+            return RealizationInterval(v, a_lo, a_hi)
+    return RealizationInterval(v, Fraction(lo, 1 << e), Fraction(hi, 1 << e))
 
 
 def avoid_all_cycles(v2_max: int, seed: int) -> Config:

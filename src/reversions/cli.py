@@ -65,8 +65,8 @@ EXIT_USAGE = 64
 # length of its word: `is-cycle --v 4096,0,-4096` takes about 0.7 s.
 # `realize --bisect` costs grow with both its vector and the number of
 # halvings down to --width, ceil(log2(1/width)): at entry 64 and 64
-# halvings it takes about 0.3 s, at 128 and 64 about 1.4 s, and at 64 and
-# 256 about 7 s.  Larger values exit 2.
+# halvings it takes about 6 ms, at 128 and 64 about 6 ms, and at 64 and
+# 256 about 0.05 s.  Larger values exit 2.
 MAX_BOUND = 4096
 MAX_DEPTH = 60
 MAX_ENTRY = 4096

@@ -14,9 +14,9 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .action import Config, is_cycle
+from .action import Config, cycle_word
 from .geometry import Triple, apply_homology
-from .words import Signature, word_from_signature
+from .words import Signature
 
 __all__ = ["render_svg", "cycle_polygon", "UnverifiedCycle", "OutOfFloatRange"]
 
@@ -82,17 +82,21 @@ def cycle_polygon(config: Config, v: Signature) -> list:
     """The closed chain of a verified cycle, as canonical triples: the
     deterministic off-line test point followed by its images under each
     successive reversion of the signature word (`geometry.affine` gives
-    the point of each).  Refuses when v is not an exact nonzero cycle (the
-    zero vector's empty word gives no polygon)."""
+    the point of each).  The chain is the cycle test of `action.is_cycle`:
+    it is walked once, and v is a cycle exactly when its last triple is
+    its first.  Refuses when v is not an exact nonzero cycle (the zero
+    vector's empty word gives no polygon)."""
     v = tuple(v)
     if not any(v):
         raise UnverifiedCycle("the zero vector has no cycle polygon")
-    if not is_cycle(config, v):
-        raise UnverifiedCycle(f"{v} is not a cycle for this configuration")
-    chain = [config.test_triple]
-    for letter in word_from_signature(v).letters:
-        chain.append(apply_homology(config.homologies[letter - 1], chain[-1]))
-    return chain
+    word = cycle_word(config, v)
+    if word is not None:
+        chain = [config.test_triple]
+        for letter in word.letters:
+            chain.append(apply_homology(config.homologies[letter - 1], chain[-1]))
+        if chain[-1] == chain[0]:
+            return chain
+    raise UnverifiedCycle(f"{v} is not a cycle for this configuration")
 
 
 def render_svg(config: Config,

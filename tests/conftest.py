@@ -16,6 +16,8 @@ from reversions.action import ActionError, Config, _test_triples, act, is_cycle,
 from reversions.classify import (
     ConfigValidationError,
     RealizationError,
+    RealizationInterval,
+    SignChangeError,
     default_base_point,
     validate_config,
 )
@@ -28,8 +30,10 @@ from reversions.geometry import (
     Triple,
     UNIT_CIRCLE,
     affine,
+    apply_homology,
     format_point,
     homogeneous,
+    homology,
     is_between,
     reversion,
 )
@@ -447,6 +451,63 @@ def act_middle_point_residual(v: Signature, a: Fraction) -> Fraction:
     points (-1/2, 0), (a, 0), (1/2, 0)."""
     return _canonical_residual((Point.of(Fraction(-1, 2), 0), Point(Fraction(a), Fraction(0)),
                                 Point.of(Fraction(1, 2), 0)), v)
+
+
+def chain_middle_point_residual(v: Signature, a: Fraction) -> Fraction:
+    """Reference for `classify.middle_point_residual`: the canonical word of
+    v run by `apply_homology` on the triple of (0, 1), with a homology
+    built for the middle point (a, 0) at every call."""
+    word = canonical_word(tuple(v))
+    homologies = (homology(UNIT_CIRCLE, Point.of(Fraction(-1, 2), 0)),
+                  homology(UNIT_CIRCLE, Point(Fraction(a), Fraction(0))),
+                  homology(UNIT_CIRCLE, Point.of(Fraction(1, 2), 0)))
+    x = (0, 1, 1)
+    for letter in word.letters:
+        x = apply_homology(homologies[letter - 1], x)
+    return Fraction(x[0], x[2])
+
+
+def fraction_realize_by_bisection(v: Signature, width_bound: Fraction) -> RealizationInterval:
+    """Reference for `classify.realize_by_bisection`: the same search on
+    Fraction endpoints, with one `chain_middle_point_residual` per point."""
+    v = tuple(v)
+    if len(v) != 3 or not is_balanced(v):
+        raise RealizationError(f"{v} must be a balanced 3-vector")
+    if v[1] < 0:
+        v = (-v[0], -v[1], -v[2])
+    if v[1] < 1 or v[0] > -1 or v[2] > -1:
+        raise RealizationError(
+            f"{v} must satisfy v2 >= 1 and v1, v3 <= -1 (up to negation)")
+    width_bound = Fraction(width_bound)
+    if width_bound <= 0:
+        raise RealizationError(f"width bound must be positive, got {width_bound}")
+    half = Fraction(1, 2)
+    delta = Fraction(1, 1024)
+    for _ in range(24):
+        lo, hi = -half + delta, half - delta
+        flo, fhi = chain_middle_point_residual(v, lo), chain_middle_point_residual(v, hi)
+        if flo > 0 and fhi < 0:
+            break
+        delta /= 2
+    else:
+        raise SignChangeError(
+            f"no certified sign change near the endpoints for {v}")
+    while hi - lo > width_bound:
+        mid = (lo + hi) / 2
+        fmid = chain_middle_point_residual(v, mid)
+        if fmid > 0:
+            lo = mid
+        elif fmid < 0:
+            hi = mid
+        else:
+            lo = mid - width_bound / 2
+            hi = mid + width_bound / 2
+            if chain_middle_point_residual(v, lo) <= 0 \
+                    or chain_middle_point_residual(v, hi) >= 0:
+                raise SignChangeError(
+                    f"endpoint signs failed around the exact root {mid} for {v}")
+            break
+    return RealizationInterval(v, lo, hi)
 
 
 def count_sign_changes(values) -> int:

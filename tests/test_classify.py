@@ -9,7 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     act_middle_point_residual,
+    chain_middle_point_residual,
     count_sign_changes,
+    fraction_realize_by_bisection,
     fraction_realize_by_closing,
     fraction_search_closing_config,
     offline_test_points,
@@ -301,7 +303,51 @@ def test_middle_point_residual_agrees_with_act():
     assert len(vectors) == 10
     for v in vectors:
         for a in abscissas:
-            assert middle_point_residual(v, a) == act_middle_point_residual(v, a)
+            assert middle_point_residual(v, a) == act_middle_point_residual(v, a) \
+                == chain_middle_point_residual(v, a)
+
+
+# every balanced vector with entries up to 12 is (-k, k + m, -m)
+balanced = st.tuples(st.integers(-12, 12), st.integers(-12, 12)).filter(
+    lambda km: abs(km[0] + km[1]) <= 12).map(lambda km: (-km[0], km[0] + km[1], -km[1]))
+bisection_widths = st.one_of(
+    st.integers(0, 64).map(lambda k: Fraction(1, 2**k)),
+    st.sampled_from([Fraction(1, 3), Fraction(2, 7), Fraction(1, 1000), Fraction(5)]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(v=balanced, negate=st.booleans(), width=bisection_widths)
+@example(v=(-1, 2, -1), negate=False, width=Fraction(1, 2**20))  # exact root 0
+@example(v=(-3, 6, -3), negate=True, width=Fraction(2, 7))
+@example(v=(-12, 13, -1), negate=False, width=Fraction(1, 2**64))
+@example(v=(0, 0, 0), negate=False, width=Fraction(1, 3))
+def test_bisection_matches_the_fraction_oracle(v, negate, width):
+    if negate:
+        v = tuple(-x for x in v)
+    assert outcome(realize_by_bisection, v, width) == \
+        outcome(fraction_realize_by_bisection, v, width)
+
+
+def test_bisection_makes_no_homology_step(monkeypatch):
+    # the residual polynomials are built once per call from the two cached
+    # end homologies, so no point of the search builds or applies one
+    width = Fraction(1, 2**30)
+    expected = fraction_realize_by_bisection((-2, 3, -1), width)
+    realize_by_bisection((-2, 3, -1), width)  # fills the cache
+    steps = []
+
+    def counted(name, f):
+        def step(*args):
+            steps.append(name)
+            return f(*args)
+        return step
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("reversions")]:
+        for name in ("homology", "apply_homology"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    assert realize_by_bisection((-2, 3, -1), width) == expected
+    assert steps == []
 
 
 @pytest.mark.parametrize("v, a, error", [
@@ -317,6 +363,9 @@ def test_middle_point_residual_errors_match_act(v, a, error):
     with pytest.raises(error) as got:
         middle_point_residual(v, a)
     assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+    assert outcome(chain_middle_point_residual, v, a) == \
+        (type(expected.value), str(expected.value))
 
 
 def test_third_point_scan_at_most_one_sign_change():

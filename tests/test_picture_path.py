@@ -23,8 +23,16 @@ from conftest import (
     symmetric_config,
 )
 from reversions.cli import EXIT_OK, main, parse_config
-from reversions.geometry import Point, affine, format_point, format_triple, parse_fraction
-from reversions.svg import OutOfFloatRange, _coords, render_svg
+from reversions.geometry import (
+    Point,
+    affine,
+    format_point,
+    format_triple,
+    homogeneous,
+    parse_fraction,
+)
+from reversions.svg import OutOfFloatRange, _coords, cycle_polygon, render_svg
+from reversions.words import word_from_signature
 
 
 def flags(argv) -> dict:
@@ -104,3 +112,28 @@ def test_true_division_is_the_float_of_the_fraction(t):
     p = affine(t)
     assert outcome(render_svg, config, [t], [t, t]) == \
         outcome(point_render_svg, config, [p], [p, p])
+
+
+@pytest.mark.parametrize("v", [(-1, 2, -1), (0, 0, 0), (0, 1), (-1, 2, -1, 0),
+                               (1, 1, -1), (-2, 3, -1), (1, -2, 1)])
+def test_cycle_polygon_matches_the_point_oracle(v):
+    # the chain, or the same refusal: UnverifiedCycle for the zero, an
+    # unbalanced and a non-cycle vector, ActionError for a wrong length
+    config = symmetric_config()
+    want = outcome(point_cycle_polygon, config, v)
+    if isinstance(want, list):
+        want = [homogeneous(p) for p in want]
+    assert outcome(cycle_polygon, config, v) == want
+
+
+def test_cycle_polygon_walks_the_word_once(monkeypatch):
+    # the chain it draws is also its cycle test: one homology step a letter
+    steps = []
+    for name in ("reversions.action", "reversions.svg"):
+        module = sys.modules[name]
+        step = module.apply_homology
+        monkeypatch.setattr(module, "apply_homology",
+                            lambda h, x, step=step: steps.append(x) or step(h, x))
+    v = (-3, 6, -3)
+    chain = cycle_polygon(symmetric_config(), v)
+    assert len(steps) == len(word_from_signature(v).letters) == len(chain) - 1 == 12
