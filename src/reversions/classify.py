@@ -4,11 +4,24 @@ The cycle vectors of a configuration form a cyclic subgroup of Z^3: either
 only the zero vector (one single shared class for all such configurations),
 or all integer multiples of one primitive balanced vector v with v2 >= 1,
 v1 <= v3 <= -1 and gcd 1, which is then a complete class label.  The
-search walks the two point chains p.(2,1)^k and p.(3,2)^m from one off-line
-rational point p and joins them on exact equality, so a bound B costs
-O(B) reversions; the two constructors go the other way and produce a
-configuration realizing a prescribed vector, one by exact chord closing,
-with no search, one by certified bisection on the middle point.  The
+stored vector (-k, k+m, -m) is a cycle exactly when the words (2,1) and
+(3,2), which translate along the line of the points by factors lambda_12
+and lambda_23 in the Beltrami-Klein model, satisfy
+lambda_12^k = lambda_23^m.  When the line meets the circle in rational
+points ("square D": both factors rational), that equation is decided in
+closed form, with no bound and no reversion step: two Euclids on the
+numerators and the denominators of the factors, which come from the
+traces of the homology products.  The closed form assumes the points
+collinear with the middle one strictly between the others, which
+`validate_config` checks and which is tested again on the triples.
+Otherwise the search walks the two point chains p.(2,1)^k and p.(3,2)^m
+from one off-line rational point p and joins them on exact equality, so a
+bound B costs O(B) reversions.  The label stays bounded either way:
+`NoCycleUpTo(B)` when there is no cycle or its middle entry exceeds B.
+
+The two constructors go the other way and produce a configuration
+realizing a prescribed vector, one by exact chord closing, with no
+search, one by certified bisection on the middle point.  The
 bisection signs one exact residual polynomial pair per vector: the X and
 W of the canonical word's chain as binary forms in the numerator and
 denominator of the middle abscissa, built once from the homologies and
@@ -30,6 +43,7 @@ from .geometry import (
     Homology,
     NotInterior,
     Point,
+    Triple,
     UNIT_CIRCLE,
     apply_homology,
     conic,
@@ -155,6 +169,17 @@ def default_base_point(circle: Circle) -> Point:
     return Point(circle.center.x + r, circle.center.y)
 
 
+def _strictly_between(left: Triple, middle: Triple, right: Triple) -> bool:
+    """Of three collinear triples (W > 0), the middle point is strictly
+    between the others: (middle - left) . (right - middle) > 0, times the
+    positive l2 m2^2 r2."""
+    l0, l1, l2 = left
+    m0, m1, m2 = middle
+    r0, r1, r2 = right
+    return (m0 * l2 - l0 * m2) * (r0 * m2 - m0 * r2) \
+        + (m1 * l2 - l1 * m2) * (r1 * m2 - m1 * r2) > 0
+
+
 def validate_config(circle: Circle, points, base_point: Optional[Point] = None) -> Config:
     """Check distinctness, interiority and (for three or more points)
     collinearity and monotone order, and attach a rational seed point on
@@ -188,11 +213,8 @@ def validate_config(circle: Circle, points, base_point: Optional[Point] = None) 
             if n0 * x0 + n1 * x1 + n2 * x2 != 0:
                 raise ConfigValidationError(
                     "collinearity", f"{p} is off the line of the first two points")
-        for mid, (l0, l1, l2), (m0, m1, m2), (r0, r1, r2) in zip(
-                points[1:], triples, triples[1:], triples[2:]):
-            # (mid - left) . (right - mid), times the positive l2 m2^2 r2
-            if (m0 * l2 - l0 * m2) * (r0 * m2 - m0 * r2) \
-                    + (m1 * l2 - l1 * m2) * (r1 * m2 - m1 * r2) <= 0:
+        for mid, left, middle, right in zip(points[1:], triples, triples[1:], triples[2:]):
+            if not _strictly_between(left, middle, right):
                 raise ConfigValidationError(
                     "ordering", f"{mid} is not between its neighbours")
     if base_point is None:
@@ -205,22 +227,106 @@ def validate_config(circle: Circle, points, base_point: Optional[Point] = None) 
     return config
 
 
-def _search_cycle(config: Config, v2_max: int) -> Optional[Tuple[tuple, tuple]]:
-    """First (canonical, stored-order) cycle pair up to the bound, or None.
+def _power_ratio(x: int, y: int) -> Tuple[int, int]:
+    """The primitive (k, m), k, m >= 1, with x^k = y^m, for integers
+    x, y >= 1 that are not both 1; (0, 0) when only k = m = 0 solves it.
 
-    A stored vector (-k, k+m, -m) has the word (2,1)^k (2,3)^m, which fixes
-    the test point p exactly when p.(2,1)^k == p.(3,2)^m.  Both chains grow
-    one level at a time, up to B - 1 since k, m >= 1 and k + m <= B, and are
-    joined on the exact points (canonical integer triples), so both stored
-    orders are covered at once.
-    The hits are the multiples of the primitive cycle, so the first one
-    found, divided by its gcd, is the primitive; when its middle entry
-    exceeds the bound, so does every other cycle's.
+    A Euclid that divides the larger number by the smaller.  If x^k = y^m
+    with x > y, then y divides x and (x/y)^k = y^(m-k), so each division
+    keeps every solution, with its exponents moved by a unimodular map; a
+    remainder proves that there is none.  The invariants x0 = x^a y^b and
+    y0 = x^c y^d hold throughout, so when x = y = r it ends with
+    x0 = r^(a+b) and y0 = r^(c+d).  Each division halves one number at
+    least, so there are fewer steps than the bits of x0 and y0.
     """
-    if len(config.points) != 3:
-        raise ConfigValidationError("count", "cycle search needs three points")
-    if v2_max < 1:
-        raise ValueError(f"v2_max must be >= 1, got {v2_max}")
+    if x == 1 or y == 1:
+        return 0, 0
+    a, b, c, d = 1, 0, 0, 1
+    while x != y:
+        if x > y:
+            x, rest = divmod(x, y)
+            b, d = b + a, d + c
+        else:
+            y, rest = divmod(y, x)
+            a, c = a + b, c + d
+        if rest:
+            return 0, 0
+    g = math.gcd(a + b, c + d)
+    return (c + d) // g, (a + b) // g
+
+
+def _translation_factor(hi: Homology, hj: Homology) -> Optional[Tuple[int, int]]:
+    """The translation factor lambda > 1 of the product of two homologies,
+    as the lowest-terms pair (a, b) of lambda = a/b, or None when it is
+    irrational.
+
+    H_i / q_i and H_j / q_j are the hyperbolic half-turns about the two
+    points, so their product translates along the line through them by
+    lambda, with eigenvalues lambda, 1 and 1/lambda.  Since l . C = q for
+    each homology (the gcd that `geometry.homology` divides by keeps it),
+    tr(H_i H_j) = 4 (l_i . C_j)(l_j . C_i) - q_i q_j, and
+    tau = lambda + 1/lambda = tr(H_i H_j) / (q_i q_j) - 1 = (t - 2 q) / q
+    with t = 4 (l_i . C_j)(l_j . C_i) and q = q_i q_j > 0.  Then
+    tau^2 - 4 = t (t - 4 q) / q^2, and lambda = (t - 2 q + s) / (2 q) for
+    s^2 = t (t - 4 q), which is rational exactly when that is a square.
+    """
+    qi, (li0, li1, li2), (ci0, ci1, ci2) = hi
+    qj, (lj0, lj1, lj2), (cj0, cj1, cj2) = hj
+    t = 4 * (li0 * cj0 + li1 * cj1 + li2 * cj2) * (lj0 * ci0 + lj1 * ci1 + lj2 * ci2)
+    q = qi * qj
+    disc = t * (t - 4 * q)  # positive, as distinct points give lambda > 1
+    s = math.isqrt(disc)
+    if s * s != disc:
+        return None
+    a, b = t - 2 * q + s, 2 * q
+    g = math.gcd(a, b)
+    return a // g, b // g
+
+
+def _translation_ratio(config: Config) -> Optional[Tuple[int, int]]:
+    """The primitive (k, m) of the cycle (-k, k+m, -m) in stored order, or
+    (0, 0) when the configuration has no cycle, decided in closed form; or
+    None when the closed form does not apply.
+
+    When the three points are collinear and the middle one is strictly
+    between the others (what `validate_config` checks, on the same
+    triples), the words (2,1) and (3,2) translate along their line in one
+    direction, by the factors lambda_12 and lambda_23 of
+    `_translation_factor`.  So (2,1)^k (2,3)^m is the identity, and fixes
+    every off-line point, exactly when lambda_12^k = lambda_23^m.  When
+    both factors are rational ("square D": the line meets the circle in
+    rational points), that holds exactly when the numerators and the
+    denominators of the two lowest-terms fractions satisfy it separately,
+    which two Euclids decide (`_power_ratio`).  A Config built without
+    `validate_config` can break the premise; the closed form then does not
+    apply, and neither does it to irrational factors.
+    """
+    h1, h2, h3 = config.homologies
+    c1, c2, c3 = h1[2], h2[2], h3[2]
+    n0, n1, n2 = line_through(c1, c2)
+    if n0 * c3[0] + n1 * c3[1] + n2 * c3[2] != 0 or not _strictly_between(c1, c2, c3):
+        return None
+    f12 = _translation_factor(h1, h2)
+    f23 = _translation_factor(h2, h3)
+    if f12 is None or f23 is None:
+        return None
+    (a12, b12), (a23, b23) = f12, f23
+    ratio = _power_ratio(a12, a23)  # lambda > 1, so a >= 2
+    if (b12, b23) != (1, 1) and _power_ratio(b12, b23) != ratio:
+        return 0, 0
+    return ratio
+
+
+def _chain_ratio(config: Config, v2_max: int) -> Tuple[int, int]:
+    """The first (k, m) with p.(2,1)^k == p.(3,2)^m at the off-line test
+    point p, for k, m < v2_max, divided by its gcd; (0, 0) when there is
+    none.
+
+    Both chains grow one level at a time and are joined on the exact
+    points (canonical integer triples), so both stored orders are covered
+    at once.  The hits are the multiples of the primitive cycle, so the
+    first one found, divided by its gcd, is the primitive.
+    """
     h1, h2, h3 = config.homologies
     pk = qm = config.test_triple
     p_level: dict = {}  # p.(2,1)^k -> k, on integer triples
@@ -237,18 +343,40 @@ def _search_cycle(config: Config, v2_max: int) -> Optional[Tuple[tuple, tuple]]:
         else:
             continue
         g = math.gcd(k, m)
-        k, m = k // g, m // g
-        if k + m > v2_max:
-            return None
-        stored = (-k, k + m, -m)
-        return (stored if k >= m else pi13(stored)), stored
-    return None
+        return k // g, m // g
+    return 0, 0
+
+
+def _search_cycle(config: Config, v2_max: int) -> Optional[Tuple[tuple, tuple]]:
+    """First (canonical, stored-order) cycle pair up to the bound, or None.
+
+    A stored vector (-k, k+m, -m) has the word (2,1)^k (2,3)^m, which fixes
+    the test point p exactly when p.(2,1)^k == p.(3,2)^m.  For square D the
+    primitive (k, m) is decided in closed form, with no bound and no
+    reversion step (`_translation_ratio`).  Otherwise the two point chains
+    are searched up to B - 1 levels (`_chain_ratio`), since k, m >= 1 and
+    k + m <= B.  Either way, when the primitive's middle entry k + m
+    exceeds the bound, so does every other cycle's.
+    """
+    if len(config.points) != 3:
+        raise ConfigValidationError("count", "cycle search needs three points")
+    if v2_max < 1:
+        raise ValueError(f"v2_max must be >= 1, got {v2_max}")
+    # the chain search's inputs, in its order, so that a Config built
+    # without validation fails alike on either path
+    config.homologies, config.test_triple
+    k, m = _translation_ratio(config) or _chain_ratio(config, v2_max)
+    if k == 0 or k + m > v2_max:
+        return None
+    stored = (-k, k + m, -m)
+    return (stored if k >= m else pi13(stored)), stored
 
 
 def find_primitive_cycle(config: Config, v2_max: int) -> Optional[tuple]:
     """The primitive cycle vector in canonical form, or None up to the
-    bound.  All cycles are integer multiples of one vector, so the first
-    meeting of the two search chains is the generator."""
+    bound.  All cycles are integer multiples of one vector, which the
+    closed form finds for square D and the chain search otherwise, as the
+    first meeting of its two chains (`_search_cycle`)."""
     found = _search_cycle(config, v2_max)
     return found[0] if found else None
 

@@ -56,13 +56,17 @@ EXIT_INVALID = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_USAGE = 64
 
-# Budgets for the user-controlled work sizes, each under 2 s on points
-# 0, 1/3, 5/7 (or -1/2, 0, 1/3) of the unit circle (Python 3.11, one core
-# of a shared 2-vCPU host): `iso --bound 4096` classifies two
-# configurations in about 1.4 s, and `orbit --depth 60 --svg` from (0, 1)
-# yields 5,491 points in about 0.1 s.  A balanced vector's largest entry in
-# absolute value (the middle entry of a canonical vector) is half the
-# length of its word: `is-cycle --v 4096,0,-4096` takes about 0.7 s.
+# Budgets for the user-controlled work sizes, measured on points 0, 1/3,
+# 5/7 (or -1/2, 0, 1/3) of the unit circle (Python 3.11, one core of a
+# shared 2-vCPU host).  The bound costs nothing when the line of the points
+# meets the circle in rational points, which the closed form decides; the
+# chain search runs otherwise, and there the cap is over 2 s: on points
+# -1/4, 0, 1/3 of the chord y = 1/3, `classify --bound 4096` takes about
+# 8 s and `iso --bound 4096` about 16 s (1.2 s for `classify` at 2048).
+# `orbit --depth 60 --svg` from (0, 1) yields 5,491 points in about 0.1 s.
+# A balanced vector's largest entry in absolute value (the middle entry of
+# a canonical vector) is half the length of its word:
+# `is-cycle --v 4096,0,-4096` takes about 0.7 s.
 # `realize --bisect` costs grow with both its vector and the number of
 # halvings down to --width, ceil(log2(1/width)): at entry 64 and 64
 # halvings it takes about 6 ms, at 128 and 64 about 6 ms, and at 64 and

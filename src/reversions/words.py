@@ -166,27 +166,16 @@ def pi13(v: Signature) -> Signature:
 
 
 def normal_form(g: Word) -> Word:
-    """Canonical representative of g among words of equal signature.
+    """Canonical representative of g among words of equal signature: the
+    unique normal-form word with its signature (`word_from_signature`).
 
-    For each letter, from the largest down, shift its occurrences to the
-    left within their position-parity class (a parity-preserving position
-    permutation leaves the circle action unchanged) and cancel.  The result
-    has every letter on a single parity, non-decreasing separately on even
-    and on odd positions, and the same signature as g.
+    Every letter sits on a single position parity, and the letters are
+    non-decreasing separately on odd and on even positions.
 
     >>> normal_form(Word((2, 3, 2, 1), 3))
     Word(letters=(2, 1, 2, 3), alphabet=3)
     """
-    seq = list(g.letters)
-    for letter in range(g.alphabet, 0, -1):
-        odd = seq[0::2]
-        even = seq[1::2]
-        odd = [x for x in odd if x == letter] + [x for x in odd if x != letter]
-        even = [x for x in even if x == letter] + [x for x in even if x != letter]
-        merged = [odd[i // 2] if i % 2 == 0 else even[i // 2]
-                  for i in range(len(seq))]
-        seq = list(reduce_letters(merged))
-    return Word(tuple(seq), g.alphabet)
+    return word_from_signature(signature_of(g))
 
 
 def word_from_signature(v: Signature) -> Word:

@@ -56,6 +56,7 @@ from reversions.words import (
     gcd_vec,
     is_balanced,
     pi13,
+    reduce_letters,
     word_from_signature,
 )
 
@@ -205,6 +206,23 @@ def cmp_sorted_triples(triples) -> list:
     """Reference for `geometry.sorted_triples`: a sort by
     cross-multiplied comparisons of each pair."""
     return sorted(triples, key=functools.cmp_to_key(_compare_triples))
+
+
+def parity_normal_form(g: Word) -> Word:
+    """Reference for `words.normal_form`: for each letter, from the largest
+    down, shift its occurrences to the left within their position-parity
+    class (a parity-preserving position permutation leaves the circle
+    action unchanged) and cancel."""
+    seq = list(g.letters)
+    for letter in range(g.alphabet, 0, -1):
+        odd = seq[0::2]
+        even = seq[1::2]
+        odd = [x for x in odd if x == letter] + [x for x in odd if x != letter]
+        even = [x for x in even if x == letter] + [x for x in even if x != letter]
+        merged = [odd[i // 2] if i % 2 == 0 else even[i // 2]
+                  for i in range(len(seq))]
+        seq = list(reduce_letters(merged))
+    return Word(tuple(seq), g.alphabet)
 
 
 def rand_fraction(rng: random.Random, span: int = 12) -> Fraction:
@@ -538,6 +556,15 @@ def scan_search_cycle(config: Config, v2_max: int) -> Optional[Tuple[tuple, tupl
         if w != v and is_cycle(config, w):
             return v, w
     return None
+
+
+def chain_search_cycle(config: Config, v2_max: int) -> Optional[Tuple[tuple, tuple]]:
+    """`classify._search_cycle` with its closed form switched off: the
+    bounded chain search alone, the oracle of the closed form."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys.modules["reversions.classify"], "_translation_ratio",
+                      lambda config: None)
+        return sys.modules["reversions.classify"]._search_cycle(config, v2_max)
 
 
 # A table token of the Point oracles: a point, or a chord end.

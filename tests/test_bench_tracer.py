@@ -33,13 +33,11 @@ def test_tracer_counts_cli_iso(tmp_path):
     assert not hasattr(cli.main, "__wrapped__")  # originals restored
 
 
-def test_classify_miss_is_linear_in_bound(tmp_path, monkeypatch):
-    # w = (1, 2, 6) puts the points at 0, 1/3, 5/7; a cycle would need
-    # 2^a = 3^b, so the search runs to the bound.  Each of the B - 1 levels
-    # advances two chains by one two-letter step, each letter one integer
-    # reversion step.
-    bound = 20
-    config = validate_config(UNIT_CIRCLE, (pt(0, 0), pt("1/3", 0), pt("5/7", 0)))
+def traced_classify(tmp_path, monkeypatch, points, bound):
+    """Run `classify --bound` on the points of the unit circle under the
+    tracer; return the number of integer reversion steps the cycle
+    decision took."""
+    config = validate_config(UNIT_CIRCLE, points)
     path = tmp_path / "free.cfg"
     path.write_text(cli.serialize_config(config))
     search = sys.modules["reversions.classify"]
@@ -56,8 +54,28 @@ def test_classify_miss_is_linear_in_bound(tmp_path, monkeypatch):
         assert cli.main(["classify", str(path), "--bound", str(bound)]) == cli.EXIT_OK
     metrics = tracer.metrics()
     assert metrics["classify.classify.calls"] == 1
-    assert len(steps) == 4 * (bound - 1)
     assert metrics["classify.candidates_per_call"] == 0
+    return len(steps)
+
+
+def test_classify_miss_on_a_diameter_takes_no_step(tmp_path, monkeypatch):
+    # w = (1, 2, 6) puts the points at 0, 1/3, 5/7: the diameter meets the
+    # circle in rational points, so the closed form proves that no cycle
+    # exists (it would need 2^a = 3^b) without a reversion step
+    steps = traced_classify(
+        tmp_path, monkeypatch, (pt(0, 0), pt("1/3", 0), pt("5/7", 0)), 20)
+    assert steps == 0
+
+
+def test_classify_miss_is_linear_in_bound(tmp_path, monkeypatch):
+    # the chord y = 1/3 meets the unit circle at x = +-sqrt(8)/3, so the
+    # chain search decides, and finds no cycle: each of the B - 1 levels
+    # advances two chains by one two-letter step, each letter one integer
+    # reversion step
+    bound = 20
+    steps = traced_classify(
+        tmp_path, monkeypatch, (pt("-1/4", "1/3"), pt(0, "1/3"), pt("1/3", "1/3")), bound)
+    assert steps == 4 * (bound - 1)
 
 
 def test_table_check_never_tests_a_triple():

@@ -10,10 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import (
     act_middle_point_residual,
     chain_middle_point_residual,
+    chain_search_cycle,
     count_sign_changes,
     fraction_realize_by_bisection,
     fraction_realize_by_closing,
     fraction_search_closing_config,
+    load_perfbench,
     offline_test_points,
     outcome,
     primitive_candidates,
@@ -21,7 +23,7 @@ from conftest import (
     scan_search_cycle,
     third_point_residual,
 )
-from reversions.action import ActionError, act, is_cycle
+from reversions.action import ActionError, Config, act, is_cycle
 from reversions.cli import serialize_config
 from reversions.classify import (
     _search_cycle,
@@ -482,3 +484,136 @@ def test_cycle_bound_is_on_middle_entry(reverse, monkeypatch):
 
     monkeypatch.setattr(sys.modules["reversions.classify"], "apply_homology", no_step)
     assert classify(config, 1) == NoCycleUpTo(1)
+
+
+classify_module = sys.modules["reversions.classify"]
+ORACLE_BOUNDS = range(1, 25)
+
+
+def assert_dispatch_matches_chain(config):
+    """`_search_cycle`, which decides square D in closed form, equals the
+    chain search alone at every bound from 1 to 24; returns the answer at
+    the largest bound."""
+    for bound in ORACLE_BOUNDS:
+        found = _search_cycle(config, bound)
+        assert found == chain_search_cycle(config, bound), bound
+    return found
+
+
+def test_dispatch_matches_chain_on_generated_cases():
+    gen = load_perfbench("gen")
+    rng = random.Random(29)
+    for v in gen.canonical_vectors(12):
+        for s in gen.CYCLE_BASES:
+            for reverse in (False, True):
+                case = gen.cycle_case(rng, v, s, reverse)
+                assert classify_module._translation_ratio(case.config) is not None
+                assert assert_dispatch_matches_chain(case.config) == (v, case.stored)
+    for _ in range(40):
+        case = gen.free_case(rng)
+        assert classify_module._translation_ratio(case.config) == (0, 0)
+        assert assert_dispatch_matches_chain(case.config) is None
+
+
+def test_dispatch_matches_chain_on_closing_configs():
+    for n in range(2, 65):
+        v = (-(n - 1), n, -1)
+        closing = search_closing_config(v)
+        assert classify_module._translation_ratio(closing) == (n - 1, 1)
+        assert assert_dispatch_matches_chain(closing) == ((v, v) if n <= 24 else None)
+
+
+def test_dispatch_matches_chain_on_avoid_all_cycles():
+    # the sampler keeps the same third point as with the chain search alone
+    for bound, seed in [(1, 5), (6, 1), (12, 2), (20, 3), (24, 4)]:
+        config = avoid_all_cycles(bound, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classify_module, "_translation_ratio", lambda config: None)
+            assert avoid_all_cycles(bound, seed) == config
+        assert assert_dispatch_matches_chain(config) is None
+
+
+diameter = st.fractions(Fraction(-20, 21), Fraction(20, 21), max_denominator=21)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(xs=st.lists(diameter, min_size=3, max_size=3, unique=True),
+       seed=st.integers(0, 2**16), reverse=st.booleans())
+@example(xs=[Fraction(-1, 2), Fraction(0), Fraction(1, 2)], seed=0, reverse=False)
+@example(xs=[Fraction(0), Fraction(1, 3), Fraction(1, 2)], seed=1, reverse=True)
+def test_dispatch_matches_chain_on_random_diameter_triples(xs, seed, reverse):
+    gen = load_perfbench("gen")
+    rng = random.Random(seed)
+    sim = gen.random_similarity(rng)
+    pts = [sim(pt(x, 0)) for x in sorted(xs, reverse=reverse)]
+    config = validate_config(sim.circle(), pts, sim(gen.unit_circle_point(rng)))
+    assert classify_module._translation_ratio(config) is not None
+    assert_dispatch_matches_chain(config)
+
+
+def power_ratio_by_search(x, y):
+    """The least (k, m), k, m >= 1, with x^k == y^m, or (0, 0).  When
+    x = r^s and y = r^t solve it, k = t/gcd(s, t) <= log2(y) and
+    m <= log2(x), so the search is complete."""
+    for k in range(1, y.bit_length() + 1):
+        for m in range(1, x.bit_length() + 1):
+            if x ** k == y ** m:
+                return k, m
+    return 0, 0
+
+
+power_bases = st.sampled_from([1, 2, 3, 5, 6, 10, 12, 30, 49, 1001])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(r=st.integers(1, 40), e1=st.integers(0, 9), e2=st.integers(0, 9),
+       u=power_bases, w=power_bases)
+@example(r=1, e1=1, e2=1, u=1, w=2)    # 1 against a number above it
+@example(r=7, e1=3, e2=3, u=1, w=1)    # equal values
+@example(r=2, e1=6, e2=4, u=1, w=1)    # 64 = 2^6 and 16 = 2^4
+@example(r=6, e1=2, e2=3, u=1, w=1)    # 36 and 216
+@example(r=1, e1=0, e2=0, u=12, w=49)  # coprime, not powers of one another
+@example(r=1, e1=0, e2=0, u=12, w=6)   # not coprime, no common power
+def test_power_ratio_matches_brute_force(r, e1, e2, u, w):
+    x, y = r ** e1 * u, r ** e2 * w
+    if x == y == 1:
+        return
+    assert classify_module._power_ratio(x, y) == power_ratio_by_search(x, y)
+
+
+@pytest.mark.parametrize("y", [Fraction(1, 3), Fraction(1, 2), Fraction(2, 5)])
+def test_irrational_chord_ends_reach_the_chain_search(y):
+    # the chords y = 1/3, 1/2 and 2/5 meet the unit circle at irrational
+    # x = +-sqrt(1 - y^2), so the translation factors are irrational and
+    # the closed form stands back
+    xs = [Fraction(a, 12) for a in range(-9, 10, 3)]
+    for left, middle, right in itertools.combinations(xs, 3):
+        config = validate_config(UNIT_CIRCLE, [Point(x, y) for x in (left, middle, right)])
+        assert classify_module._translation_ratio(config) is None
+        assert_dispatch_matches_chain(config)
+
+
+def test_premise_guard_falls_back_to_the_chain_search():
+    # a raw Config with the middle point outside the other two: the words
+    # (2,1) and (3,2) translate in opposite directions, so the factor
+    # equation would report (-2, 3, -1), which is not a cycle
+    raw = Config(UNIT_CIRCLE, (pt("-1/2", 0), pt("1/2", 0), pt(0, 0)), pt(1, 0))
+    assert classify_module._translation_ratio(raw) is None
+    assert _search_cycle(raw, 40) is None
+    assert _search_cycle(raw, 40) == chain_search_cycle(raw, 40)
+    assert classify(raw, 40) == NoCycleUpTo(40)
+    assert find_primitive_cycle(raw, 40) is None
+    # the same points off one line
+    bent = Config(UNIT_CIRCLE, (pt("-1/2", 0), pt(0, "1/4"), pt("1/2", 0)), pt(1, 0))
+    assert classify_module._translation_ratio(bent) is None
+    assert_dispatch_matches_chain(bent)
+
+
+def test_square_d_classify_at_the_bound_cap_takes_no_step(monkeypatch):
+    config = validate_config(UNIT_CIRCLE, (pt(0, 0), pt("1/3", 0), pt("5/7", 0)))
+
+    def no_step(*args):
+        raise AssertionError("square D needs no reversion step")
+
+    monkeypatch.setattr(classify_module, "apply_homology", no_step)
+    assert classify(config, 4096) == NoCycleUpTo(4096)

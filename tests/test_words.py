@@ -3,9 +3,10 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reversions.words
+from conftest import parity_normal_form
 from reversions.words import (
     AlphabetMismatch,
     InvalidPermutation,
@@ -140,6 +141,29 @@ def test_equal_signatures_equal_normal_forms_exhaustive():
     for g in enumerate_words(3, 6):
         by_signature.setdefault(signature_of(g), set()).add(normal_form(g))
     assert all(len(forms) == 1 for forms in by_signature.values())
+
+
+def test_normal_form_matches_the_parity_shifting_oracle_exhaustive():
+    words = [g for alphabet, length in [(2, 8), (3, 8), (4, 6)]
+             for g in enumerate_words(alphabet, length)]
+    assert len(words) == 2240
+    for g in words:
+        assert normal_form(g) == parity_normal_form(g), g
+
+
+# irreducible words over alphabets 1..5, up to 12 letters
+words_up_to_5 = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.integers(1, n), max_size=30).map(
+        lambda seq: Word(reduce_letters(seq)[:12], n)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(words_up_to_5)
+@example(Word((), 1))
+@example(Word((1,), 1))
+@example(Word((3, 1, 4, 1, 5, 2, 5, 3, 5, 4, 2, 1), 5))
+def test_normal_form_matches_the_parity_shifting_oracle(g):
+    assert normal_form(g) == parity_normal_form(g)
 
 
 def test_word_from_signature_examples():
