@@ -15,7 +15,6 @@ from .classify import (
     RealizationInterval,
     avoid_all_cycles,
     classify,
-    find_primitive_cycle,
     realize_by_bisection,
     realize_by_closing,
     search_closing_config,

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
@@ -43,9 +42,9 @@ from .geometry import (
     Homology,
     NotInterior,
     Point,
-    Triple,
     UNIT_CIRCLE,
     apply_homology,
+    collinear_between,
     conic,
     homogeneous,
     homology,
@@ -71,10 +70,8 @@ __all__ = [
     "ConfigValidationError",
     "RealizationError",
     "SignChangeError",
-    "SamplingExhausted",
     "validate_config",
     "default_base_point",
-    "find_primitive_cycle",
     "classify",
     "verify_label",
     "format_label",
@@ -88,8 +85,6 @@ __all__ = [
 # The first inward shift of the bisection endpoints from -1/2 and 1/2 is
 # 2^-BISECTION_SHIFT_BITS.
 BISECTION_SHIFT_BITS = 10
-# Third-point samples tried by avoid_all_cycles.
-SAMPLING_BUDGET = 100
 
 
 class ConfigValidationError(ValueError):
@@ -106,10 +101,6 @@ class RealizationError(ValueError):
 
 class SignChangeError(RuntimeError):
     """The certified sign pattern failed; indicates a bug, not bad input."""
-
-
-class SamplingExhausted(RuntimeError):
-    """The random search budget ran out."""
 
 
 @dataclass(frozen=True)
@@ -169,17 +160,6 @@ def default_base_point(circle: Circle) -> Point:
     return Point(circle.center.x + r, circle.center.y)
 
 
-def _strictly_between(left: Triple, middle: Triple, right: Triple) -> bool:
-    """Of three collinear triples (W > 0), the middle point is strictly
-    between the others: (middle - left) . (right - middle) > 0, times the
-    positive l2 m2^2 r2."""
-    l0, l1, l2 = left
-    m0, m1, m2 = middle
-    r0, r1, r2 = right
-    return (m0 * l2 - l0 * m2) * (r0 * m2 - m0 * r2) \
-        + (m1 * l2 - l1 * m2) * (r1 * m2 - m1 * r2) > 0
-
-
 def validate_config(circle: Circle, points, base_point: Optional[Point] = None) -> Config:
     """Check distinctness, interiority and (for three or more points)
     collinearity and monotone order, and attach a rational seed point on
@@ -192,7 +172,8 @@ def validate_config(circle: Circle, points, base_point: Optional[Point] = None) 
     three points are collinear when their 3x3 determinant vanishes
     (`geometry.line_through`); and of three distinct collinear points the
     middle one is strictly between the others when the two segment
-    vectors, cross-multiplied to integers, have a positive dot product.
+    vectors, cross-multiplied to integers, have a positive dot product
+    (`geometry.collinear_between`, which also tests the collinearity).
     """
     points = tuple(points)
     if not points:
@@ -214,7 +195,7 @@ def validate_config(circle: Circle, points, base_point: Optional[Point] = None) 
                 raise ConfigValidationError(
                     "collinearity", f"{p} is off the line of the first two points")
         for mid, left, middle, right in zip(points[1:], triples, triples[1:], triples[2:]):
-            if not _strictly_between(left, middle, right):
+            if not collinear_between(left, middle, right):
                 raise ConfigValidationError(
                     "ordering", f"{mid} is not between its neighbours")
     if base_point is None:
@@ -302,9 +283,7 @@ def _translation_ratio(config: Config) -> Optional[Tuple[int, int]]:
     apply, and neither does it to irrational factors.
     """
     h1, h2, h3 = config.homologies
-    c1, c2, c3 = h1[2], h2[2], h3[2]
-    n0, n1, n2 = line_through(c1, c2)
-    if n0 * c3[0] + n1 * c3[1] + n2 * c3[2] != 0 or not _strictly_between(c1, c2, c3):
+    if not collinear_between(h1[2], h2[2], h3[2]):
         return None
     f12 = _translation_factor(h1, h2)
     f23 = _translation_factor(h2, h3)
@@ -370,15 +349,6 @@ def _search_cycle(config: Config, v2_max: int) -> Optional[Tuple[tuple, tuple]]:
         return None
     stored = (-k, k + m, -m)
     return (stored if k >= m else pi13(stored)), stored
-
-
-def find_primitive_cycle(config: Config, v2_max: int) -> Optional[tuple]:
-    """The primitive cycle vector in canonical form, or None up to the
-    bound.  All cycles are integer multiples of one vector, which the
-    closed form finds for square D and the chain search otherwise, as the
-    first meeting of its two chains (`_search_cycle`)."""
-    found = _search_cycle(config, v2_max)
-    return found[0] if found else None
 
 
 def classify(config: Config, v2_max: int) -> ClassLabel:
@@ -611,20 +581,24 @@ def realize_by_bisection(v: Signature, width_bound: Fraction) -> RealizationInte
 
 
 def avoid_all_cycles(v2_max: int, seed: int) -> Config:
-    """A configuration with no nonzero cycle up to the bound: points
-    (-1/2, 0), (0, 0) and a seeded random rational third point, kept when
-    the cycle search finds nothing up to the bound.  Each candidate vector
-    excludes at most one third-point abscissa, so nearly every sample
-    succeeds."""
+    """A configuration with no nonzero cycle at any bound: the points
+    (-1/2, 0), (0, 0) and ((2^j - 1)/(2^j + 1), 0) of the unit circle, with
+    j = |seed| + 1, so that different |seed| give different third points.
+    The bound is only checked (v2_max >= 1).
+
+    On a diameter, write w = (1 + x)/(1 - x) for the point (x, 0); the
+    three points have w = 1/3, 1 and 2^j.  In the Beltrami-Klein model the
+    point (x, 0) lies at signed hyperbolic distance (ln w)/2 from the
+    center, and the product of the half-turns about two points translates
+    by twice the distance between them, so the factors of
+    `_translation_ratio` are lambda_12 = w2/w1 = 3 and
+    lambda_23 = w3/w2 = 2^j.  The stored vector (-k, k+m, -m) is a cycle
+    exactly when lambda_12^k = lambda_23^m, that is 3^k = 2^(jm), which no
+    k, m >= 1 solve: the left side is odd and the right side even.
+    """
     if v2_max < 1:
         raise ValueError(f"v2_max must be >= 1, got {v2_max}")
-    rng = random.Random(seed)
-    q = 1048583  # prime, so every sampled abscissa is in lowest terms
-    for _ in range(SAMPLING_BUDGET):
-        a = Fraction(rng.randrange(1, q), q)
-        config = validate_config(
-            UNIT_CIRCLE,
-            (Point.of(Fraction(-1, 2), 0), Point.of(0, 0), Point(a, Fraction(0))))
-        if find_primitive_cycle(config, v2_max) is None:
-            return config
-    raise SamplingExhausted(f"no cycle-free sample in {SAMPLING_BUDGET} tries")
+    p = 1 << (abs(seed) + 1)
+    return validate_config(
+        UNIT_CIRCLE,
+        (Point.of(Fraction(-1, 2), 0), Point.of(0, 0), Point.of(Fraction(p - 1, p + 1), 0)))

@@ -27,7 +27,6 @@ from .action import Config, is_cycle, orbit
 from .classify import (
     ConfigValidationError,
     NoCycleUpTo,
-    SamplingExhausted,
     SignChangeError,
     classify,
     default_base_point,
@@ -46,7 +45,7 @@ from .geometry import (
     parse_fraction,
 )
 from .iso import CollisionError, ConditionallyIsomorphic, decide_iso, format_verdict
-from .svg import UnverifiedCycle, cycle_polygon, render_svg
+from .svg import cycle_polygon, render_svg
 from .words import Word, is_balanced, normal_form, signature_of, word_from_str, word_to_str
 
 __all__ = ["main", "parse_config", "serialize_config", "ConfigParseError"]
@@ -70,12 +69,14 @@ EXIT_USAGE = 64
 # `realize --bisect` costs grow with both its vector and the number of
 # halvings down to --width, ceil(log2(1/width)): at entry 64 and 64
 # halvings it takes about 6 ms, at 128 and 64 about 6 ms, and at 64 and
-# 256 about 0.05 s.  Larger values exit 2.
+# 256 about 0.05 s.  A `word` alphabet, given or the largest letter, sizes
+# the list of its signature.  Larger values exit 2.
 MAX_BOUND = 4096
 MAX_DEPTH = 60
 MAX_ENTRY = 4096
 MAX_REALIZE_ENTRY = 64
 MAX_HALVINGS = 64
+MAX_ALPHABET = 4096
 
 
 class ConfigParseError(ValueError):
@@ -191,7 +192,7 @@ def _parse_word_arg(text: str, alphabet: Optional[int]) -> Word:
         letters = [] if text.strip() in ("e", "") else [
             int(p) for p in text.split(",")]
         alphabet = max(letters, default=3)
-    return word_from_str(text, alphabet)
+    return word_from_str(text, _within_budget("alphabet", alphabet, MAX_ALPHABET))
 
 
 def _within_budget(flag: str, value: int, cap: int) -> int:
@@ -380,9 +381,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigParseError, ConfigValidationError, GeometryError,
-            SignChangeError, SamplingExhausted, CollisionError, UnverifiedCycle,
-            OSError, ValueError) as exc:
+    except (ValueError, OSError, SignChangeError, CollisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -48,6 +48,7 @@ __all__ = [
     "conic",
     "quadric",
     "line_through",
+    "collinear_between",
     "homology",
     "apply_homology",
     "sorted_triples",
@@ -197,6 +198,27 @@ def line_through(x: Triple, y: Triple) -> Triple:
     x0, x1, x2 = x
     y0, y1, y2 = y
     return x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0
+
+
+def _strictly_between(left: Triple, middle: Triple, right: Triple) -> bool:
+    """Of three collinear triples (W > 0), the middle point is strictly
+    between the others: (middle - left) . (right - middle) > 0, times the
+    positive l2 m2^2 r2."""
+    l0, l1, l2 = left
+    m0, m1, m2 = middle
+    r0, r1, r2 = right
+    return (m0 * l2 - l0 * m2) * (r0 * m2 - m0 * r2) \
+        + (m1 * l2 - l1 * m2) * (r1 * m2 - m1 * r2) > 0
+
+
+def collinear_between(left: Triple, middle: Triple, right: Triple) -> bool:
+    """The points of three triples (W > 0) are collinear, with the middle
+    one strictly between the others: `right` is on `line_through` the
+    other two, and `_strictly_between` holds.  False when two of them are
+    the same point."""
+    n0, n1, n2 = line_through(left, middle)
+    r0, r1, r2 = right
+    return n0 * r0 + n1 * r1 + n2 * r2 == 0 and _strictly_between(left, middle, right)
 
 
 def homology(circle: Circle, center: Point, matrix: Optional[Conic] = None) -> Homology:

@@ -44,6 +44,7 @@ from .geometry import (
     Circle,
     Triple,
     apply_homology,
+    collinear_between,
     conic,
     format_triple,
     quadric,
@@ -275,18 +276,13 @@ def build_partial_iso(s: Config, r: Config, verdict: IsoVerdict,
     return table
 
 
-def _offset(a: Triple, b: Triple) -> Triple:
-    """b - a for points in `homogeneous` form, as integers (x, y, w) with
-    b - a = (x/w, y/w) and w > 0."""
-    (u, v, z), (x, y, w) = a, b
-    return x * z - u * w, y * z - v * w, w * z
-
-
 def _ray(a: Triple, b: Triple) -> Tuple[int, int]:
     """The direction from a to b (distinct, in `homogeneous` form) as a
     primitive integer vector: equal for two points b exactly when they lie
-    on one ray from a, negated for the opposite ray."""
-    dx, dy, _ = _offset(a, b)
+    on one ray from a, negated for the opposite ray.  It is b - a times
+    the positive w z, reduced."""
+    (u, v, z), (x, y, w) = a, b
+    dx, dy = x * z - u * w, y * z - v * w
     g = math.gcd(dx, dy)
     return dx // g, dy // g
 
@@ -311,10 +307,8 @@ def _between_rows(hull: tuple, circle: Circle,
     for c in middles:
         if quadric(matrix, c) >= 0:
             raise VerdictError(f"hull point {format_triple(c)} is not inside the circle")
-    if len(middles) == 3:
-        (ax, ay, _), (bx, by, _) = _offset(*middles[:2]), _offset(*middles[1:])
-        if ax * by != ay * bx or ax * bx + ay * by <= 0:
-            raise VerdictError("the hull points are not on one line in hull order")
+    if len(middles) == 3 and not collinear_between(*middles):
+        raise VerdictError("the hull points are not on one line in hull order")
     ranked = [row_of[t] for t in hull if t in row_of]
     found = {(min(i, k), j, max(i, k)) for i, j, k in itertools.combinations(ranked, 3)}
     middle_rows = [row_of.get(c) for c in middles]

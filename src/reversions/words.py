@@ -205,15 +205,15 @@ def word_from_signature(v: Signature) -> Word:
 
 def canonical_word(v: Signature) -> Word:
     """The word (2,1)^|v1| (2,3)^|v3| realizing a balanced 3-vector with
-    v2 >= 1 and v1, v3 <= -1."""
+    v2 >= 1 and v1, v3 <= -1, which is its normal form: the 2s fill the
+    odd positions, then the 1s and the 3s the even ones."""
     if len(v) != 3:
         raise ValueError(f"need a 3-vector, got {len(v)} entries")
     if not is_balanced(v):
         raise ValueError(f"{v} is not balanced")
     if v[1] < 1 or v[0] > -1 or v[2] > -1:
         raise ValueError(f"{v} must satisfy v2 >= 1 and v1, v3 <= -1")
-    letters = (2, 1) * (-v[0]) + (2, 3) * (-v[2])
-    return Word(letters, 3)
+    return word_from_signature(v)
 
 
 def apply_letter_permutation(g: Word, sigma: Sequence[int]) -> Word:

@@ -18,6 +18,7 @@ from reversions.classify import (
     RealizationError,
     RealizationInterval,
     SignChangeError,
+    _search_cycle,
     default_base_point,
     validate_config,
 )
@@ -202,10 +203,29 @@ def _compare_triples(s: Triple, t: Triple) -> int:
     return (a > b) - (a < b)
 
 
+def offset_between(left: Triple, middle: Triple, right: Triple) -> bool:
+    """Reference for `geometry.collinear_between`: the offsets
+    a = middle - left and b = right - middle, each cross-multiplied to
+    integers by the positive product of its two W, have a zero cross
+    product and a positive dot product."""
+    def offset(s: Triple, t: Triple) -> Tuple[int, int]:
+        (u, v, z), (x, y, w) = s, t
+        return x * z - u * w, y * z - v * w
+
+    (ax, ay), (bx, by) = offset(left, middle), offset(middle, right)
+    return ax * by == ay * bx and ax * bx + ay * by > 0
+
+
 def cmp_sorted_triples(triples) -> list:
     """Reference for `geometry.sorted_triples`: a sort by
     cross-multiplied comparisons of each pair."""
     return sorted(triples, key=functools.cmp_to_key(_compare_triples))
+
+
+def concatenated_canonical_word(v: Signature) -> Word:
+    """Reference for `words.canonical_word`: the letters (2,1)^|v1| and
+    (2,3)^|v3|, concatenated."""
+    return Word((2, 1) * (-v[0]) + (2, 3) * (-v[2]), 3)
 
 
 def parity_normal_form(g: Word) -> Word:
@@ -565,6 +585,13 @@ def chain_search_cycle(config: Config, v2_max: int) -> Optional[Tuple[tuple, tup
         patch.setattr(sys.modules["reversions.classify"], "_translation_ratio",
                       lambda config: None)
         return sys.modules["reversions.classify"]._search_cycle(config, v2_max)
+
+
+def find_primitive_cycle(config: Config, v2_max: int) -> Optional[tuple]:
+    """The primitive cycle vector in canonical form, or None up to the
+    bound: the canonical half of `classify._search_cycle`."""
+    found = _search_cycle(config, v2_max)
+    return found[0] if found else None
 
 
 # A table token of the Point oracles: a point, or a chord end.

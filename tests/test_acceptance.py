@@ -305,5 +305,5 @@ def test_no_cycle_candidate():
         verdict = decide_iso(first, second, 8)
         assert verdict == ConditionallyIsomorphic(8)
         assert not isinstance(verdict, Isomorphic)
-    report("no-cycle candidates: found within budget, classified NoCycleUpTo(8), "
+    report("no-cycle candidates: built cycle-free, classified NoCycleUpTo(8), "
            "conditionally isomorphic only")

@@ -12,6 +12,7 @@ from conftest import (
     chain_middle_point_residual,
     chain_search_cycle,
     count_sign_changes,
+    find_primitive_cycle,
     fraction_realize_by_bisection,
     fraction_realize_by_closing,
     fraction_search_closing_config,
@@ -34,7 +35,6 @@ from reversions.classify import (
     avoid_all_cycles,
     classify,
     default_base_point,
-    find_primitive_cycle,
     format_label,
     middle_point_residual,
     realize_by_bisection,
@@ -163,9 +163,12 @@ def test_no_cycle_label(sym):
 
 
 def test_avoid_all_cycles_minimal_bound():
-    # no candidate vector has middle entry 1, so the first sample wins
+    # the construction has no cycle at any bound, so none up to 1; bounds
+    # below 1 are refused
     config = avoid_all_cycles(1, seed=5)
     assert find_primitive_cycle(config, 1) is None
+    with pytest.raises(ValueError):
+        avoid_all_cycles(0, seed=5)
 
 
 def test_detected_cycles_linearly_dependent():
@@ -524,13 +527,36 @@ def test_dispatch_matches_chain_on_closing_configs():
 
 
 def test_dispatch_matches_chain_on_avoid_all_cycles():
-    # the sampler keeps the same third point as with the chain search alone
+    # the construction does not rest on the closed form: with it switched
+    # off, the same configuration comes back, and the chain search agrees
     for bound, seed in [(1, 5), (6, 1), (12, 2), (20, 3), (24, 4)]:
         config = avoid_all_cycles(bound, seed)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(classify_module, "_translation_ratio", lambda config: None)
             assert avoid_all_cycles(bound, seed) == config
         assert assert_dispatch_matches_chain(config) is None
+
+
+AVOID_SEEDS = range(-5, 41)
+
+
+def test_avoid_all_cycles_is_cycle_free_in_closed_form():
+    # w = (1/3, 1, 2^j) makes lambda_12 = 3 and lambda_23 = 2^j, and
+    # 3^k = 2^(jm) has no solution with k, m >= 1
+    for seed in AVOID_SEEDS:
+        assert classify_module._translation_ratio(avoid_all_cycles(8, seed)) == (0, 0), seed
+
+
+def test_avoid_all_cycles_has_no_chain_cycle_at_bound_64():
+    for seed in AVOID_SEEDS:
+        assert chain_search_cycle(avoid_all_cycles(64, seed), 64) is None, seed
+
+
+def test_avoid_all_cycles_depends_on_the_size_of_the_seed():
+    configs = {seed: avoid_all_cycles(8, seed) for seed in AVOID_SEEDS}
+    for seed in range(1, 6):
+        assert configs[-seed] == configs[seed]
+    assert len({configs[seed].points for seed in range(41)}) == 41
 
 
 diameter = st.fractions(Fraction(-20, 21), Fraction(20, 21), max_denominator=21)

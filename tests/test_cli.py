@@ -1,6 +1,8 @@
 import ast
 import errno
+import importlib
 import os
+import pkgutil
 import random
 import stat
 import subprocess
@@ -10,13 +12,10 @@ from pathlib import Path
 
 import pytest
 
+import reversions
 from conftest import PERFBENCH, pt
-from reversions.classify import (
-    SamplingExhausted,
-    SignChangeError,
-    search_closing_config,
-    validate_config,
-)
+from reversions import cli
+from reversions.classify import search_closing_config, validate_config
 from reversions.cli import (
     ConfigParseError,
     EXIT_INCONCLUSIVE,
@@ -33,7 +32,6 @@ from reversions.cli import (
     serialize_config,
 )
 from reversions.geometry import Circle, UNIT_CIRCLE
-from reversions.iso import CollisionError
 
 SYMMETRIC = "circle 0 0 1\npoint -1/2 0\npoint 0 0\npoint 1/2 0\n"
 
@@ -379,34 +377,36 @@ def test_cli_refused_picture_leaves_the_file_unchanged(sym_file, tmp_path, capsy
     assert svg.read_bytes() == OLD_PICTURE
 
 
-def test_cli_sign_change_error_exit(monkeypatch, capsys):
-    def broken(*args, **kwargs):
-        raise SignChangeError("no certified sign change")
-
-    monkeypatch.setattr("reversions.cli.realize_by_bisection", broken)
-    assert main(["realize", "--v", "-2,3,-1", "--bisect"]) == EXIT_INVALID
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
-
-
-def test_cli_sampling_exhausted_exit(sym_file, monkeypatch, capsys):
-    def broken(*args, **kwargs):
-        raise SamplingExhausted("no cycle-free sample")
-
-    monkeypatch.setattr("reversions.cli.classify", broken)
-    assert main(["classify", sym_file]) == EXIT_INVALID
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+def _library_errors() -> dict:
+    """Every public exception class that a `reversions` module defines,
+    by name; `__main__` runs the CLI on import, so it is left out."""
+    errors = {}
+    for info in pkgutil.iter_modules(reversions.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"reversions.{info.name}")
+        for name, value in vars(module).items():
+            if isinstance(value, type) and issubclass(value, BaseException) \
+                    and value.__module__ == module.__name__ and not name.startswith("_"):
+                errors[name] = value
+    return errors
 
 
-def test_cli_collision_error_exit(sym_file, monkeypatch, capsys):
-    def broken(*args, **kwargs):
-        raise CollisionError("targets collide")
+LIBRARY_ERRORS = _library_errors()
+# constructor arguments of the errors that take more than a message
+ERROR_ARGS = {"ConfigValidationError": ("ordering", "boom"), "ConfigParseError": (2, "boom")}
 
-    monkeypatch.setattr("reversions.cli.decide_iso", broken)
-    assert main(["iso", sym_file, sym_file]) == EXIT_INVALID
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_ERRORS))
+def test_cli_library_error_exit(name, monkeypatch, capsys):
+    error = LIBRARY_ERRORS[name](*ERROR_ARGS.get(name, ("boom",)))
+
+    def broken(args):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "classify", broken)
+    assert main(["classify", "any.cfg"]) == EXIT_INVALID
+    assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 def test_cli_validation_exit(tmp_path, capsys):
@@ -558,6 +558,18 @@ def perfbench_constants() -> dict:
                                      {"Fraction": Fraction})
             for node in tree.body
             if isinstance(node, ast.Assign) and node.targets[0].id.isupper()}
+
+
+def test_cli_word_alphabet_budget(capsys):
+    # the alphabet, given or the largest letter, sizes the signature's list
+    big = "99999999999999999999"
+    for argv in (["signature", big], ["normal", big], ["reduce", big],
+                 ["signature", "1", "--alphabet", big], ["reduce", "1", "--alphabet", "4097"]):
+        code, out, err = run(["word", *argv], capsys)
+        assert (code, out) == (EXIT_INVALID, ""), argv
+        assert err.startswith("error: alphabet ") and err.endswith(" exceeds the budget of 4096\n")
+    assert run(["word", "signature", "4096"], capsys)[0] == EXIT_OK
+    assert run(["word", "normal", "1", "--alphabet", "4096"], capsys) == (EXIT_OK, "1\n", "")
 
 
 def test_cli_budgets_admit_the_benchmark_inputs():

@@ -85,9 +85,12 @@ def commands(a: str, b: str, svg: str):
         st.tuples(c(["word"]), st.sampled_from(["reduce", "signature", "normal", "bogus"])
                   .map(lambda op: [op]),
                   st.one_of(st.lists(st.integers(0, 4), max_size=6).map(
-                      lambda ls: ",".join(map(str, ls))), st.sampled_from(["e", "x", "1,,2"]))
+                      lambda ls: ",".join(map(str, ls))),
+                      # letters beyond the alphabet budget
+                      st.sampled_from(["e", "x", "1,,2", str(10 ** 20), f"2,{10 ** 20},1"]))
                   .map(lambda w: [w]),
-                  opt(c("--alphabet"), small)),
+                  # alphabets beyond the budget, never one that fits and is large
+                  opt(c("--alphabet"), st.one_of(small, st.sampled_from(["4097", str(10 ** 20)])))),
         st.tuples(c(["render", a]), opt(c("--svg"), c(svg)), opt(c("--cycle"), vectors),
                   opt(c("--orbit-depth"), small), opt(c("--point"), st.sampled_from(POINTS))),
         st.tuples(st.lists(st.sampled_from(

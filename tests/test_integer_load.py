@@ -16,6 +16,7 @@ from conftest import (
     fraction_offline_test_points,
     fraction_validate_config,
     offline_test_points,
+    offset_between,
     outcome,
     pt,
 )
@@ -23,7 +24,14 @@ from reversions import action, geometry
 from reversions.action import Config, _test_triples, act, orbit
 from reversions.classify import ConfigValidationError, CycleLabel, classify, validate_config
 from reversions.cli import parse_config
-from reversions.geometry import Circle, NotOnCircle, Point, conic, homogeneous
+from reversions.geometry import (
+    Circle,
+    NotOnCircle,
+    Point,
+    collinear_between,
+    conic,
+    homogeneous,
+)
 from reversions.words import Word
 
 
@@ -106,6 +114,24 @@ def test_validate_config_agrees_with_fraction_oracle(raw):
         assert got.conic == conic(got.circle)
         assert first_triples(got) == oracle_triples(got)
         assert got.test_triple == first_triples(got)[0]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(raw=raw_configs())
+def test_three_point_premise_agrees_with_offsets_and_validation(raw):
+    # collinear with the middle point strictly between: the offset formula
+    # agrees everywhere, and validation refuses a configuration for it
+    # exactly when the premise fails, unless it refused it earlier
+    _, points, _ = raw
+    if len(points) != 3:
+        return
+    premise = collinear_between(*map(homogeneous, points))
+    assert premise == offset_between(*map(homogeneous, points))
+    got = verdict(validate_config, *raw)
+    if not isinstance(got, tuple) or got[0] == "base_point":
+        assert premise
+    elif got[0] in ("distinctness", "collinearity", "ordering"):
+        assert not premise
 
 
 SYMMETRIC_TEXT = "circle 0 0 1\npoint -1/2 0\npoint 0 0\npoint 1/2 0\n"

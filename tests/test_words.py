@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reversions.words
-from conftest import parity_normal_form
+from conftest import concatenated_canonical_word, parity_normal_form
 from reversions.words import (
     AlphabetMismatch,
     InvalidPermutation,
@@ -191,6 +191,16 @@ def test_canonical_word():
         canonical_word((0, 1, -1))
     with pytest.raises(ValueError):
         canonical_word((-1, 2, -1, 0))
+    # every accepted vector up to v2 = 30 gets the concatenated word
+    accepted = 0
+    for v in itertools.product(range(-30, 31), repeat=3):
+        try:
+            word = canonical_word(v)
+        except ValueError:
+            continue
+        assert word == concatenated_canonical_word(v), v
+        accepted += 1
+    assert accepted == 29 * 30 // 2
 
 
 def test_gcd_vec():
