@@ -22,15 +22,14 @@ bound B costs O(B) reversions.  The label stays bounded either way:
 The two constructors go the other way and produce a configuration
 realizing a prescribed vector, one by exact chord closing, with no
 search, one by certified bisection on the middle point.  The
-bisection signs one exact residual polynomial pair per vector: the X and
-W of the canonical word's chain as binary forms in the numerator and
-denominator of the middle abscissa, built once from the homologies and
-evaluated on integers at each halving.
+bisection signs one exact residual polynomial pair per vector, in closed
+form: for v = (-k, k+m, -m) and the middle abscissa n/d,
+9^m (d - n)^(2(k+m)) against 9^k (d + n)^(2(k+m)), which are
+lambda_23^(2m) and lambda_12^(2k) times one positive integer.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -442,69 +441,43 @@ def search_closing_config(v: Signature) -> Config:
     return realize_by_closing(v, Fraction(-1, 2), Fraction(0), Point.of(0, 1))
 
 
-@functools.cache
-def _end_homologies() -> tuple:
-    """The reversions through (-1/2, 0) and (1/2, 0), the fixed first and
-    third points of every bisection configuration; built on first use."""
-    return (homology(UNIT_CIRCLE, Point.of(Fraction(-1, 2), 0)),
-            homology(UNIT_CIRCLE, Point.of(Fraction(1, 2), 0)))
+def _residual_pair(v: Signature, n: int, d: int) -> Tuple[int, int]:
+    """The residual polynomial pair of v = (-k, k+m, -m) at the middle
+    abscissa n/d, d > 0: alpha = 9^m (d - n)^(2(k+m)) and
+    beta = 9^k (d + n)^(2(k+m)), whose (alpha - beta)/(alpha + beta) is
+    the residual.
 
+    Every interior point is on the axis y = 0, so its reversion swaps the
+    axis ends e+ = (1, 0, 1) and e- = (-1, 0, 1) with two scalings, and
+    the Y of a triple stays out of X and W.  Unreduced, the homology of
+    (n/d, 0) is H(x) = q x - 2 (l . x) C with C = (n, 0, d),
+    l = (n, 0, -d) and q = n^2 - d^2; it sends e+ to (d - n)^2 e- and e-
+    to (d + n)^2 e+.  The homologies of (-1/2, 0) and (1/2, 0) send e+ to
+    s e- and e- to t e+ with (s, t) = (9, 1) and (1, 9).  Twice the triple
+    of (0, 1) is e+ + e- plus a Y part, so the chain starts at
+    (X, W) = alpha e+ + beta e- with alpha = beta = 1, and each letter
+    pair (2, x) scales alpha by t_x (d - n)^2 and beta by s_x (d + n)^2.
+    The canonical word (2,1)^k (2,3)^m ends at the pair above, with
+    X = alpha - beta and W = alpha + beta.  Equivalently,
+    alpha/beta = (lambda_23^m / lambda_12^k)^2 for the factors
+    lambda_12 = 3w and lambda_23 = 3/w, w = (d + n)/(d - n), of
+    `_translation_factor`, so the residual vanishes exactly at a cycle.
 
-def _swap_factors(h: Homology) -> Tuple[int, int]:
-    """(s, t) with H e+ = s e- and H e- = t e+ for the homology H of a
-    point on the axis y = 0, where e+ and e- are the triples (1, 0, 1) and
-    (-1, 0, 1) of the axis ends, which H swaps."""
-    q, (l0, _, l2), (_, _, c2) = h
-    return q - 2 * (l0 + l2) * c2, q - 2 * (l2 - l0) * c2
-
-
-def _residual_forms(v: Signature) -> tuple:
-    """The residual polynomials of v as the coordinates alpha and beta of
-    (X, W) = alpha e+ + beta e-, where X and W are those of the canonical
-    word of v acting on (0, 1) with interior points (-1/2, 0), (n/d, 0)
-    and (1/2, 0), as binary forms in (n, d): X = alpha - beta and
-    W = alpha + beta.  Each coordinate is a triple (c, i, j) that stands
-    for the form c (d - n)^(2i) (d + n)^(2j) (`_form_at`).
-
-    Every interior point is on the axis, so its homology swaps the axis
-    ends e+ and e- with two scalings (`_swap_factors`) and leaves the
-    Y of a triple out of X and W.  For the middle point, unreduced, the
-    homology is H(x) = q x - 2 (l . x) C with C = (n, 0, d),
-    l = (n, 0, -d) and q = n^2 - d^2; it sends e+ to (n - d)^2 e- and e-
-    to (n + d)^2 e+.  The walk starts from alpha = beta = 1, twice the
-    triple of (0, 1), and takes no gcd.  At any (n, d) with d > 0 and
-    n/d = a, the chain that `apply_homology` runs differs from this walk
-    only by positive factors: it divides each step by a positive gcd, and
-    its middle homology is this H divided by a positive number, the
-    square of d over the reduced denominator of a times the gcd that
-    `homology` divides by.  So X(n, d) and W(n, d) are one positive
-    multiple of the chain's X and W: the residual is X/W exactly, and as
-    the chain keeps W > 0, it has the sign of X.
-    Raises ValueError unless v is a canonical 3-vector.
+    The chain that `apply_homology` runs differs from this one only by
+    positive factors: it divides each step by a positive gcd, and its
+    middle homology is H divided by a positive number.  So its X/W is
+    (alpha - beta)/(alpha + beta) exactly, and as its W is positive, the
+    residual has the sign of alpha - beta.
     """
-    word = canonical_word(tuple(v))
-    ends = [_swap_factors(h) for h in _end_homologies()]
-    alpha = beta = (1, 0, 0)
-    for letter in word.letters:
-        (ca, ia, ja), (cb, ib, jb) = alpha, beta
-        if letter == 2:  # H e+ = (n - d)^2 e-, H e- = (n + d)^2 e+
-            alpha, beta = (cb, ib, jb + 1), (ca, ia + 1, ja)
-        else:
-            s, t = ends[letter // 2]
-            alpha, beta = (t * cb, ib, jb), (s * ca, ia, ja)
-    return alpha, beta
+    k, m = -v[0], -v[2]
+    e = 2 * (k + m)
+    return 9 ** m * (d - n) ** e, 9 ** k * (d + n) ** e
 
 
-def _form_at(form: tuple, n: int, d: int) -> int:
-    """The form c (d - n)^(2i) (d + n)^(2j) of a triple (c, i, j) at (n, d)."""
-    c, i, j = form
-    return c * (d - n) ** (2 * i) * (d + n) ** (2 * j)
-
-
-def _residual_sign(forms: tuple, n: int, d: int) -> int:
-    """The sign of the residual at n/d, d > 0: that of alpha - beta."""
-    fa, fb = _form_at(forms[0], n, d), _form_at(forms[1], n, d)
-    return (fa > fb) - (fa < fb)
+def _residual_sign(v: Signature, n: int, d: int) -> int:
+    """The sign of the residual of v at n/d, d > 0 (`_residual_pair`)."""
+    alpha, beta = _residual_pair(v, n, d)
+    return (alpha > beta) - (alpha < beta)
 
 
 def middle_point_residual(v: Signature, a: Fraction) -> Fraction:
@@ -512,18 +485,18 @@ def middle_point_residual(v: Signature, a: Fraction) -> Fraction:
     interior points (-1/2, 0), (a, 0), (1/2, 0); zero exactly when the
     configuration realizes v.
 
-    Evaluates the residual polynomials of `_residual_forms` at the
+    Evaluates the residual polynomial pair of `_residual_pair` at the
     numerator and denominator of a.  Raises ValueError unless v is a
     canonical 3-vector, and NotInterior unless -1 < a < 1.
     """
-    alpha, beta = _residual_forms(v)
+    canonical_word(tuple(v))  # its checks and messages
     a = Fraction(a)
     n, d = a.numerator, a.denominator
     if n * n >= d * d:
         raise NotInterior(
             f"reversion center {Point(a, Fraction(0))} is not interior to {UNIT_CIRCLE}")
-    fa, fb = _form_at(alpha, n, d), _form_at(beta, n, d)
-    return Fraction(fa - fb, fa + fb)
+    alpha, beta = _residual_pair(v, n, d)
+    return Fraction(alpha - beta, alpha + beta)
 
 
 def realize_by_bisection(v: Signature, width_bound: Fraction) -> RealizationInterval:
@@ -537,10 +510,10 @@ def realize_by_bisection(v: Signature, width_bound: Fraction) -> RealizationInte
     family, so the certified enclosure is unique.  An exact root hit ends
     with a recentred interval whose endpoint signs are still verified.
 
-    The residual polynomials of `_residual_forms` are built once, and the
-    residual at each point is signed by one evaluation of them.  The
-    endpoints are integer numerators over one power of two 2^e, and a
-    halving doubles both and takes their sum as the midpoint over 2^(e+1).
+    The residual at each point is signed by one evaluation of the
+    polynomial pair of `_residual_pair`.  The endpoints are integer
+    numerators over one power of two 2^e, and a halving doubles both and
+    takes their sum as the midpoint over 2^(e+1).
     """
     v = tuple(v)
     if len(v) != 3 or not is_balanced(v):
@@ -553,10 +526,9 @@ def realize_by_bisection(v: Signature, width_bound: Fraction) -> RealizationInte
     width_bound = Fraction(width_bound)
     if width_bound <= 0:
         raise RealizationError(f"width bound must be positive, got {width_bound}")
-    forms = _residual_forms(v)
     for e in range(BISECTION_SHIFT_BITS, BISECTION_SHIFT_BITS + 24):
         lo, hi = 1 - (1 << (e - 1)), (1 << (e - 1)) - 1  # -1/2 + 2^-e, 1/2 - 2^-e
-        if _residual_sign(forms, lo, 1 << e) > 0 and _residual_sign(forms, hi, 1 << e) < 0:
+        if _residual_sign(v, lo, 1 << e) > 0 and _residual_sign(v, hi, 1 << e) < 0:
             break
     else:
         raise SignChangeError(
@@ -564,7 +536,7 @@ def realize_by_bisection(v: Signature, width_bound: Fraction) -> RealizationInte
     p, q = width_bound.numerator, width_bound.denominator
     while (hi - lo) * q > p << e:
         mid, lo, hi, e = lo + hi, 2 * lo, 2 * hi, e + 1
-        fmid = _residual_sign(forms, mid, 1 << e)
+        fmid = _residual_sign(v, mid, 1 << e)
         if fmid > 0:
             lo = mid
         elif fmid < 0:
@@ -572,19 +544,18 @@ def realize_by_bisection(v: Signature, width_bound: Fraction) -> RealizationInte
         else:
             root = Fraction(mid, 1 << e)
             a_lo, a_hi = root - width_bound / 2, root + width_bound / 2
-            if _residual_sign(forms, a_lo.numerator, a_lo.denominator) <= 0 \
-                    or _residual_sign(forms, a_hi.numerator, a_hi.denominator) >= 0:
+            if _residual_sign(v, a_lo.numerator, a_lo.denominator) <= 0 \
+                    or _residual_sign(v, a_hi.numerator, a_hi.denominator) >= 0:
                 raise SignChangeError(
                     f"endpoint signs failed around the exact root {root} for {v}")
             return RealizationInterval(v, a_lo, a_hi)
     return RealizationInterval(v, Fraction(lo, 1 << e), Fraction(hi, 1 << e))
 
 
-def avoid_all_cycles(v2_max: int, seed: int) -> Config:
+def avoid_all_cycles(seed: int) -> Config:
     """A configuration with no nonzero cycle at any bound: the points
     (-1/2, 0), (0, 0) and ((2^j - 1)/(2^j + 1), 0) of the unit circle, with
     j = |seed| + 1, so that different |seed| give different third points.
-    The bound is only checked (v2_max >= 1).
 
     On a diameter, write w = (1 + x)/(1 - x) for the point (x, 0); the
     three points have w = 1/3, 1 and 2^j.  In the Beltrami-Klein model the
@@ -596,8 +567,6 @@ def avoid_all_cycles(v2_max: int, seed: int) -> Config:
     exactly when lambda_12^k = lambda_23^m, that is 3^k = 2^(jm), which no
     k, m >= 1 solve: the left side is odd and the right side even.
     """
-    if v2_max < 1:
-        raise ValueError(f"v2_max must be >= 1, got {v2_max}")
     p = 1 << (abs(seed) + 1)
     return validate_config(
         UNIT_CIRCLE,

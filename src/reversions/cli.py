@@ -46,7 +46,14 @@ from .geometry import (
 )
 from .iso import CollisionError, ConditionallyIsomorphic, decide_iso, format_verdict
 from .svg import cycle_polygon, render_svg
-from .words import Word, is_balanced, normal_form, signature_of, word_from_str, word_to_str
+from .words import (
+    Word,
+    is_balanced,
+    letters_from_str,
+    normal_form,
+    signature_of,
+    word_to_str,
+)
 
 __all__ = ["main", "parse_config", "serialize_config", "ConfigParseError"]
 
@@ -188,11 +195,10 @@ def _parse_cli_point(text: str) -> Point:
 
 
 def _parse_word_arg(text: str, alphabet: Optional[int]) -> Word:
+    letters = letters_from_str(text)
     if alphabet is None:
-        letters = [] if text.strip() in ("e", "") else [
-            int(p) for p in text.split(",")]
         alphabet = max(letters, default=3)
-    return word_from_str(text, _within_budget("alphabet", alphabet, MAX_ALPHABET))
+    return Word.reduced(letters, _within_budget("alphabet", alphabet, MAX_ALPHABET))
 
 
 def _within_budget(flag: str, value: int, cap: int) -> int:
@@ -324,7 +330,7 @@ def _cmd_orbit(args) -> int:
     start = _parse_cli_point(args.point)
     points = orbit(config, start, depth)
     # the picture first, so a command that fails prints no orbit
-    if args.svg:
+    if args.svg is not None:
         _write_svg(args.svg, render_svg(config, orbit_points=points))
     sys.stdout.write("".join(format_triple(t) + "\n" for t in points))
     return EXIT_OK
@@ -347,7 +353,7 @@ def _cmd_render(args) -> int:
     config = _load_config(args.file)
     cycle_points = None
     orbit_points = None
-    if args.cycle:
+    if args.cycle is not None:
         cycle_points = cycle_polygon(config, _parse_vector("--cycle", args.cycle, MAX_ENTRY))
     if args.orbit_depth is not None:
         if not args.point:

@@ -33,11 +33,12 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from .action import Config, _test_triples, is_cycle
+from .action import Config, _test_triples
 from .classify import (
     ClassLabel,
     CycleLabel,
     NoCycleUpTo,
+    _search_cycle,
     classify,
 )
 from .geometry import (
@@ -50,7 +51,7 @@ from .geometry import (
     quadric,
 )
 from .hull import EndpointToken, collinear_hull, hull_isomorphism
-from .words import Word, pi13
+from .words import Word
 
 __all__ = [
     "Isomorphic",
@@ -170,14 +171,15 @@ class PartialIsoTable:
 
 
 def _stored_vector(config: Config, vector: tuple) -> tuple:
-    """The cycle vector in this configuration's stored point order; the
-    canonical label determines it up to the 1<->3 swap."""
-    if is_cycle(config, vector):
-        return vector
-    swapped = pi13(vector)
-    if is_cycle(config, swapped):
-        return swapped
-    raise CollisionError(f"{vector} is not a cycle for the configuration")
+    """The cycle vector in this configuration's stored point order, which
+    is the canonical label or its 1<->3 swap, read off the cycle decision
+    (`classify._search_cycle`); CollisionError unless the vector is the
+    configuration's canonical label."""
+    found = _search_cycle(config, vector[1]) \
+        if len(vector) == 3 and vector[1] >= 1 else None
+    if found is None or found[0] != vector:
+        raise CollisionError(f"{vector} is not a cycle for the configuration")
+    return found[1]
 
 
 def _mirrored(s: Config, r: Config, vector: Optional[tuple]) -> bool:

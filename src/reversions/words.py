@@ -35,6 +35,7 @@ __all__ = [
     "apply_letter_permutation",
     "enumerate_words",
     "word_to_str",
+    "letters_from_str",
     "word_from_str",
 ]
 
@@ -245,12 +246,24 @@ def word_to_str(g: Word) -> str:
     return ",".join(str(x) for x in g.letters) if g.letters else "e"
 
 
-def word_from_str(text: str, alphabet: int) -> Word:
+def letters_from_str(text: str) -> tuple:
+    """The letters of a comma-separated word literal as written, neither
+    reduced nor range-checked; "e" and the empty string give no letters.
+
+    >>> letters_from_str("1,2,2,3")
+    (1, 2, 2, 3)
+    >>> letters_from_str(" e ")
+    ()
+    """
     text = text.strip()
     if text == "e" or text == "":
-        return Word.empty(alphabet)
+        return ()
     try:
-        letters = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise ValueError(f"malformed word literal {text!r}") from exc
-    return Word.reduced(letters, alphabet)
+
+
+def word_from_str(text: str, alphabet: int) -> Word:
+    """The reduced word of a literal (`letters_from_str`) over the alphabet."""
+    return Word.reduced(letters_from_str(text), alphabet)

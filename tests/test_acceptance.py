@@ -298,7 +298,7 @@ def test_l2_counterexample_regression():
 
 
 def test_no_cycle_candidate():
-    candidates = [avoid_all_cycles(8, seed=s) for s in (11, 12, 13)]
+    candidates = [avoid_all_cycles(seed=s) for s in (11, 12, 13)]
     for config in candidates:
         assert classify(config, 8) == NoCycleUpTo(8)
     for first, second in zip(candidates, candidates[1:]):

@@ -43,7 +43,7 @@ from reversions.classify import (
     validate_config,
     verify_label,
 )
-from reversions.geometry import Circle, NotInterior, Point, UNIT_CIRCLE
+from reversions.geometry import Circle, NotInterior, Point, UNIT_CIRCLE, homology
 from reversions.words import gcd_vec, is_balanced, pi13, signature_of
 
 
@@ -155,7 +155,7 @@ def test_classify_reversed_storage():
 
 
 def test_no_cycle_label(sym):
-    candidate = avoid_all_cycles(6, seed=1)
+    candidate = avoid_all_cycles(seed=1)
     label = classify(candidate, 6)
     assert label == NoCycleUpTo(6)
     assert format_label(label) == "no-cycle-upto 6"
@@ -163,12 +163,9 @@ def test_no_cycle_label(sym):
 
 
 def test_avoid_all_cycles_minimal_bound():
-    # the construction has no cycle at any bound, so none up to 1; bounds
-    # below 1 are refused
-    config = avoid_all_cycles(1, seed=5)
+    # the construction has no cycle at any bound, so none up to 1
+    config = avoid_all_cycles(seed=5)
     assert find_primitive_cycle(config, 1) is None
-    with pytest.raises(ValueError):
-        avoid_all_cycles(0, seed=5)
 
 
 def test_detected_cycles_linearly_dependent():
@@ -297,19 +294,44 @@ def test_bisection_preconditions():
         realize_by_bisection((-1, 2, -1), Fraction(0))
 
 
-def test_middle_point_residual_agrees_with_act():
-    # every canonical vector with v2 <= 5, at 200 seeded abscissas in (-1/2, 1/2)
+def residual_abscissas(count: int) -> list:
+    """Seeded abscissas in (-1/2, 1/2) with denominators up to 2^31."""
     rng = random.Random(5)
     abscissas = []
-    for _ in range(200):
+    for _ in range(count):
         q = rng.randint(2, 2**31)
         abscissas.append(Fraction(rng.randint(-((q - 1) // 2), (q - 1) // 2), q))
-    vectors = [(v1, v2, -v2 - v1) for v2 in range(2, 6) for v1 in range(-(v2 - 1), 0)]
-    assert len(vectors) == 10
+    return abscissas
+
+
+def test_middle_point_residual_agrees_with_act():
+    # every canonical vector with v2 <= 24 against the chain at 20 seeded
+    # abscissas, and those with v2 <= 5 against the chain and act at 200
+    abscissas = residual_abscissas(200)
+    vectors = [(v1, v2, -v2 - v1) for v2 in range(2, 25) for v1 in range(-(v2 - 1), 0)]
+    assert len(vectors) == 276
     for v in vectors:
-        for a in abscissas:
-            assert middle_point_residual(v, a) == act_middle_point_residual(v, a) \
-                == chain_middle_point_residual(v, a)
+        for a in abscissas if v[1] <= 5 else abscissas[:20]:
+            expected = chain_middle_point_residual(v, a)
+            assert middle_point_residual(v, a) == expected, (v, a)
+            if v[1] <= 5:
+                assert act_middle_point_residual(v, a) == expected, (v, a)
+
+
+def test_middle_point_residual_signs_the_translation_factors():
+    # on the family (-1/2, 0), (a, 0), (1/2, 0) the residual has the sign
+    # of lambda_23^m - lambda_12^k, with both factors rational
+    ends = (homology(UNIT_CIRCLE, pt("-1/2", 0)), homology(UNIT_CIRCLE, pt("1/2", 0)))
+    vectors = [(v1, v2, -v2 - v1) for v2 in range(2, 13) for v1 in range(-(v2 - 1), 0)]
+    for a in [Fraction(0), Fraction(1, 3), Fraction(-2, 7), *residual_abscissas(12)]:
+        middle = homology(UNIT_CIRCLE, Point(a, Fraction(0)))
+        (a12, b12) = classify_module._translation_factor(ends[0], middle)
+        (a23, b23) = classify_module._translation_factor(middle, ends[1])
+        for v in vectors:
+            k, m = -v[0], -v[2]
+            gap = a23 ** m * b12 ** k - a12 ** k * b23 ** m
+            residual = middle_point_residual(v, a)
+            assert (residual > 0) - (residual < 0) == (gap > 0) - (gap < 0), (v, a)
 
 
 # every balanced vector with entries up to 12 is (-k, k + m, -m)
@@ -334,11 +356,10 @@ def test_bisection_matches_the_fraction_oracle(v, negate, width):
 
 
 def test_bisection_makes_no_homology_step(monkeypatch):
-    # the residual polynomials are built once per call from the two cached
-    # end homologies, so no point of the search builds or applies one
+    # the residual polynomial pair is in closed form, so the search builds
+    # and applies no homology
     width = Fraction(1, 2**30)
     expected = fraction_realize_by_bisection((-2, 3, -1), width)
-    realize_by_bisection((-2, 3, -1), width)  # fills the cache
     steps = []
 
     def counted(name, f):
@@ -529,11 +550,11 @@ def test_dispatch_matches_chain_on_closing_configs():
 def test_dispatch_matches_chain_on_avoid_all_cycles():
     # the construction does not rest on the closed form: with it switched
     # off, the same configuration comes back, and the chain search agrees
-    for bound, seed in [(1, 5), (6, 1), (12, 2), (20, 3), (24, 4)]:
-        config = avoid_all_cycles(bound, seed)
+    for seed in (5, 1, 2, 3, 4):
+        config = avoid_all_cycles(seed)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(classify_module, "_translation_ratio", lambda config: None)
-            assert avoid_all_cycles(bound, seed) == config
+            assert avoid_all_cycles(seed) == config
         assert assert_dispatch_matches_chain(config) is None
 
 
@@ -544,16 +565,16 @@ def test_avoid_all_cycles_is_cycle_free_in_closed_form():
     # w = (1/3, 1, 2^j) makes lambda_12 = 3 and lambda_23 = 2^j, and
     # 3^k = 2^(jm) has no solution with k, m >= 1
     for seed in AVOID_SEEDS:
-        assert classify_module._translation_ratio(avoid_all_cycles(8, seed)) == (0, 0), seed
+        assert classify_module._translation_ratio(avoid_all_cycles(seed)) == (0, 0), seed
 
 
 def test_avoid_all_cycles_has_no_chain_cycle_at_bound_64():
     for seed in AVOID_SEEDS:
-        assert chain_search_cycle(avoid_all_cycles(64, seed), 64) is None, seed
+        assert chain_search_cycle(avoid_all_cycles(seed), 64) is None, seed
 
 
 def test_avoid_all_cycles_depends_on_the_size_of_the_seed():
-    configs = {seed: avoid_all_cycles(8, seed) for seed in AVOID_SEEDS}
+    configs = {seed: avoid_all_cycles(seed) for seed in AVOID_SEEDS}
     for seed in range(1, 6):
         assert configs[-seed] == configs[seed]
     assert len({configs[seed].points for seed in range(41)}) == 41

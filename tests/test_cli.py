@@ -158,8 +158,8 @@ def test_cli_iso(sym_file, tmp_path, capsys):
 def test_cli_iso_strict_conditional(tmp_path, capsys):
     from reversions.classify import avoid_all_cycles
     a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
-    a.write_text(serialize_config(avoid_all_cycles(4, seed=1)))
-    b.write_text(serialize_config(avoid_all_cycles(4, seed=2)))
+    a.write_text(serialize_config(avoid_all_cycles(seed=1)))
+    b.write_text(serialize_config(avoid_all_cycles(seed=2)))
     assert main(["iso", str(a), str(b), "--bound", "4"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "conditionally-isomorphic bound=4"
     assert main(["iso", str(a), str(b), "--bound", "4", "--strict"]) == EXIT_INCONCLUSIVE
@@ -570,6 +570,26 @@ def test_cli_word_alphabet_budget(capsys):
         assert err.startswith("error: alphabet ") and err.endswith(" exceeds the budget of 4096\n")
     assert run(["word", "signature", "4096"], capsys)[0] == EXIT_OK
     assert run(["word", "normal", "1", "--alphabet", "4096"], capsys) == (EXIT_OK, "1\n", "")
+
+
+def test_cli_word_malformed_literal_with_and_without_alphabet(capsys):
+    # one letters parser, so the inferred alphabet gives the same message
+    for letters in ("1,,2", "1,x", ","):
+        expected = (EXIT_INVALID, "", f"error: malformed word literal {letters!r}\n")
+        for extra in ([], ["--alphabet", "3"]):
+            assert run(["word", "reduce", letters, *extra], capsys) == expected, extra
+
+
+def test_cli_empty_flag_values_exit_2(sym_file, tmp_path, capsys):
+    # an empty value is a value, not an absent flag
+    svg = tmp_path / "out.svg"
+    for argv in (["orbit", sym_file, "--point", "0,1", "--svg="],
+                 ["render", sym_file, "--svg", str(svg), "--cycle="],
+                 ["render", sym_file, "--svg="]):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (EXIT_INVALID, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+    assert not svg.exists()
 
 
 def test_cli_budgets_admit_the_benchmark_inputs():

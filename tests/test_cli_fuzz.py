@@ -27,7 +27,7 @@ VALID_CONFIGS = [
     "circle 0 0 1\npoint -1/2 0\npoint 0 0\npoint 1/2 0\n",
     "circle 3 1 4\npoint 2 1\npoint 3 1\npoint 4 1\n",
     serialize_config(search_closing_config((-2, 3, -1))),
-    serialize_config(avoid_all_cycles(6, seed=1)),
+    serialize_config(avoid_all_cycles(seed=1)),
     "circle 0 0 1\npoint -1/2 0\npoint 1/4 0\n",
     "circle 0 0 1\npoint 1/3 1/7\n",
     "circle 0 0 2\npoint 0 0\nbase 1 1\n",

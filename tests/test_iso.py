@@ -31,6 +31,7 @@ from reversions.classify import (
 from reversions.geometry import Circle, Point, UNIT_CIRCLE, affine, format_point, homogeneous
 from reversions.hull import EndpointToken
 from reversions.iso import (
+    CollisionError,
     ConditionallyIsomorphic,
     Isomorphic,
     NotIsomorphic,
@@ -101,13 +102,13 @@ def test_decide_iso_distinct_classes(sym):
 
 
 def test_decide_iso_cycle_vs_no_cycle(sym):
-    verdict = decide_iso(sym, avoid_all_cycles(8, seed=2), 8)
+    verdict = decide_iso(sym, avoid_all_cycles(seed=2), 8)
     assert isinstance(verdict, NotIsomorphic)
 
 
 def test_decide_iso_conditional():
-    a = avoid_all_cycles(8, seed=1)
-    b = avoid_all_cycles(8, seed=2)
+    a = avoid_all_cycles(seed=1)
+    b = avoid_all_cycles(seed=2)
     verdict = decide_iso(a, b, 8)
     assert verdict == ConditionallyIsomorphic(8)
     assert not isinstance(verdict, Isomorphic)
@@ -149,6 +150,35 @@ def test_build_table_mirrored_storage():
     assert verify_table(table) is None
     mapping = dict(table.rows)
     assert mapping[homogeneous(base.points[0])] == homogeneous(mirrored.points[2])
+
+
+def test_mirrored_table_orientation_walks_no_word(monkeypatch):
+    # for square D the stored orders come from the closed form of the
+    # cycle decision, with no word walked from a test point
+    base = search_closing_config((-2, 3, -1))
+    mirrored = validate_config(base.circle, base.points[::-1])
+    verdict = decide_iso(base, mirrored, 8)
+    words = list(enumerate_words(3, 3))
+    expected = build_partial_iso(base, mirrored, verdict, words, 1)
+
+    def no_walk(*args):
+        raise AssertionError("a word was walked")
+
+    monkeypatch.setattr(sys.modules["reversions.action"], "_chain_end", no_walk)
+    table = build_partial_iso(base, mirrored, verdict, words, 1)
+    assert table == expected and table.sigma == (3, 2, 1)
+
+
+@pytest.mark.parametrize("vector", [(-1, 2, -1), (-1, 3, -2), (-4, 6, -2), (0, 0, 0),
+                                    (2, -3, 1), (-2, 3)])
+def test_build_table_refuses_a_vector_other_than_the_label(vector):
+    # only the canonical label orients the table: its other stored order,
+    # its multiples and vectors with no positive middle entry are refused
+    base = search_closing_config((-2, 3, -1))
+    for r in (base, validate_config(base.circle, base.points[::-1])):
+        with pytest.raises(CollisionError) as refused:
+            build_partial_iso(base, r, Isomorphic(vector), [Word.empty(3)], 1)
+        assert str(refused.value) == f"{vector} is not a cycle for the configuration"
 
 
 def test_build_table_rejects_non_isomorphic(sym):
