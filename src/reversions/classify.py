@@ -7,17 +7,16 @@ v1 <= v3 <= -1 and gcd 1, which is then a complete class label.  The
 stored vector (-k, k+m, -m) is a cycle exactly when the words (2,1) and
 (3,2), which translate along the line of the points by factors lambda_12
 and lambda_23 in the Beltrami-Klein model, satisfy
-lambda_12^k = lambda_23^m.  When the line meets the circle in rational
-points ("square D": both factors rational), that equation is decided in
-closed form, with no bound and no reversion step: two Euclids on the
-numerators and the denominators of the factors, which come from the
-traces of the homology products.  The closed form assumes the points
+lambda_12^k = lambda_23^m.  That equation is decided exactly, with no
+reversion step, from tau = lambda + 1/lambda = p/q in lowest terms, which
+comes from the traces of the homology products: the denominator of
+V_k = lambda^k + lambda^-k is exactly q^k, so both q > 1 leave one
+candidate (k, m) to check, one q = 1 leaves none, and both q = 1 make
+V_k two integer sequences to merge.  The decision assumes the points
 collinear with the middle one strictly between the others, which
-`validate_config` checks and which is tested again on the triples.
-Otherwise the search walks the two point chains p.(2,1)^k and p.(3,2)^m
-from one off-line rational point p and joins them on exact equality, so a
-bound B costs O(B) reversions.  The label stays bounded either way:
-`NoCycleUpTo(B)` when there is no cycle or its middle entry exceeds B.
+`validate_config` checks and which is tested again on the triples.  The
+label stays bounded: `NoCycleUpTo(B)` when there is no cycle or its
+middle entry exceeds B.
 
 The two constructors go the other way and produce a configuration
 realizing a prescribed vector, one by exact chord closing, with no
@@ -235,116 +234,109 @@ def _power_ratio(x: int, y: int) -> Tuple[int, int]:
     return (c + d) // g, (a + b) // g
 
 
-def _translation_factor(hi: Homology, hj: Homology) -> Optional[Tuple[int, int]]:
-    """The translation factor lambda > 1 of the product of two homologies,
-    as the lowest-terms pair (a, b) of lambda = a/b, or None when it is
-    irrational.
+def _tau(hi: Homology, hj: Homology) -> Tuple[int, int]:
+    """tau = lambda + 1/lambda for the translation factor lambda > 1 of the
+    product of two homologies, as the lowest-terms pair (p, q), q >= 1.
 
     H_i / q_i and H_j / q_j are the hyperbolic half-turns about the two
     points, so their product translates along the line through them by
     lambda, with eigenvalues lambda, 1 and 1/lambda.  Since l . C = q for
     each homology (the gcd that `geometry.homology` divides by keeps it),
     tr(H_i H_j) = 4 (l_i . C_j)(l_j . C_i) - q_i q_j, and
-    tau = lambda + 1/lambda = tr(H_i H_j) / (q_i q_j) - 1 = (t - 2 q) / q
-    with t = 4 (l_i . C_j)(l_j . C_i) and q = q_i q_j > 0.  Then
-    tau^2 - 4 = t (t - 4 q) / q^2, and lambda = (t - 2 q + s) / (2 q) for
-    s^2 = t (t - 4 q), which is rational exactly when that is a square.
+    tau = tr(H_i H_j) / (q_i q_j) - 1 = (t - 2 q) / q
+    with t = 4 (l_i . C_j)(l_j . C_i) and q = q_i q_j > 0.
     """
     qi, (li0, li1, li2), (ci0, ci1, ci2) = hi
     qj, (lj0, lj1, lj2), (cj0, cj1, cj2) = hj
-    t = 4 * (li0 * cj0 + li1 * cj1 + li2 * cj2) * (lj0 * ci0 + lj1 * ci1 + lj2 * ci2)
     q = qi * qj
-    disc = t * (t - 4 * q)  # positive, as distinct points give lambda > 1
-    s = math.isqrt(disc)
-    if s * s != disc:
-        return None
-    a, b = t - 2 * q + s, 2 * q
-    g = math.gcd(a, b)
-    return a // g, b // g
+    p = 4 * (li0 * cj0 + li1 * cj1 + li2 * cj2) * (lj0 * ci0 + lj1 * ci1 + lj2 * ci2) - 2 * q
+    g = math.gcd(p, q)
+    return p // g, q // g
 
 
-def _translation_ratio(config: Config) -> Optional[Tuple[int, int]]:
+def _lucas(p: int, q: int, k: int) -> int:
+    """N_k = q^k V_k for V_k = lambda^k + lambda^-k and tau = p/q: N_0 = 2,
+    N_1 = p and N_k = p N_(k-1) - q^2 N_(k-2), from
+    V_k = tau V_(k-1) - V_(k-2).  So N_k = p^k (mod q) for k >= 1, which is
+    coprime to q as p/q is in lowest terms: the denominator of V_k is
+    exactly q^k."""
+    a, b, qq = 2, p, q * q
+    for _ in range(k):
+        a, b = b, p * b - qq * a
+    return a
+
+
+def _unit_ratio(p12: int, p23: int, v2_max: int) -> Tuple[int, int]:
+    """The first (i, j) with V_i(p12) = V_j(p23), i + j <= v2_max, for
+    integral tau = p12 and p23; (0, 0) when there is none.
+
+    Both V sequences increase with the index, as lambda > 1, so a merge
+    that advances the smaller one meets every equal pair in order, and
+    the first one is the primitive cycle: equal pairs are its multiples.
+    """
+    i = j = 1
+    a, a_prev, b, b_prev = p12, 2, p23, 2
+    while i + j <= v2_max:
+        if a < b:
+            a, a_prev, i = p12 * a - a_prev, a, i + 1
+        elif b < a:
+            b, b_prev, j = p23 * b - b_prev, b, j + 1
+        else:
+            return i, j
+    return 0, 0
+
+
+def _cycle_ratio(config: Config, v2_max: int) -> Tuple[int, int]:
     """The primitive (k, m) of the cycle (-k, k+m, -m) in stored order, or
-    (0, 0) when the configuration has no cycle, decided in closed form; or
-    None when the closed form does not apply.
+    (0, 0) when the configuration has no cycle with k + m <= v2_max.
 
     When the three points are collinear and the middle one is strictly
     between the others (what `validate_config` checks, on the same
     triples), the words (2,1) and (3,2) translate along their line in one
-    direction, by the factors lambda_12 and lambda_23 of
-    `_translation_factor`.  So (2,1)^k (2,3)^m is the identity, and fixes
-    every off-line point, exactly when lambda_12^k = lambda_23^m.  When
-    both factors are rational ("square D": the line meets the circle in
-    rational points), that holds exactly when the numerators and the
-    denominators of the two lowest-terms fractions satisfy it separately,
-    which two Euclids decide (`_power_ratio`).  A Config built without
-    `validate_config` can break the premise; the closed form then does not
-    apply, and neither does it to irrational factors.
+    direction, by the factors lambda_12 and lambda_23.  So (2,1)^k (2,3)^m
+    is the identity, and fixes every off-line point, exactly when
+    lambda_12^k = lambda_23^m, that is V_k(tau_12) = V_m(tau_23), since
+    x + 1/x is increasing for x > 1 (`_tau`, `_lucas`).  The denominators
+    q_12^k and q_23^m must then be equal.  When both exceed 1, their
+    primitive solution (`_power_ratio`) is the only candidate, as the
+    cycles are multiples of one primitive and so are the solutions, and
+    one exact check of the numerators decides it.  When only one is 1
+    there is no solution.  When both are 1, both V sequences are integers
+    and a merge finds the first equal pair (`_unit_ratio`).  A Config
+    built without `validate_config` can break the premise; then the two
+    translations run in opposite directions or along different lines, and
+    no power of one is a power of the other.
     """
     h1, h2, h3 = config.homologies
     if not collinear_between(h1[2], h2[2], h3[2]):
-        return None
-    f12 = _translation_factor(h1, h2)
-    f23 = _translation_factor(h2, h3)
-    if f12 is None or f23 is None:
-        return None
-    (a12, b12), (a23, b23) = f12, f23
-    ratio = _power_ratio(a12, a23)  # lambda > 1, so a >= 2
-    if (b12, b23) != (1, 1) and _power_ratio(b12, b23) != ratio:
         return 0, 0
-    return ratio
-
-
-def _chain_ratio(config: Config, v2_max: int) -> Tuple[int, int]:
-    """The first (k, m) with p.(2,1)^k == p.(3,2)^m at the off-line test
-    point p, for k, m < v2_max, divided by its gcd; (0, 0) when there is
-    none.
-
-    Both chains grow one level at a time and are joined on the exact
-    points (canonical integer triples), so both stored orders are covered
-    at once.  The hits are the multiples of the primitive cycle, so the
-    first one found, divided by its gcd, is the primitive.
-    """
-    h1, h2, h3 = config.homologies
-    pk = qm = config.test_triple
-    p_level: dict = {}  # p.(2,1)^k -> k, on integer triples
-    q_level: dict = {}  # p.(3,2)^m -> m
-    for n in range(1, v2_max):
-        pk = apply_homology(h1, apply_homology(h2, pk))
-        qm = apply_homology(h2, apply_homology(h3, qm))
-        p_level[pk] = n
-        q_level[qm] = n
-        if pk in q_level:
-            k, m = n, q_level[pk]
-        elif qm in p_level:
-            k, m = p_level[qm], n
-        else:
-            continue
-        g = math.gcd(k, m)
-        return k // g, m // g
+    (p12, q12), (p23, q23) = _tau(h1, h2), _tau(h2, h3)
+    if q12 == q23 == 1:
+        return _unit_ratio(p12, p23, v2_max)
+    k, m = _power_ratio(q12, q23)
+    if k and k + m <= v2_max and _lucas(p12, q12, k) == _lucas(p23, q23, m):
+        return k, m
     return 0, 0
 
 
 def _search_cycle(config: Config, v2_max: int) -> Optional[Tuple[tuple, tuple]]:
     """First (canonical, stored-order) cycle pair up to the bound, or None.
 
-    A stored vector (-k, k+m, -m) has the word (2,1)^k (2,3)^m, which fixes
-    the test point p exactly when p.(2,1)^k == p.(3,2)^m.  For square D the
-    primitive (k, m) is decided in closed form, with no bound and no
-    reversion step (`_translation_ratio`).  Otherwise the two point chains
-    are searched up to B - 1 levels (`_chain_ratio`), since k, m >= 1 and
-    k + m <= B.  Either way, when the primitive's middle entry k + m
-    exceeds the bound, so does every other cycle's.
+    A stored vector (-k, k+m, -m) has the word (2,1)^k (2,3)^m.  The
+    primitive (k, m) is decided exactly, with no reversion step
+    (`_cycle_ratio`); the bound only stops the merge of the integral case
+    and the numerator check of the others.  When the primitive's middle
+    entry k + m exceeds the bound, so does every other cycle's.
     """
     if len(config.points) != 3:
         raise ConfigValidationError("count", "cycle search needs three points")
     if v2_max < 1:
         raise ValueError(f"v2_max must be >= 1, got {v2_max}")
-    # the chain search's inputs, in its order, so that a Config built
-    # without validation fails alike on either path
+    # the witness's inputs, so that a Config built without validation
+    # fails as it always has
     config.homologies, config.test_triple
-    k, m = _translation_ratio(config) or _chain_ratio(config, v2_max)
-    if k == 0 or k + m > v2_max:
+    k, m = _cycle_ratio(config, v2_max)
+    if k == 0:
         return None
     stored = (-k, k + m, -m)
     return (stored if k >= m else pi13(stored)), stored
@@ -459,9 +451,9 @@ def _residual_pair(v: Signature, n: int, d: int) -> Tuple[int, int]:
     pair (2, x) scales alpha by t_x (d - n)^2 and beta by s_x (d + n)^2.
     The canonical word (2,1)^k (2,3)^m ends at the pair above, with
     X = alpha - beta and W = alpha + beta.  Equivalently,
-    alpha/beta = (lambda_23^m / lambda_12^k)^2 for the factors
+    alpha/beta = (lambda_23^m / lambda_12^k)^2 for the translation factors
     lambda_12 = 3w and lambda_23 = 3/w, w = (d + n)/(d - n), of
-    `_translation_factor`, so the residual vanishes exactly at a cycle.
+    `_cycle_ratio`, so the residual vanishes exactly at a cycle.
 
     The chain that `apply_homology` runs differs from this one only by
     positive factors: it divides each step by a positive gcd, and its
@@ -561,11 +553,12 @@ def avoid_all_cycles(seed: int) -> Config:
     three points have w = 1/3, 1 and 2^j.  In the Beltrami-Klein model the
     point (x, 0) lies at signed hyperbolic distance (ln w)/2 from the
     center, and the product of the half-turns about two points translates
-    by twice the distance between them, so the factors of
-    `_translation_ratio` are lambda_12 = w2/w1 = 3 and
-    lambda_23 = w3/w2 = 2^j.  The stored vector (-k, k+m, -m) is a cycle
-    exactly when lambda_12^k = lambda_23^m, that is 3^k = 2^(jm), which no
-    k, m >= 1 solve: the left side is odd and the right side even.
+    by twice the distance between them, so the translation factors are
+    lambda_12 = w2/w1 = 3 and lambda_23 = w3/w2 = 2^j.  The stored vector
+    (-k, k+m, -m) is a cycle exactly when lambda_12^k = lambda_23^m, that
+    is 3^k = 2^(jm), which no k, m >= 1 solve: the left side is odd and the
+    right side even.  The cycle decision (`_cycle_ratio`) sees this on the
+    denominators 3 and 2^j of tau_12 = 10/3 and tau_23 = (4^j + 1)/2^j.
     """
     p = 1 << (abs(seed) + 1)
     return validate_config(

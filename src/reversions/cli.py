@@ -64,11 +64,11 @@ EXIT_USAGE = 64
 
 # Budgets for the user-controlled work sizes, measured on points 0, 1/3,
 # 5/7 (or -1/2, 0, 1/3) of the unit circle (Python 3.11, one core of a
-# shared 2-vCPU host).  The bound costs nothing when the line of the points
-# meets the circle in rational points, which the closed form decides; the
-# chain search runs otherwise, and there the cap is over 2 s: on points
-# -1/4, 0, 1/3 of the chord y = 1/3, `classify --bound 4096` takes about
-# 8 s and `iso --bound 4096` about 16 s (1.2 s for `classify` at 2048).
+# shared 2-vCPU host).  The cycle decision takes no reversion step, and
+# the bound only stops its merge when both tau = lambda + 1/lambda are
+# integers, one multiply and one subtract per level: `classify` and `iso`
+# at bound 4096 take a few milliseconds, on points -1/4, 0, 1/3 of the
+# chord y = 1/3 as on a diameter.
 # `orbit --depth 60 --svg` from (0, 1) yields 5,491 points in about 0.1 s.
 # A balanced vector's largest entry in absolute value (the middle entry of
 # a canonical vector) is half the length of its word:
@@ -329,10 +329,12 @@ def _cmd_orbit(args) -> int:
     config = _load_config(args.file)
     start = _parse_cli_point(args.point)
     points = orbit(config, start, depth)
-    # the picture first, so a command that fails prints no orbit
+    # the text, then the picture, then the print, so that a command that
+    # fails leaves neither output
+    text = "".join(format_triple(t) + "\n" for t in points)
     if args.svg is not None:
         _write_svg(args.svg, render_svg(config, orbit_points=points))
-    sys.stdout.write("".join(format_triple(t) + "\n" for t in points))
+    sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -578,13 +578,72 @@ def scan_search_cycle(config: Config, v2_max: int) -> Optional[Tuple[tuple, tupl
     return None
 
 
+def chain_ratio(config: Config, v2_max: int) -> Tuple[int, int]:
+    """The first (k, m) with p.(2,1)^k == p.(3,2)^m at the off-line test
+    point p, for k, m < v2_max, divided by its gcd; (0, 0) when there is
+    none.
+
+    Both chains grow one level at a time and are joined on the exact
+    points (canonical integer triples), so both stored orders are covered
+    at once.  The hits are the multiples of the primitive cycle, so the
+    first one found, divided by its gcd, is the primitive.
+    """
+    h1, h2, h3 = config.homologies
+    pk = qm = config.test_triple
+    p_level: dict = {}  # p.(2,1)^k -> k, on integer triples
+    q_level: dict = {}  # p.(3,2)^m -> m
+    for n in range(1, v2_max):
+        pk = apply_homology(h1, apply_homology(h2, pk))
+        qm = apply_homology(h2, apply_homology(h3, qm))
+        p_level[pk] = n
+        q_level[qm] = n
+        if pk in q_level:
+            k, m = n, q_level[pk]
+        elif qm in p_level:
+            k, m = p_level[qm], n
+        else:
+            continue
+        g = math.gcd(k, m)
+        return k // g, m // g
+    return 0, 0
+
+
 def chain_search_cycle(config: Config, v2_max: int) -> Optional[Tuple[tuple, tuple]]:
-    """`classify._search_cycle` with its closed form switched off: the
-    bounded chain search alone, the oracle of the closed form."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sys.modules["reversions.classify"], "_translation_ratio",
-                      lambda config: None)
-        return sys.modules["reversions.classify"]._search_cycle(config, v2_max)
+    """Reference for `classify._search_cycle`: the bounded chain search,
+    O(B) reversions at the bound B, which joins the two point chains of
+    the test point (`chain_ratio`) and knows nothing of tau."""
+    if len(config.points) != 3:
+        raise ConfigValidationError("count", "cycle search needs three points")
+    if v2_max < 1:
+        raise ValueError(f"v2_max must be >= 1, got {v2_max}")
+    k, m = chain_ratio(config, v2_max)
+    if k == 0 or k + m > v2_max:
+        return None
+    stored = (-k, k + m, -m)
+    return (stored if k >= m else pi13(stored)), stored
+
+
+# Lines y = slope x + offset whose chords of the unit circle have
+# irrational ends: y = 1/3, 1/2, 2/5, 1/4 and 3/7, and y = x/3 + 1/4, which
+# meets the circle where 160 x^2 + 24 x - 135 = 0, whose discriminant
+# 86,976 is not a square.
+IRRATIONAL_CHORDS = tuple((Fraction(s), Fraction(o)) for s, o in [
+    (0, "1/3"), (0, "1/2"), (0, "2/5"), (0, "1/4"), (0, "3/7"), ("1/3", "1/4")])
+
+
+def translated_config(chord, x1: Fraction, x2: Fraction, a: int, b: int) -> Config:
+    """The unit-circle configuration c1, S^a.c1, S^(a+b).c1 for the points
+    c1 and c2 at x1 < x2 on the chord (slope, offset), with S = H2 H1 the
+    product of the reversions through c1 and c2.  S translates along the
+    chord, so the points are a and b steps of S apart, in line order:
+    lambda_12^k = lambda_23^m exactly when a k = b m, and the primitive
+    cycle is (k, m) = (b, a) / gcd(a, b), stored as (-k, k+m, -m)."""
+    slope, offset = chord
+    h1, h2 = (homology(UNIT_CIRCLE, Point(x, slope * x + offset)) for x in (x1, x2))
+    chain = [homogeneous(Point(x1, slope * x1 + offset))]
+    for _ in range(a + b):
+        chain.append(apply_homology(h2, apply_homology(h1, chain[-1])))
+    return validate_config(UNIT_CIRCLE, [affine(chain[i]) for i in (0, a, a + b)])
 
 
 def find_primitive_cycle(config: Config, v2_max: int) -> Optional[tuple]:

@@ -67,15 +67,13 @@ def test_classify_miss_on_a_diameter_takes_no_step(tmp_path, monkeypatch):
     assert steps == 0
 
 
-def test_classify_miss_is_linear_in_bound(tmp_path, monkeypatch):
+def test_classify_miss_off_square_d_takes_no_step(tmp_path, monkeypatch):
     # the chord y = 1/3 meets the unit circle at x = +-sqrt(8)/3, so the
-    # chain search decides, and finds no cycle: each of the B - 1 levels
-    # advances two chains by one two-letter step, each letter one integer
-    # reversion step
-    bound = 20
-    steps = traced_classify(
-        tmp_path, monkeypatch, (pt("-1/4", "1/3"), pt(0, "1/3"), pt("1/3", "1/3")), bound)
-    assert steps == 4 * (bound - 1)
+    # translation factors are irrational; the tau denominators decide with
+    # no reversion step, at the benchmark's bound and at the largest
+    points = (pt("-1/4", "1/3"), pt(0, "1/3"), pt("1/3", "1/3"))
+    for bound in (20, cli.MAX_BOUND):
+        assert traced_classify(tmp_path, monkeypatch, points, bound) == 0
 
 
 def test_table_check_never_tests_a_triple():

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
+    IRRATIONAL_CHORDS,
     act_middle_point_residual,
     chain_middle_point_residual,
     chain_search_cycle,
@@ -23,9 +25,10 @@ from conftest import (
     pt,
     scan_search_cycle,
     third_point_residual,
+    translated_config,
 )
 from reversions.action import ActionError, Config, act, is_cycle
-from reversions.cli import serialize_config
+from reversions.cli import EXIT_OK, MAX_BOUND, main, serialize_config
 from reversions.classify import (
     _search_cycle,
     ConfigValidationError,
@@ -320,16 +323,19 @@ def test_middle_point_residual_agrees_with_act():
 
 def test_middle_point_residual_signs_the_translation_factors():
     # on the family (-1/2, 0), (a, 0), (1/2, 0) the residual has the sign
-    # of lambda_23^m - lambda_12^k, with both factors rational
+    # of lambda_23^m - lambda_12^k, which is the sign of
+    # V_m(tau_23) - V_k(tau_12), V_k(p/q) = N_k / q^k (`_lucas`), as
+    # x + 1/x increases for x > 1
     ends = (homology(UNIT_CIRCLE, pt("-1/2", 0)), homology(UNIT_CIRCLE, pt("1/2", 0)))
     vectors = [(v1, v2, -v2 - v1) for v2 in range(2, 13) for v1 in range(-(v2 - 1), 0)]
+    lucas = classify_module._lucas
     for a in [Fraction(0), Fraction(1, 3), Fraction(-2, 7), *residual_abscissas(12)]:
         middle = homology(UNIT_CIRCLE, Point(a, Fraction(0)))
-        (a12, b12) = classify_module._translation_factor(ends[0], middle)
-        (a23, b23) = classify_module._translation_factor(middle, ends[1])
+        (p12, q12) = classify_module._tau(ends[0], middle)
+        (p23, q23) = classify_module._tau(middle, ends[1])
         for v in vectors:
             k, m = -v[0], -v[2]
-            gap = a23 ** m * b12 ** k - a12 ** k * b23 ** m
+            gap = lucas(p23, q23, m) * q12 ** k - lucas(p12, q12, k) * q23 ** m
             residual = middle_point_residual(v, a)
             assert (residual > 0) - (residual < 0) == (gap > 0) - (gap < 0), (v, a)
 
@@ -515,9 +521,9 @@ ORACLE_BOUNDS = range(1, 25)
 
 
 def assert_dispatch_matches_chain(config):
-    """`_search_cycle`, which decides square D in closed form, equals the
-    chain search alone at every bound from 1 to 24; returns the answer at
-    the largest bound."""
+    """`_search_cycle`, which decides every chord exactly, equals the
+    bounded chain search at every bound from 1 to 24; returns the answer
+    at the largest bound."""
     for bound in ORACLE_BOUNDS:
         found = _search_cycle(config, bound)
         assert found == chain_search_cycle(config, bound), bound
@@ -531,11 +537,12 @@ def test_dispatch_matches_chain_on_generated_cases():
         for s in gen.CYCLE_BASES:
             for reverse in (False, True):
                 case = gen.cycle_case(rng, v, s, reverse)
-                assert classify_module._translation_ratio(case.config) is not None
+                k, m = -case.stored[0], -case.stored[2]
+                assert classify_module._cycle_ratio(case.config, 24) == (k, m)
                 assert assert_dispatch_matches_chain(case.config) == (v, case.stored)
     for _ in range(40):
         case = gen.free_case(rng)
-        assert classify_module._translation_ratio(case.config) == (0, 0)
+        assert classify_module._cycle_ratio(case.config, MAX_BOUND) == (0, 0)
         assert assert_dispatch_matches_chain(case.config) is None
 
 
@@ -543,17 +550,21 @@ def test_dispatch_matches_chain_on_closing_configs():
     for n in range(2, 65):
         v = (-(n - 1), n, -1)
         closing = search_closing_config(v)
-        assert classify_module._translation_ratio(closing) == (n - 1, 1)
+        assert classify_module._cycle_ratio(closing, n) == (n - 1, 1)
         assert assert_dispatch_matches_chain(closing) == ((v, v) if n <= 24 else None)
 
 
 def test_dispatch_matches_chain_on_avoid_all_cycles():
-    # the construction does not rest on the closed form: with it switched
-    # off, the same configuration comes back, and the chain search agrees
+    # the construction does not rest on the cycle decision: with it
+    # switched off, the same configuration comes back, and the chain
+    # search agrees
+    def no_decision(*args):
+        raise AssertionError("the construction ran the cycle decision")
+
     for seed in (5, 1, 2, 3, 4):
         config = avoid_all_cycles(seed)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(classify_module, "_translation_ratio", lambda config: None)
+            patch.setattr(classify_module, "_cycle_ratio", no_decision)
             assert avoid_all_cycles(seed) == config
         assert assert_dispatch_matches_chain(config) is None
 
@@ -563,9 +574,15 @@ AVOID_SEEDS = range(-5, 41)
 
 def test_avoid_all_cycles_is_cycle_free_in_closed_form():
     # w = (1/3, 1, 2^j) makes lambda_12 = 3 and lambda_23 = 2^j, and
-    # 3^k = 2^(jm) has no solution with k, m >= 1
+    # 3^k = 2^(jm) has no solution with k, m >= 1: tau_12 = 10/3 and
+    # tau_23 = (4^j + 1)/2^j, and already 3^k != 2^(jm) at any bound
     for seed in AVOID_SEEDS:
-        assert classify_module._translation_ratio(avoid_all_cycles(seed)) == (0, 0), seed
+        config = avoid_all_cycles(seed)
+        assert classify_module._cycle_ratio(config, 10 ** 9) == (0, 0), seed
+        h1, h2, h3 = config.homologies
+        j = abs(seed) + 1
+        assert classify_module._tau(h1, h2) == (10, 3)
+        assert classify_module._tau(h2, h3) == (4 ** j + 1, 2 ** j), seed
 
 
 def test_avoid_all_cycles_has_no_chain_cycle_at_bound_64():
@@ -594,7 +611,9 @@ def test_dispatch_matches_chain_on_random_diameter_triples(xs, seed, reverse):
     sim = gen.random_similarity(rng)
     pts = [sim(pt(x, 0)) for x in sorted(xs, reverse=reverse)]
     config = validate_config(sim.circle(), pts, sim(gen.unit_circle_point(rng)))
-    assert classify_module._translation_ratio(config) is not None
+    # rational chord ends: lambda = a/b and tau = (a^2 + b^2)/(a b), so
+    # neither tau is an integer
+    assert not any(q == 1 for _, q in taus(config))
     assert_dispatch_matches_chain(config)
 
 
@@ -628,31 +647,46 @@ def test_power_ratio_matches_brute_force(r, e1, e2, u, w):
     assert classify_module._power_ratio(x, y) == power_ratio_by_search(x, y)
 
 
+def taus(config):
+    """(p, q) of tau_12 and tau_23 (`classify._tau`)."""
+    h1, h2, h3 = config.homologies
+    return classify_module._tau(h1, h2), classify_module._tau(h2, h3)
+
+
+def irrational(tau) -> bool:
+    """lambda + 1/lambda = p/q has an irrational root lambda exactly when
+    p^2 - 4 q^2 is not a square."""
+    p, q = tau
+    d = p * p - 4 * q * q
+    return math.isqrt(d) ** 2 != d
+
+
 @pytest.mark.parametrize("y", [Fraction(1, 3), Fraction(1, 2), Fraction(2, 5)])
 def test_irrational_chord_ends_reach_the_chain_search(y):
     # the chords y = 1/3, 1/2 and 2/5 meet the unit circle at irrational
-    # x = +-sqrt(1 - y^2), so the translation factors are irrational and
-    # the closed form stands back
+    # x = +-sqrt(1 - y^2), so the translation factors are irrational; the
+    # decision agrees with the chain search there too
     xs = [Fraction(a, 12) for a in range(-9, 10, 3)]
     for left, middle, right in itertools.combinations(xs, 3):
         config = validate_config(UNIT_CIRCLE, [Point(x, y) for x in (left, middle, right)])
-        assert classify_module._translation_ratio(config) is None
+        assert all(map(irrational, taus(config)))
         assert_dispatch_matches_chain(config)
 
 
 def test_premise_guard_falls_back_to_the_chain_search():
     # a raw Config with the middle point outside the other two: the words
     # (2,1) and (3,2) translate in opposite directions, so the factor
-    # equation would report (-2, 3, -1), which is not a cycle
+    # equation would report (-2, 3, -1), which is not a cycle; the guard
+    # answers (0, 0), as the chain search does
     raw = Config(UNIT_CIRCLE, (pt("-1/2", 0), pt("1/2", 0), pt(0, 0)), pt(1, 0))
-    assert classify_module._translation_ratio(raw) is None
+    assert classify_module._cycle_ratio(raw, 40) == (0, 0)
     assert _search_cycle(raw, 40) is None
     assert _search_cycle(raw, 40) == chain_search_cycle(raw, 40)
     assert classify(raw, 40) == NoCycleUpTo(40)
     assert find_primitive_cycle(raw, 40) is None
     # the same points off one line
     bent = Config(UNIT_CIRCLE, (pt("-1/2", 0), pt(0, "1/4"), pt("1/2", 0)), pt(1, 0))
-    assert classify_module._translation_ratio(bent) is None
+    assert classify_module._cycle_ratio(bent, 40) == (0, 0)
     assert_dispatch_matches_chain(bent)
 
 
@@ -664,3 +698,80 @@ def test_square_d_classify_at_the_bound_cap_takes_no_step(monkeypatch):
 
     monkeypatch.setattr(classify_module, "apply_homology", no_step)
     assert classify(config, 4096) == NoCycleUpTo(4096)
+
+
+def test_irrational_chord_at_the_bound_cap_takes_no_step(tmp_path, capsys, monkeypatch):
+    # -1/4, 0, 1/3 on y = 1/3: tau_12 = 274/119 and tau_23 = 18/7, whose
+    # denominators have no common power, so the largest bound costs no
+    # reversion step
+    y = Fraction(1, 3)
+    config = validate_config(UNIT_CIRCLE, [Point(x, y) for x in (Fraction(-1, 4), 0, y)])
+    path = tmp_path / "chord.cfg"
+    path.write_text(serialize_config(config))
+
+    def no_step(*args):
+        raise AssertionError("the cycle decision takes no reversion step")
+
+    monkeypatch.setattr(classify_module, "apply_homology", no_step)
+    bound = str(MAX_BOUND)
+    assert main(["classify", str(path), "--bound", bound]) == EXIT_OK
+    assert capsys.readouterr().out == f"no-cycle-upto {MAX_BOUND}\n"
+    assert main(["iso", str(path), str(path), "--bound", bound]) == EXIT_OK
+    assert capsys.readouterr().out == f"conditionally-isomorphic bound={MAX_BOUND}\n"
+
+
+def test_translated_points_on_irrational_chords_give_their_ratio():
+    # c1, S^a.c1, S^(a+b).c1 with S = H2 H1 are a and b steps of S apart:
+    # the cycle is (k, m) = (b, a)/gcd(a, b), stored straight or mirrored
+    rng = random.Random(16)
+    xs = [Fraction(a, 12) for a in range(-6, 7)]
+    for chord in IRRATIONAL_CHORDS:
+        for a, b in itertools.product(range(1, 4), repeat=2):
+            x1, x2 = sorted(rng.sample(xs, 2))
+            config = translated_config(chord, x1, x2, a, b)
+            assert all(map(irrational, taus(config)))
+            g = math.gcd(a, b)
+            k, m = b // g, a // g
+            stored = (-k, k + m, -m)
+            canonical = stored if k >= m else pi13(stored)
+            assert assert_dispatch_matches_chain(config) == (canonical, stored)
+            mirrored = validate_config(config.circle, config.points[::-1])
+            assert assert_dispatch_matches_chain(mirrored) == (canonical, pi13(stored))
+
+
+def chord_corpus(y: Fraction, den: int, reach: int):
+    """Every triple of points x = a/den, |a| <= reach, on the chord y of
+    the unit circle, in line order."""
+    xs = [Fraction(a, den) for a in range(-reach, reach + 1)]
+    for triple in itertools.combinations(xs, 3):
+        yield validate_config(UNIT_CIRCLE, [Point(x, y) for x in triple])
+
+
+def test_integral_tau_cases_match_the_chain():
+    # on y = 1/2 and y = 1/4 some tau are integers (units of a real
+    # quadratic field): both integral is a merge of two integer sequences,
+    # which always finds a cycle here; one integral means no cycle
+    both = one = 0
+    for y, den, reach in [(Fraction(1, 2), 12, 10), (Fraction(1, 4), 24, 23)]:
+        for config in chord_corpus(y, den, reach):
+            (_, q12), (_, q23) = taus(config)
+            if q12 == q23 == 1:
+                both += 1
+                assert assert_dispatch_matches_chain(config) is not None
+            elif 1 in (q12, q23) and one < 40:
+                one += 1
+                assert assert_dispatch_matches_chain(config) is None
+    assert both == 52 and one == 40
+
+
+def test_lucas_refuted_cases_match_the_chain():
+    # equal powers of the tau denominators but unequal numerators
+    refuted = 0
+    for y in (Fraction(1, 3), Fraction(2, 5), Fraction(3, 7)):
+        for config in chord_corpus(y, 24, 10):
+            (p12, q12), (p23, q23) = taus(config)
+            k, m = classify_module._power_ratio(q12, q23)
+            if k and classify_module._lucas(p12, q12, k) != classify_module._lucas(p23, q23, m):
+                refuted += 1
+                assert assert_dispatch_matches_chain(config) is None
+    assert refuted > 200

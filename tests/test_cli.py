@@ -377,6 +377,30 @@ def test_cli_refused_picture_leaves_the_file_unchanged(sym_file, tmp_path, capsy
     assert svg.read_bytes() == OLD_PICTURE
 
 
+def test_cli_orbit_that_cannot_print_writes_no_picture(tmp_path, capsys):
+    # the orbit's coordinates outgrow Python's int-to-str digit limit, here
+    # lowered so that two levels reach it: the command fails before it
+    # writes the picture or prints a line
+    path = tmp_path / "big.cfg"
+    path.write_text(f"circle 0 0 1\npoint -1/2 0\npoint 1/{2 ** 1200 + 1} 0\npoint 1/3 0\n")
+    svg = tmp_path / "o.svg"
+    argv = ["orbit", str(path), "--point", "0,1", "--depth", "2", "--svg", str(svg)]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        new = run(argv, capsys)
+        exists = svg.exists()
+        svg.write_bytes(OLD_PICTURE)
+        old = run(argv, capsys)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert not exists
+    assert svg.read_bytes() == OLD_PICTURE
+    for code, out, err in (new, old):
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err.startswith("error: Exceeds the limit (640 digits)") and err.count("\n") == 1
+
+
 def _library_errors() -> dict:
     """Every public exception class that a `reversions` module defines,
     by name; `__main__` runs the CLI on import, so it is left out."""

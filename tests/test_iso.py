@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    IRRATIONAL_CHORDS,
     act_build_partial_iso,
     cubic_verify_table,
     fresh,
@@ -18,6 +19,7 @@ from conftest import (
     rand_word,
     stab_contains,
     symmetric_config,
+    translated_config,
 )
 from reversions import geometry
 from reversions.action import act
@@ -167,6 +169,25 @@ def test_mirrored_table_orientation_walks_no_word(monkeypatch):
     monkeypatch.setattr(sys.modules["reversions.action"], "_chain_end", no_walk)
     table = build_partial_iso(base, mirrored, verdict, words, 1)
     assert table == expected and table.sigma == (3, 2, 1)
+
+
+def test_tables_on_irrational_chords_follow_the_stored_order():
+    # pairs c1, S^a.c1, S^(a+b).c1 on two chords with irrational ends, the
+    # target stored straight and mirrored: the stored orders come from the
+    # cycle decision off square D
+    words = list(enumerate_words(3, 2))
+    chords = IRRATIONAL_CHORDS
+    for i, (a, b) in enumerate([(1, 1), (1, 2), (2, 1), (2, 3)]):
+        s = translated_config(chords[i], Fraction(-1, 3), Fraction(1, 6), a, b)
+        r = translated_config(chords[i + 1], Fraction(-1, 4), Fraction(1, 12), a, b)
+        for mirror in (False, True):
+            target = validate_config(r.circle, r.points[::-1]) if mirror else r
+            verdict = decide_iso(s, target, 24)
+            assert isinstance(verdict, Isomorphic), (a, b)
+            table = build_partial_iso(s, target, verdict, words, 1)
+            assert table.sigma == ((3, 2, 1) if mirror and a != b else (1, 2, 3))
+            assert verify_table(table) is None
+            assert table == act_build_partial_iso(fresh(s), fresh(target), verdict, words, 1)
 
 
 @pytest.mark.parametrize("vector", [(-1, 2, -1), (-1, 3, -2), (-4, 6, -2), (0, 0, 0),
