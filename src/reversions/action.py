@@ -15,11 +15,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .geometry import (
     Circle,
     Conic,
+    Homology,
     NotOnCircle,
     Point,
     Triple,
@@ -42,6 +43,7 @@ __all__ = [
     "is_cycle",
     "cycle_word",
     "offline_test_point",
+    "walk",
 ]
 
 
@@ -80,7 +82,7 @@ class Config:
     def homologies(self) -> tuple:
         """The integer homology (`geometry.homology`) of each interior point,
         in index order, all from the one cached conic."""
-        return tuple(homology(self.circle, c, self.conic) for c in self.points)
+        return tuple(homology(self.conic, homogeneous(c)) for c in self.points)
 
     @functools.cached_property
     def test_triple(self) -> Triple:
@@ -100,8 +102,7 @@ def act(config: Config, c: Point, g: Word) -> Point:
     if g.alphabet != config.alphabet:
         raise ActionError(
             f"word alphabet {g.alphabet} != {config.alphabet} interior points")
-    x = _on_circle_triple(config, c)
-    return affine(_chain_end(config, x, g))
+    return affine(_chain_end(config, _on_circle_triple(config, c), g))
 
 
 def _on_circle_triple(config: Config, c: Point) -> Triple:
@@ -112,11 +113,18 @@ def _on_circle_triple(config: Config, c: Point) -> Triple:
     return x
 
 
-def _chain_end(config: Config, x: Triple, g: Word) -> Triple:
-    """The triple x moved by the reversions of g, first letter first."""
-    homologies = config.homologies
-    for letter in g.letters:
+def walk(homologies: Sequence[Homology], x: Triple, letters) -> Iterator[Triple]:
+    """The images of the triple x after each letter in turn, first letter
+    first, letter i acting by homologies[i - 1]."""
+    for letter in letters:
         x = apply_homology(homologies[letter - 1], x)
+        yield x
+
+
+def _chain_end(config: Config, x: Triple, g: Word) -> Triple:
+    """The triple x moved by the reversions of g (`walk`)."""
+    for x in walk(config.homologies, x, g.letters):
+        pass
     return x
 
 
@@ -167,8 +175,9 @@ def _test_triples(config: Config) -> Iterator[Triple]:
     the direction with base - center, the chord's far end is
     (X z (k^2 + 1) - 2 k N, Y z (k^2 + 1) - 2 N, W z (k^2 + 1)) up to
     its gcd; N = 0 is the tangent.  Raises NotOnCircle for a base point
-    off the circle, which only a Config built without `validate_config`
-    can have.
+    off the circle, and ActionError for first two interior points that
+    coincide, which only a Config built without `validate_config` can
+    have.
     """
     base = x0, x1, x2 = homogeneous(config.base_point)
     if quadric(config.conic, base) != 0:
@@ -176,6 +185,8 @@ def _test_triples(config: Config) -> Iterator[Triple]:
     u, v, z = homogeneous(config.circle.center)
     ex, ey = x0 * z - u * x2, x1 * z - v * x2
     line = line_through(*map(homogeneous, config.points[:2])) if len(config.points) > 1 else None
+    if line == (0, 0, 0):
+        raise ActionError("the first two interior points coincide")
     for k in itertools.count(1):
         n = k * ex + ey
         if n == 0:

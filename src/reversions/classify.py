@@ -34,16 +34,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .action import Config, act, offline_test_point
+from .action import Config, act, offline_test_point, walk
 from .geometry import (
     Circle,
     Homology,
     NotInterior,
     Point,
     UNIT_CIRCLE,
-    apply_homology,
     collinear_between,
     conic,
+    format_triple,
     homogeneous,
     homology,
     line_through,
@@ -57,7 +57,6 @@ from .words import (
     is_balanced,
     pi13,
     signature_of,
-    word_from_signature,
 )
 
 __all__ = [
@@ -255,14 +254,18 @@ def _tau(hi: Homology, hj: Homology) -> Tuple[int, int]:
 
 
 def _lucas(p: int, q: int, k: int) -> int:
-    """N_k = q^k V_k for V_k = lambda^k + lambda^-k and tau = p/q: N_0 = 2,
-    N_1 = p and N_k = p N_(k-1) - q^2 N_(k-2), from
-    V_k = tau V_(k-1) - V_(k-2).  So N_k = p^k (mod q) for k >= 1, which is
-    coprime to q as p/q is in lowest terms: the denominator of V_k is
-    exactly q^k."""
-    a, b, qq = 2, p, q * q
-    for _ in range(k):
-        a, b = b, p * b - qq * a
+    """N_k = q^k V_k for V_k = lambda^k + lambda^-k and tau = p/q, in
+    O(log k) products: from V_2n = V_n^2 - 2 and V_2n+1 = V_n V_n+1 - tau,
+    N_2n = N_n^2 - 2 q^2n and N_2n+1 = N_n N_n+1 - p q^2n, with N_0 = 2
+    and N_1 = p.  The recurrence N_k = p N_(k-1) - q^2 N_(k-2) gives
+    N_k = p^k (mod q) for k >= 1, which is coprime to q as p/q is in lowest
+    terms: the denominator of V_k is exactly q^k."""
+    a, b, s, qq = 2, p, 1, q * q  # N_n, N_n+1 and q^2n, from n = 0
+    for bit in bin(k)[2:]:
+        if bit == "1":  # n -> 2n + 1
+            a, b, s = a * b - p * s, b * b - 2 * s * qq, s * s * qq
+        else:  # n -> 2n
+            a, b, s = a * a - 2 * s, a * b - p * s, s * s
     return a
 
 
@@ -342,14 +345,37 @@ def _search_cycle(config: Config, v2_max: int) -> Optional[Tuple[tuple, tuple]]:
     return (stored if k >= m else pi13(stored)), stored
 
 
+def _witness_word(k: int, m: int) -> Word:
+    """The pairs (2,1) and (2,3), k and m times, interleaved as Bresenham
+    draws a line of slope m/k: from d = 0, (2,1) when d <= 0, adding m to
+    d, else (2,3), subtracting k.  As d stays in (-k, m], the counts are k
+    and m: the word has the signature (-k, k+m, -m) of (2,1)^k (2,3)^m, and
+    as the two pairs translate along one line and commute, it acts the same.
+    But where the walk of (2,1)^k grows to about k log2 lambda_12 bits, this
+    one translates by a factor between 1/lambda_23 and lambda_12 after every
+    pair, so its triples stay near the homologies' size."""
+    letters = []
+    d = 0
+    for _ in range(k + m):
+        if d <= 0:
+            letters += (2, 1)
+            d += m
+        else:
+            letters += (2, 3)
+            d -= k
+    return Word(tuple(letters), 3)
+
+
 def classify(config: Config, v2_max: int) -> ClassLabel:
     """Class label of the configuration: the canonical primitive cycle with
-    an exactly verified witness, or the bounded no-cycle result."""
+    an exactly verified witness, or the bounded no-cycle result.  The
+    witness word is `_witness_word` of the stored cycle, walked from the
+    cached test point."""
     found = _search_cycle(config, v2_max)
     if found is None:
         return NoCycleUpTo(v2_max)
     canonical, stored = found
-    witness_word = word_from_signature(stored)
+    witness_word = _witness_word(-stored[0], -stored[2])
     witness_point = offline_test_point(config)
     label = CycleLabel(canonical, witness_word, witness_point)
     if not verify_label(config, label):
@@ -412,11 +438,11 @@ def realize_by_closing(v: Signature, c1x: Fraction, c2x: Fraction,
         raise RealizationError("p0 must be off the x-axis")
     c1 = Point(Fraction(c1x), Fraction(0))
     c2 = Point(Fraction(c2x), Fraction(0))
-    steps = (homology(UNIT_CIRCLE, c1, matrix), homology(UNIT_CIRCLE, c2, matrix))
+    steps = (homology(matrix, homogeneous(c1)), homology(matrix, homogeneous(c2)))
     word = canonical_word(v)
     q = x
-    for letter in word.letters[:-1]:
-        q = apply_homology(steps[letter - 1], q)
+    for q in walk(steps, x, word.letters[:-1]):
+        pass
     a, _, c = line_through(q, x)  # meets the axis at (-c, 0, a)
     if a == 0:
         raise SignChangeError(f"the closing chord for {v} does not cross the axis")
@@ -486,7 +512,7 @@ def middle_point_residual(v: Signature, a: Fraction) -> Fraction:
     n, d = a.numerator, a.denominator
     if n * n >= d * d:
         raise NotInterior(
-            f"reversion center {Point(a, Fraction(0))} is not interior to {UNIT_CIRCLE}")
+            f"reversion center {format_triple((n, 0, d))} is not inside the circle")
     alpha, beta = _residual_pair(v, n, d)
     return Fraction(alpha - beta, alpha + beta)
 

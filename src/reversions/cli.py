@@ -63,16 +63,18 @@ EXIT_INCONCLUSIVE = 3
 EXIT_USAGE = 64
 
 # Budgets for the user-controlled work sizes, measured on points 0, 1/3,
-# 5/7 (or -1/2, 0, 1/3) of the unit circle (Python 3.11, one core of a
-# shared 2-vCPU host).  The cycle decision takes no reversion step, and
-# the bound only stops its merge when both tau = lambda + 1/lambda are
-# integers, one multiply and one subtract per level: `classify` and `iso`
-# at bound 4096 take a few milliseconds, on points -1/4, 0, 1/3 of the
-# chord y = 1/3 as on a diameter.
+# 5/7 (or -1/2, 0, 1/3) of the unit circle, whose coordinates are small
+# (Python 3.11, one core of a shared 2-vCPU host).  The cycle decision takes
+# no reversion step, and the bound only stops its merge when both
+# tau = lambda + 1/lambda are integers: `classify` and `iso` at bound 4096
+# take a few milliseconds, on points -1/4, 0, 1/3 of the chord y = 1/3 as on
+# a diameter.  Large coordinates cost more: with w = (1+x)/(1-x) = 1, 2^600
+# and 2^1201 for points (x, 0), a 1.1 kB file, they take 0.07 s and 0.14 s.
 # `orbit --depth 60 --svg` from (0, 1) yields 5,491 points in about 0.1 s.
 # A balanced vector's largest entry in absolute value (the middle entry of
 # a canonical vector) is half the length of its word:
-# `is-cycle --v 4096,0,-4096` takes about 0.7 s.
+# `is-cycle --v 4096,0,-4096` takes about 0.7 s, but 7 s for the cycle
+# (-301, 601, -300) of the file above with 2^300 and 2^601.
 # `realize --bisect` costs grow with both its vector and the number of
 # halvings down to --width, ceil(log2(1/width)): at entry 64 and 64
 # halvings it takes about 6 ms, at 128 and 64 about 6 ms, and at 64 and
@@ -331,7 +333,11 @@ def _cmd_orbit(args) -> int:
     points = orbit(config, start, depth)
     # the text, then the picture, then the print, so that a command that
     # fails leaves neither output
-    text = "".join(format_triple(t) + "\n" for t in points)
+    try:
+        text = "".join(format_triple(t) + "\n" for t in points)
+    except ValueError as exc:  # int-to-str past sys.get_int_max_str_digits()
+        raise ValueError(f"an orbit coordinate has more than {sys.get_int_max_str_digits()} "
+                         f"digits; lower --depth") from exc
     if args.svg is not None:
         _write_svg(args.svg, render_svg(config, orbit_points=points))
     sys.stdout.write(text)

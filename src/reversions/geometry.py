@@ -1,23 +1,22 @@
-"""Exact rational plane primitives: points, circles, chords, reversions.
+"""Exact plane primitives: points, circles, chords, reversions.
 
-Nothing here uses an epsilon.  Points have Fraction coordinates and
-predicates are exact sign tests; the chord-through-a-point map (the
-reversion) stays rational because one root of the line-circle quadratic is
-already known.  Circles carry the squared radius so that circles with
-irrational radius still have all-rational data.
+Nothing here uses an epsilon.  Points and circles hold Fraction data for
+input and output; every predicate and every reversion runs on integer
+projective coordinates.  Circles carry the squared radius so that circles
+with irrational radius still have all-rational data.
 
-Chains of reversions run in integer projective coordinates instead.  A
-point is the primitive triple (X, Y, W), W > 0, of `homogeneous`; the
+A point is the primitive triple (X, Y, W), W > 0, of `homogeneous`; the
 circle is the integer conic X^T A X = 0 of `conic`, whose `quadric` is
 negative inside the circle, zero on it and positive outside; and the
 reversion through an interior point C is the harmonic homology
 H = (C^T A C) I - 2 C (A C)^T, which needs no division, maps the conic to
 itself and sends a conic point to the far end of its chord through C.
 `apply_homology` applies one such step and renormalizes with one gcd, so
-the triple stays canonical (primitive, W > 0) and can be hashed;
-`sorted_triples` orders triples by their points, `affine` converts
-back to a Point exactly, and `format_triple` prints the point of a triple
-without building one.
+the triple stays canonical (primitive, W > 0) and can be hashed.
+`reversion` and `is_between` are the Point forms of one homology step and
+of `collinear_between`; `sorted_triples` orders triples by their points,
+`affine` converts back to a Point exactly, and `format_triple` prints the
+point of a triple without building one.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 Rational = Union[Fraction, int]
 Triple = Tuple[int, int, int]
@@ -80,24 +79,6 @@ class Point:
     def of(x: Rational, y: Rational) -> "Point":
         return Point(Fraction(x), Fraction(y))
 
-    def __add__(self, other: "Point") -> "Point":
-        return Point(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Point") -> "Point":
-        return Point(self.x - other.x, self.y - other.y)
-
-    def scale(self, k: Rational) -> "Point":
-        return Point(self.x * k, self.y * k)
-
-    def dot(self, other: "Point") -> Fraction:
-        return self.x * other.x + self.y * other.y
-
-    def cross(self, other: "Point") -> Fraction:
-        return self.x * other.y - self.y * other.x
-
-    def norm_sq(self) -> Fraction:
-        return self.x * self.x + self.y * self.y
-
 
 @dataclass(frozen=True)
 class Circle:
@@ -114,41 +95,6 @@ class Circle:
 
 
 UNIT_CIRCLE = Circle.of(0, 0, 1)
-
-
-def is_between(a: Point, x: Point, b: Point) -> bool:
-    """x lies strictly inside the open segment (a, b).
-
-    False whenever a == b (the open segment is empty), x coincides with an
-    endpoint, or the three points are not collinear.
-    """
-    if a == b:
-        return False
-    d = b - a
-    r = x - a
-    if d.cross(r) != 0:
-        return False
-    t = r.dot(d)
-    return 0 < t < d.norm_sq()
-
-
-def reversion(circle: Circle, center: Point, p: Point) -> Point:
-    """The second endpoint of the chord of `circle` through `center` from `p`.
-
-    With d = center - p and w = p - circle center, the chord parameter of
-    the far endpoint is t = -2<w,d>/<d,d> (the root t = 0 is p itself), so
-    the result is p + t d.  Because `center` is strictly interior it is
-    distinct from p, t > 1, and `center` lies strictly between p and the
-    result; applying the map twice gives p back.
-    """
-    w = p - circle.center
-    if w.norm_sq() != circle.radius_sq:
-        raise NotOnCircle(f"{p} is not on {circle}")
-    if (center - circle.center).norm_sq() >= circle.radius_sq:
-        raise NotInterior(f"reversion center {center} is not interior to {circle}")
-    d = center - p
-    t = Fraction(-2) * w.dot(d) / d.norm_sq()
-    return p + d.scale(t)
 
 
 def homogeneous(p: Point) -> Triple:
@@ -221,33 +167,32 @@ def collinear_between(left: Triple, middle: Triple, right: Triple) -> bool:
     return n0 * r0 + n1 * r1 + n2 * r2 == 0 and _strictly_between(left, middle, right)
 
 
-def homology(circle: Circle, center: Point, matrix: Optional[Conic] = None) -> Homology:
-    """The reversion through `center` as the integer harmonic homology
-    H = q I - 2 C l^T, returned as (q, l, C) with C the triple of `center`,
-    l = A C and q = C^T A C (both divided by their common gcd, which leaves
-    the projective map unchanged).  `matrix` is the circle's `conic`, when
-    the caller already has it.
+def homology(matrix: Conic, c: Triple) -> Homology:
+    """The reversion through the point of the triple c, for the circle of
+    the `conic` matrix A, as the integer harmonic homology H = q I - 2 C l^T,
+    returned as (q, l, C) with C = c, l = A C and q = C^T A C (both divided
+    by their common gcd, which leaves the projective map unchanged).
 
-    Raises NotInterior unless `center` is strictly inside the circle, which
-    is q < 0 (see `conic`); once that holds, H sends every conic point X to
+    Raises NotInterior unless c is strictly inside the circle, which is
+    q < 0 (see `conic`); once that holds, H sends every conic point X to
     a conic point (expand (HX)^T A (HX)), on the line through X and C, and
     to X itself only when l . X = 0, which no circle point meets because
     the polar of an interior point misses the circle.
     """
-    (a, _, b), (_, _, e), (_, _, f) = conic(circle) if matrix is None else matrix
-    c = c0, c1, c2 = homogeneous(center)
+    (a, _, b), (_, _, e), (_, _, f) = matrix
+    c0, c1, c2 = c
     l0, l1, l2 = a * c0 + b * c2, a * c1 + e * c2, b * c0 + e * c1 + f * c2
     q = c0 * l0 + c1 * l1 + c2 * l2
     if q >= 0:
-        raise NotInterior(f"reversion center {center} is not interior to {circle}")
+        raise NotInterior(f"reversion center {format_triple(c)} is not inside the circle")
     g = math.gcd(q, l0, l1, l2)
     return q // g, (l0 // g, l1 // g, l2 // g), c
 
 
 def apply_homology(h: Homology, x: Triple) -> Triple:
     """One reversion on primitive triples: X -> q X - 2 (l . X) C, divided
-    by the gcd.  For the triple of a circle point this is
-    `homogeneous(reversion(circle, center, affine(x)))`.
+    by the gcd.  For the triple of a circle point this is the triple of
+    the far end of its chord through C.
 
     The new W stays positive.  It is never 0, since a real circle has no
     point at infinity, so its sign is constant over the connected circle
@@ -260,6 +205,25 @@ def apply_homology(h: Homology, x: Triple) -> Triple:
     x0, x1, x2 = q * x0 - s * c0, q * x1 - s * c1, q * x2 - s * c2
     g = math.gcd(x0, x1, x2)
     return (x0 // g, x1 // g, x2 // g)
+
+
+def reversion(circle: Circle, center: Point, p: Point) -> Point:
+    """The second endpoint of the chord of `circle` through `center` from
+    `p`: one `apply_homology` step on the triple of p.  Raises NotOnCircle
+    unless p is on the circle and NotInterior unless `center` is strictly
+    inside it; applying the map twice gives p back."""
+    matrix = conic(circle)
+    x = homogeneous(p)
+    if quadric(matrix, x) != 0:
+        raise NotOnCircle(f"{p} is not on {circle}")
+    return affine(apply_homology(homology(matrix, homogeneous(center)), x))
+
+
+def is_between(a: Point, x: Point, b: Point) -> bool:
+    """x lies strictly inside the open segment (a, b): `collinear_between`
+    of the three triples, so False when a == b, when x is an endpoint and
+    when the points are not collinear."""
+    return collinear_between(homogeneous(a), homogeneous(x), homogeneous(b))
 
 
 def sorted_triples(triples) -> list:

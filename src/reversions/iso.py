@@ -14,7 +14,8 @@ collinear interior points, strict betweenness has exactly two sources: the
 order along the collinear hull, and the chords p - c_i - p.i through the
 interior points, since no circle point lies strictly between two points of
 the closed disc.  `verify_table` reads each side's triples off those two
-sources in O(n*l) exact steps, after checking in O(n) the premise that
+sources in O(n*l) exact steps, finding the far end of each chord as one
+homology step from its near end, after checking in O(n) the premise that
 makes this complete: the interior hull points lie strictly inside the
 circle, and every other table point lies on the circle, off the hull line.
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Union
 
 from .action import Config, _test_triples
 from .classify import (
@@ -48,6 +49,8 @@ from .geometry import (
     collinear_between,
     conic,
     format_triple,
+    homology,
+    line_through,
     quadric,
 )
 from .hull import EndpointToken, collinear_hull, hull_isomorphism
@@ -278,17 +281,6 @@ def build_partial_iso(s: Config, r: Config, verdict: IsoVerdict,
     return table
 
 
-def _ray(a: Triple, b: Triple) -> Tuple[int, int]:
-    """The direction from a to b (distinct, in `homogeneous` form) as a
-    primitive integer vector: equal for two points b exactly when they lie
-    on one ray from a, negated for the opposite ray.  It is b - a times
-    the positive w z, reduced."""
-    (u, v, z), (x, y, w) = a, b
-    dx, dy = x * z - u * w, y * z - v * w
-    g = math.gcd(dx, dy)
-    return dx // g, dy // g
-
-
 def _between_rows(hull: tuple, circle: Circle,
                   row_of: Dict[Key, int]) -> Set[tuple]:
     """The row triples (i, j, k), i < k, whose keys on this side have key
@@ -296,13 +288,14 @@ def _between_rows(hull: tuple, circle: Circle,
     raises VerdictError when the premise fails.
 
     The middle hull keys are interior points on one line, in hull order,
-    and every other table key is a circle point off that line.  Then no
-    circle point (chord ends included) is strictly between two points of
-    the closed disc, so the middle of a triple is a middle hull key c.
-    Its ends are either two hull keys, between in hull order, or two
-    circle points on opposite rays from c: the chord p - c - q.  The line
-    through p and c meets the hull line only at c, so q is never a hull
-    key.
+    and every other table key is a circle point off that line (a zero dot
+    product with `line_through` two middles).  Then no circle point (chord
+    ends included) is strictly between two points of the closed disc, so
+    the middle of a triple is a middle hull key c.  Its ends are either two
+    hull keys, between in hull order, or a circle point p and the far end
+    q of its chord through c, the reversion of p through c: one
+    `apply_homology` step, looked up among the keys.  The line through p
+    and c meets the hull line only at c, so q is never a hull key.
     """
     middles = hull if len(hull) == 1 else hull[1:-1]
     matrix = conic(circle)
@@ -313,10 +306,8 @@ def _between_rows(hull: tuple, circle: Circle,
         raise VerdictError("the hull points are not on one line in hull order")
     ranked = [row_of[t] for t in hull if t in row_of]
     found = {(min(i, k), j, max(i, k)) for i, j, k in itertools.combinations(ranked, 3)}
-    middle_rows = [row_of.get(c) for c in middles]
-    line = {_ray(middles[0], middles[1]), _ray(middles[1], middles[0])} \
-        if len(middles) > 1 else set()
-    ends: List[Dict[tuple, int]] = [{} for _ in middles]  # ray from c -> row
+    chords = [(homology(matrix, c), row_of[c]) for c in middles if c in row_of]
+    n0, n1, n2 = line_through(*middles[:2]) if len(middles) > 1 else (0, 0, 0)
     on_hull = set(ranked)
     for p, k in row_of.items():
         if k in on_hull:
@@ -325,14 +316,12 @@ def _between_rows(hull: tuple, circle: Circle,
             raise VerdictError(f"table token {_key_str(p)} is not on the hull")
         if quadric(matrix, p) != 0:
             raise VerdictError(f"table point {format_triple(p)} is not on the circle")
-        for center, j, rays in zip(middles, middle_rows, ends):
-            ray = _ray(center, p)
-            if ray in line:
-                raise VerdictError(f"table point {format_triple(p)} is on the hull line")
-            i = rays.get((-ray[0], -ray[1]))
-            if i is not None and j is not None:
+        if len(middles) > 1 and n0 * p[0] + n1 * p[1] + n2 * p[2] == 0:
+            raise VerdictError(f"table point {format_triple(p)} is on the hull line")
+        for h, j in chords:
+            i = row_of.get(apply_homology(h, p))
+            if i is not None:
                 found.add((min(i, k), j, max(i, k)))
-            rays[ray] = k
     return found
 
 

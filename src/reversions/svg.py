@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .action import Config, cycle_word
-from .geometry import Triple, apply_homology
+from .action import Config, cycle_word, walk
+from .geometry import Triple
 from .words import Signature
 
 __all__ = ["render_svg", "cycle_polygon", "UnverifiedCycle", "OutOfFloatRange"]
@@ -91,9 +91,8 @@ def cycle_polygon(config: Config, v: Signature) -> list:
         raise UnverifiedCycle("the zero vector has no cycle polygon")
     word = cycle_word(config, v)
     if word is not None:
-        chain = [config.test_triple]
-        for letter in word.letters:
-            chain.append(apply_homology(config.homologies[letter - 1], chain[-1]))
+        start = config.test_triple
+        chain = [start, *walk(config.homologies, start, word.letters)]
         if chain[-1] == chain[0]:
             return chain
     raise UnverifiedCycle(f"{v} is not a cycle for this configuration")

@@ -22,9 +22,11 @@ from reversions.classify import (
     default_base_point,
     validate_config,
 )
+from reversions.cli import serialize_config
 from reversions.geometry import (
     Circle,
     GeometryError,
+    NotInterior,
     NotOnCircle,
     Point,
     Rational,
@@ -32,11 +34,10 @@ from reversions.geometry import (
     UNIT_CIRCLE,
     affine,
     apply_homology,
+    conic,
     format_point,
     homogeneous,
     homology,
-    is_between,
-    reversion,
 )
 from reversions.hull import EndpointToken, hull_isomorphism
 from reversions.iso import (
@@ -81,36 +82,97 @@ class DegenerateLine(GeometryError):
     """A line was specified by two equal points."""
 
 
+# Fraction vector arithmetic on Points, for the oracles below.
+def sub(a: Point, b: Point) -> Point:
+    return Point(a.x - b.x, a.y - b.y)
+
+
+def along(p: Point, d: Point, t: Rational) -> Point:
+    """p + t d."""
+    return Point(p.x + t * d.x, p.y + t * d.y)
+
+
+def dot(a: Point, b: Point) -> Fraction:
+    return a.x * b.x + a.y * b.y
+
+
+def cross(a: Point, b: Point) -> Fraction:
+    return a.x * b.y - a.y * b.x
+
+
+def norm_sq(a: Point) -> Fraction:
+    return dot(a, a)
+
+
 def on_circle(circle: Circle, p: Point) -> bool:
-    return (p - circle.center).norm_sq() == circle.radius_sq
+    return norm_sq(sub(p, circle.center)) == circle.radius_sq
 
 
 def in_open_disk(circle: Circle, p: Point) -> bool:
-    return (p - circle.center).norm_sq() < circle.radius_sq
+    return norm_sq(sub(p, circle.center)) < circle.radius_sq
 
 
 def collinear(a: Point, b: Point, c: Point) -> bool:
     """Exact determinant test; degenerate triples (repeated points) count
     as collinear."""
-    return (b - a).cross(c - a) == 0
+    return cross(sub(b, a), sub(c, a)) == 0
+
+
+def fraction_is_between(a: Point, x: Point, b: Point) -> bool:
+    """Reference for `geometry.is_between`: x lies strictly inside the open
+    segment (a, b), by a Fraction cross product and the chord parameter.
+
+    False whenever a == b (the open segment is empty), x coincides with an
+    endpoint, or the three points are not collinear.
+    """
+    if a == b:
+        return False
+    d = sub(b, a)
+    r = sub(x, a)
+    if cross(d, r) != 0:
+        return False
+    t = dot(r, d)
+    return 0 < t < norm_sq(d)
+
+
+def fraction_reversion(circle: Circle, center: Point, p: Point) -> Point:
+    """Reference for `geometry.reversion`: the second endpoint of the chord
+    of `circle` through `center` from `p`, on Fractions.
+
+    With d = center - p and w = p - circle center, the chord parameter of
+    the far endpoint is t = -2<w,d>/<d,d> (the root t = 0 is p itself), so
+    the result is p + t d.  Because `center` is strictly interior it is
+    distinct from p, t > 1, and `center` lies strictly between p and the
+    result; applying the map twice gives p back.
+    """
+    w = sub(p, circle.center)
+    if norm_sq(w) != circle.radius_sq:
+        raise NotOnCircle(f"{p} is not on {circle}")
+    if not in_open_disk(circle, center):
+        raise NotInterior(f"reversion center {center} is not interior to {circle}")
+    d = sub(center, p)
+    return along(p, d, Fraction(-2) * dot(w, d) / norm_sq(d))
+
+
+def point_homology(circle: Circle, c: Point):
+    """`geometry.homology` of the point c for the circle."""
+    return homology(conic(circle), homogeneous(c))
 
 
 def rational_circle_point(circle: Circle, base: Point, t: Rational) -> Point:
     """The second intersection of `circle` with the line through `base` of
     direction (1, t).
 
-    Same known-root computation as `reversion`.  Raises if (1, t) is the
+    Same known-root computation as `fraction_reversion`.  Raises if (1, t) is the
     tangent direction at `base`, since then the two intersections coincide.
     """
     if not on_circle(circle, base):
         raise NotOnCircle(f"{base} is not on {circle}")
     d = Point.of(1, Fraction(t))
-    w = base - circle.center
-    wd = w.dot(d)
+    wd = dot(sub(base, circle.center), d)
     if wd == 0:
         raise TangentDirection(f"direction (1, {t}) is tangent at {base}")
-    s = Fraction(-2) * wd / d.norm_sq()
-    return base + d.scale(s)
+    return along(base, d, Fraction(-2) * wd / norm_sq(d))
 
 
 def line_line_intersection(p1: Point, p2: Point, q1: Point, q2: Point) -> Optional[Point]:
@@ -118,13 +180,12 @@ def line_line_intersection(p1: Point, p2: Point, q1: Point, q2: Point) -> Option
     coincident."""
     if p1 == p2 or q1 == q2:
         raise DegenerateLine("line endpoints coincide")
-    dp = p2 - p1
-    dq = q2 - q1
-    denom = dp.cross(dq)
+    dp = sub(p2, p1)
+    dq = sub(q2, q1)
+    denom = cross(dp, dq)
     if denom == 0:
         return None
-    t = (q1 - p1).cross(dq) / denom
-    return p1 + dp.scale(t)
+    return along(p1, dp, cross(sub(q1, p1), dq) / denom)
 
 
 def offline_test_points(config: Config) -> Iterator[Point]:
@@ -149,7 +210,7 @@ def fraction_validate_config(circle: Circle, points,
                              base_point: Optional[Point] = None) -> Config:
     """Reference for `classify.validate_config`: the same checks in the
     same order with the Fraction predicates `in_open_disk`, `collinear`,
-    `is_between` and `on_circle`."""
+    `fraction_is_between` and `on_circle`."""
     points = tuple(points)
     if not points:
         raise ConfigValidationError("count", "need at least one interior point")
@@ -169,7 +230,7 @@ def fraction_validate_config(circle: Circle, points,
                 raise ConfigValidationError(
                     "collinearity", f"{p} is off the line of the first two points")
         for left, mid, right in zip(points, points[1:], points[2:]):
-            if not is_between(left, mid, right):
+            if not fraction_is_between(left, mid, right):
                 raise ConfigValidationError(
                     "ordering", f"{mid} is not between its neighbours")
     if base_point is None:
@@ -190,7 +251,7 @@ def fraction_offline_test_points(config: Config) -> Iterator[Point]:
             p = rational_circle_point(config.circle, config.base_point, Fraction(1, k))
         except TangentDirection:
             continue
-        if a is None or (b - a).cross(p - a) != 0:
+        if a is None or cross(sub(b, a), sub(p, a)) != 0:
             yield p
 
 
@@ -258,7 +319,7 @@ def rand_interior_point(rng: random.Random, circle: Circle) -> Point:
         num = 2 * rng.randint(0, 48) - 48
         y = circle.center.y + circle.radius_sq * Fraction(num, 100)
         p = Point(x, y)
-        if (p - circle.center).norm_sq() < circle.radius_sq:
+        if in_open_disk(circle, p):
             return p
 
 
@@ -292,7 +353,7 @@ def halfplane_side(config: Config, p: Point) -> Side:
     if len(config.points) < 2:
         raise ActionError("configuration has no interior line")
     a, b = config.points[:2]
-    s = (b - a).cross(p - a)
+    s = cross(sub(b, a), sub(p, a))
     if s > 0:
         return Side.PLUS
     if s < 0:
@@ -302,7 +363,7 @@ def halfplane_side(config: Config, p: Point) -> Side:
 
 def fraction_orbit(config: Config, c: Point, max_word_length: int) -> set:
     """Reference for `action.orbit`: the same breadth-first enumeration
-    with each image computed by `geometry.reversion` on Fraction points."""
+    with each image computed by `fraction_reversion` on Fraction points."""
     if max_word_length < 0:
         raise ActionError(f"negative word-length bound {max_word_length}")
     if not on_circle(config.circle, c):
@@ -315,7 +376,7 @@ def fraction_orbit(config: Config, c: Point, max_word_length: int) -> set:
             for letter in range(1, config.alphabet + 1):
                 if letter == last:
                     continue
-                q = reversion(config.circle, config.points[letter - 1], p)
+                q = fraction_reversion(config.circle, config.points[letter - 1], p)
                 seen.add(q)
                 nxt.add((q, letter))
         frontier = nxt
@@ -337,7 +398,7 @@ def point_orbit_stdout(points: Sequence[Point]) -> str:
 
 
 def point_cycle_polygon(config: Config, v: Signature) -> List[Point]:
-    """Reference for `svg.cycle_polygon`: the chain of `geometry.reversion`
+    """Reference for `svg.cycle_polygon`: the chain of `fraction_reversion`
     images of the first off-line test point under the normal-form word of
     a cycle verified by `act_is_cycle`."""
     v = tuple(v)
@@ -347,7 +408,7 @@ def point_cycle_polygon(config: Config, v: Signature) -> List[Point]:
         raise UnverifiedCycle(f"{v} is not a cycle for this configuration")
     chain = [next(fraction_offline_test_points(config))]
     for letter in word_from_signature(v).letters:
-        chain.append(reversion(config.circle, config.points[letter - 1], chain[-1]))
+        chain.append(fraction_reversion(config.circle, config.points[letter - 1], chain[-1]))
     return chain
 
 
@@ -404,7 +465,7 @@ def betweenness_iso_ok(mapping) -> bool:
     triple of its domain?"""
     pts = list(mapping)
     for p, q, r in itertools.permutations(pts, 3):
-        if is_between(p, q, r) != is_between(mapping[p], mapping[q], mapping[r]):
+        if fraction_is_between(p, q, r) != fraction_is_between(mapping[p], mapping[q], mapping[r]):
             return False
     return True
 
@@ -414,7 +475,7 @@ def is_extreme_in_sample(sample, c: Point) -> bool:
     if c not in sample:
         raise ValueError(f"{c} is not in the sample")
     return not any(
-        is_between(a, c, b) for a, b in itertools.combinations(sample, 2))
+        fraction_is_between(a, c, b) for a, b in itertools.combinations(sample, 2))
 
 
 BRUTE_FORCE_CAP = 8
@@ -429,7 +490,7 @@ def _between_triples(pts: List[Point]) -> frozenset:
     found = set()
     for i, k in itertools.combinations(range(len(pts)), 2):
         for j in range(len(pts)):
-            if j != i and j != k and is_between(pts[i], pts[j], pts[k]):
+            if j != i and j != k and fraction_is_between(pts[i], pts[j], pts[k]):
                 found.add((i, j, k))
     return frozenset(found)
 
@@ -496,9 +557,9 @@ def chain_middle_point_residual(v: Signature, a: Fraction) -> Fraction:
     v run by `apply_homology` on the triple of (0, 1), with a homology
     built for the middle point (a, 0) at every call."""
     word = canonical_word(tuple(v))
-    homologies = (homology(UNIT_CIRCLE, Point.of(Fraction(-1, 2), 0)),
-                  homology(UNIT_CIRCLE, Point(Fraction(a), Fraction(0))),
-                  homology(UNIT_CIRCLE, Point.of(Fraction(1, 2), 0)))
+    homologies = (point_homology(UNIT_CIRCLE, Point.of(Fraction(-1, 2), 0)),
+                  point_homology(UNIT_CIRCLE, Point(Fraction(a), Fraction(0))),
+                  point_homology(UNIT_CIRCLE, Point.of(Fraction(1, 2), 0)))
     x = (0, 1, 1)
     for letter in word.letters:
         x = apply_homology(homologies[letter - 1], x)
@@ -608,6 +669,32 @@ def chain_ratio(config: Config, v2_max: int) -> Tuple[int, int]:
     return 0, 0
 
 
+def linear_lucas(p: int, q: int, k: int) -> int:
+    """Reference for `classify._lucas`: N_k = q^k V_k(p/q) by k steps of
+    N_k = p N_(k-1) - q^2 N_(k-2) from N_0 = 2 and N_1 = p."""
+    a, b, qq = 2, p, q * q
+    for _ in range(k):
+        a, b = b, p * b - qq * a
+    return a
+
+
+def doubling_config(a: int) -> Config:
+    """The unit-circle diameter configuration whose points (x, 0) have
+    w = (1 + x)/(1 - x) = 1, 2^a and 2^(2a+1): lambda_12 = 2^a and
+    lambda_23 = 2^(a+1), so its cycle is (-(a+1), 2a+1, -a).  Its
+    coordinates have about 2a bits."""
+    weights = (1, 2 ** a, 2 ** (2 * a + 1))
+    return validate_config(UNIT_CIRCLE, [Point(Fraction(w - 1, w + 1), Fraction(0))
+                                         for w in weights])
+
+
+def doubling_file(directory: Path, a: int) -> Path:
+    """`doubling_config(a)` written as a configuration file."""
+    path = directory / f"doubling-{a}.cfg"
+    path.write_text(serialize_config(doubling_config(a)), encoding="utf-8")
+    return path
+
+
 def chain_search_cycle(config: Config, v2_max: int) -> Optional[Tuple[tuple, tuple]]:
     """Reference for `classify._search_cycle`: the bounded chain search,
     O(B) reversions at the bound B, which joins the two point chains of
@@ -639,7 +726,7 @@ def translated_config(chord, x1: Fraction, x2: Fraction, a: int, b: int) -> Conf
     lambda_12^k = lambda_23^m exactly when a k = b m, and the primitive
     cycle is (k, m) = (b, a) / gcd(a, b), stored as (-k, k+m, -m)."""
     slope, offset = chord
-    h1, h2 = (homology(UNIT_CIRCLE, Point(x, slope * x + offset)) for x in (x1, x2))
+    h1, h2 = (point_homology(UNIT_CIRCLE, Point(x, slope * x + offset)) for x in (x1, x2))
     chain = [homogeneous(Point(x1, slope * x1 + offset))]
     for _ in range(a + b):
         chain.append(apply_homology(h2, apply_homology(h1, chain[-1])))
@@ -683,7 +770,7 @@ def _triple_between(a: Token, x: Token, b: Token,
     if isinstance(a, EndpointToken) or isinstance(x, EndpointToken) \
             or isinstance(b, EndpointToken):
         return False
-    return is_between(a, x, b)
+    return fraction_is_between(a, x, b)
 
 
 def cubic_verify_table(table: PartialIsoTable) -> Optional[tuple]:
@@ -822,7 +909,7 @@ _X_AXIS = (Point.of(0, 0), Point.of(1, 0))
 def fraction_realize_by_closing(v: Signature, c1x: Fraction, c2x: Fraction,
                                 p0: Point) -> Optional[Config]:
     """Reference for `classify.realize_by_closing`: the chain of
-    `geometry.reversion` on Fraction points, the forced third point by
+    `fraction_reversion` on Fraction points, the forced third point by
     `line_line_intersection` with the axis, and None where the forced
     point is not interior and beyond the second one, or the word does not
     fix p0."""
@@ -841,7 +928,7 @@ def fraction_realize_by_closing(v: Signature, c1x: Fraction, c2x: Fraction,
     word = canonical_word(v)
     q = p0
     for letter in word.letters[:-1]:
-        q = reversion(UNIT_CIRCLE, (c1, c2)[letter - 1], q)
+        q = fraction_reversion(UNIT_CIRCLE, (c1, c2)[letter - 1], q)
     if q == p0:
         return None
     try:

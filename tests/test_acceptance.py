@@ -6,9 +6,11 @@ import time
 from fractions import Fraction
 
 from conftest import (
+    along,
     betweenness_iso_ok,
     brute_force_iso,
     count_sign_changes,
+    fraction_is_between,
     in_open_disk,
     line_line_intersection,
     offline_test_points,
@@ -20,6 +22,7 @@ from conftest import (
     rand_unit_circle_point,
     rand_word,
     stab_contains,
+    sub,
     symmetric_config,
 )
 from reversions.action import act, is_cycle
@@ -37,7 +40,6 @@ from reversions.geometry import (
     Circle,
     Point,
     UNIT_CIRCLE,
-    is_between,
     reversion,
 )
 from reversions.iso import (
@@ -148,14 +150,14 @@ def test_geometry_suite():
             continue
         image = reversion(UNIT_CIRCLE, x, c)
         assert on_circle(UNIT_CIRCLE, image)
-        assert is_between(c, x, image)
+        assert fraction_is_between(c, x, image)
         assert reversion(UNIT_CIRCLE, x, image) == c
         done += 1
     done = 0
     while done < 10 ** 2:
         a = rand_interior_point(rng, UNIT_CIRCLE)
         b = rand_interior_point(rng, UNIT_CIRCLE)
-        mid = a + (b - a).scale(Fraction(rng.randint(1, 9), 10))
+        mid = along(a, sub(b, a), Fraction(rng.randint(1, 9), 10))
         if len({a, b, mid}) != 3 or not in_open_disk(UNIT_CIRCLE, mid):
             continue
         centers = (a, b, mid)
@@ -292,7 +294,8 @@ def test_l2_counterexample_regression():
                 act(config, swap.get(p, p), g)
     # ... and stabilizers match trivially; yet betweenness fails
     assert not betweenness_iso_ok(swap)
-    assert is_between(x1, c1, c2) != is_between(swap[x1], swap[c1], swap[c2])
+    assert fraction_is_between(x1, c1, c2) != \
+        fraction_is_between(swap[x1], swap[c1], swap[c2])
     report("l=2 counterexample: chord-end swap passes interior and stabilizer "
            "conditions but fails the triple check")
 

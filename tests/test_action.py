@@ -12,8 +12,8 @@ from conftest import (
     rand_word,
     stab_contains,
 )
-from reversions.action import ActionError, act, is_cycle, offline_test_point, orbit
-from reversions.classify import validate_config
+from reversions.action import ActionError, Config, act, is_cycle, offline_test_point, orbit
+from reversions.classify import classify, validate_config
 from reversions.geometry import UNIT_CIRCLE
 from reversions.words import Word, normal_form, signature_of
 
@@ -176,3 +176,18 @@ def test_signature_determines_action(sym):
             assert seen[key] == image
         else:
             seen[key] = image
+
+
+def test_coincident_first_points_raise_instead_of_hanging():
+    # validate_config refuses repeated points; a Config built without it
+    # has no interior line to avoid, and the test-point stream says so
+    p = pt(0, 0)
+    coincide = "first two interior points coincide"
+    for points, v in [((p, p, pt("1/2", 0)), (-1, 2, -1)), ((p, p), (1, -1))]:
+        config = Config(UNIT_CIRCLE, points, pt(1, 0))
+        with pytest.raises(ActionError, match=coincide):
+            offline_test_point(config)
+        with pytest.raises(ActionError, match=coincide):
+            is_cycle(config, v)
+    with pytest.raises(ActionError, match=coincide):
+        classify(Config(UNIT_CIRCLE, (p, p, pt("1/2", 0)), pt(1, 0)), 8)

@@ -40,7 +40,7 @@ def traced_classify(tmp_path, monkeypatch, points, bound):
     config = validate_config(UNIT_CIRCLE, points)
     path = tmp_path / "free.cfg"
     path.write_text(cli.serialize_config(config))
-    search = sys.modules["reversions.classify"]
+    search = sys.modules["reversions.action"]
     steps = []
     step = search.apply_homology
 

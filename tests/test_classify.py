@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,20 +15,24 @@ from conftest import (
     chain_middle_point_residual,
     chain_search_cycle,
     count_sign_changes,
+    doubling_config,
+    doubling_file,
     find_primitive_cycle,
     fraction_realize_by_bisection,
     fraction_realize_by_closing,
     fraction_search_closing_config,
+    linear_lucas,
     load_perfbench,
     offline_test_points,
     outcome,
+    point_homology,
     primitive_candidates,
     pt,
     scan_search_cycle,
     third_point_residual,
     translated_config,
 )
-from reversions.action import ActionError, Config, act, is_cycle
+from reversions.action import ActionError, Config, act, is_cycle, walk
 from reversions.cli import EXIT_OK, MAX_BOUND, main, serialize_config
 from reversions.classify import (
     _search_cycle,
@@ -46,7 +51,7 @@ from reversions.classify import (
     validate_config,
     verify_label,
 )
-from reversions.geometry import Circle, NotInterior, Point, UNIT_CIRCLE, homology
+from reversions.geometry import Circle, NotInterior, Point, UNIT_CIRCLE
 from reversions.words import gcd_vec, is_balanced, pi13, signature_of
 
 
@@ -326,11 +331,11 @@ def test_middle_point_residual_signs_the_translation_factors():
     # of lambda_23^m - lambda_12^k, which is the sign of
     # V_m(tau_23) - V_k(tau_12), V_k(p/q) = N_k / q^k (`_lucas`), as
     # x + 1/x increases for x > 1
-    ends = (homology(UNIT_CIRCLE, pt("-1/2", 0)), homology(UNIT_CIRCLE, pt("1/2", 0)))
+    ends = (point_homology(UNIT_CIRCLE, pt("-1/2", 0)), point_homology(UNIT_CIRCLE, pt("1/2", 0)))
     vectors = [(v1, v2, -v2 - v1) for v2 in range(2, 13) for v1 in range(-(v2 - 1), 0)]
     lucas = classify_module._lucas
     for a in [Fraction(0), Fraction(1, 3), Fraction(-2, 7), *residual_abscissas(12)]:
-        middle = homology(UNIT_CIRCLE, Point(a, Fraction(0)))
+        middle = point_homology(UNIT_CIRCLE, Point(a, Fraction(0)))
         (p12, q12) = classify_module._tau(ends[0], middle)
         (p23, q23) = classify_module._tau(middle, ends[1])
         for v in vectors:
@@ -512,7 +517,7 @@ def test_cycle_bound_is_on_middle_entry(reverse, monkeypatch):
     def no_step(*args):
         raise AssertionError("bound 1 needs no reversion step")
 
-    monkeypatch.setattr(sys.modules["reversions.classify"], "apply_homology", no_step)
+    monkeypatch.setattr(sys.modules["reversions.action"], "apply_homology", no_step)
     assert classify(config, 1) == NoCycleUpTo(1)
 
 
@@ -696,7 +701,7 @@ def test_square_d_classify_at_the_bound_cap_takes_no_step(monkeypatch):
     def no_step(*args):
         raise AssertionError("square D needs no reversion step")
 
-    monkeypatch.setattr(classify_module, "apply_homology", no_step)
+    monkeypatch.setattr(sys.modules["reversions.action"], "apply_homology", no_step)
     assert classify(config, 4096) == NoCycleUpTo(4096)
 
 
@@ -712,7 +717,7 @@ def test_irrational_chord_at_the_bound_cap_takes_no_step(tmp_path, capsys, monke
     def no_step(*args):
         raise AssertionError("the cycle decision takes no reversion step")
 
-    monkeypatch.setattr(classify_module, "apply_homology", no_step)
+    monkeypatch.setattr(sys.modules["reversions.action"], "apply_homology", no_step)
     bound = str(MAX_BOUND)
     assert main(["classify", str(path), "--bound", bound]) == EXIT_OK
     assert capsys.readouterr().out == f"no-cycle-upto {MAX_BOUND}\n"
@@ -775,3 +780,64 @@ def test_lucas_refuted_cases_match_the_chain():
                 refuted += 1
                 assert assert_dispatch_matches_chain(config) is None
     assert refuted > 200
+
+
+def test_lucas_doubling_matches_the_linear_recurrence():
+    rng = random.Random(41)
+    cases = [(rng.randint(-10**6, 10**6), rng.randint(1, 10**4), rng.randint(0, 200))
+             for _ in range(300)]
+    cases += [(p, q, k) for p in (-3, 0, 2, 7) for q in (1, 2, 9) for k in range(6)]
+    for p, q, k in cases:
+        assert classify_module._lucas(p, q, k) == linear_lucas(p, q, k), (p, q, k)
+
+
+@pytest.mark.parametrize("k, m", [(1, 1), (2, 1), (1, 2), (3, 5), (7, 4), (12, 1), (1, 12)])
+def test_witness_word_interleaves_the_stored_cycle(k, m):
+    word = classify_module._witness_word(k, m)
+    pairs = [word.letters[i:i + 2] for i in range(0, len(word.letters), 2)]
+    assert sorted(pairs) == [(2, 1)] * k + [(2, 3)] * m
+    assert signature_of(word) == (-k, k + m, -m)
+    # it acts as the normal-form word: both fix the test point of the cycle
+    v = (-k, k + m, -m)
+    for reverse in (False, True):
+        config = diameter_config(cycle_weights(v if k >= m else pi13(v), 2), reverse)
+        stored = pi13(v) if reverse != (k < m) else v
+        label = classify(config, k + m)
+        assert signature_of(label.witness_word) == stored
+        assert label.witness_word == classify_module._witness_word(-stored[0], -stored[2])
+
+
+def test_witness_walk_stays_near_the_homology_size():
+    # the normal-form word (2,1)^k (2,3)^m walks out to about k log2 lambda_12
+    # bits (2a^2 here) before it comes back; the interleaved witness stays
+    # within a few times the size of the homologies (about 2a bits)
+    for a in (10, 100, 300):
+        config = doubling_config(a)
+        label = classify(config, 4 * a)
+        assert label.vector == (-(a + 1), 2 * a + 1, -a)
+        bits = max(abs(x).bit_length() for h in config.homologies
+                   for x in (h[0], *h[1], *h[2]))
+        chain = walk(config.homologies, config.test_triple, label.witness_word.letters)
+        assert max(abs(x).bit_length() for t in chain for x in t) <= 3 * bits
+
+
+@pytest.mark.parametrize("a", [300, 600])
+def test_large_coordinate_cycles_classify_within_the_budget(tmp_path, capsys, a):
+    # about 2a-bit coordinates and the cycle (-(a+1), 2a+1, -a): the Lucas
+    # check, the witness walk and its re-check stay well under 2 s each
+    path = str(doubling_file(tmp_path, a))
+    vector = (-(a + 1), 2 * a + 1, -a)
+    for argv, expected in [
+            (["classify", path, "--bound", "4096"], "cycle {} {} {}\n".format(*vector)),
+            (["iso", path, path, "--bound", "4096"], "isomorphic v=({},{},{})\n".format(*vector))]:
+        start = time.perf_counter()
+        assert main(argv) == EXIT_OK
+        assert time.perf_counter() - start < 2, argv
+        assert capsys.readouterr().out == expected
+
+
+def test_cycle_ratio_on_a_thousand_doublings_is_fast():
+    config = doubling_config(1000)
+    start = time.perf_counter()
+    assert classify_module._cycle_ratio(config, 4096) == (1001, 1000)
+    assert time.perf_counter() - start < 1

@@ -379,8 +379,8 @@ def test_cli_refused_picture_leaves_the_file_unchanged(sym_file, tmp_path, capsy
 
 def test_cli_orbit_that_cannot_print_writes_no_picture(tmp_path, capsys):
     # the orbit's coordinates outgrow Python's int-to-str digit limit, here
-    # lowered so that two levels reach it: the command fails before it
-    # writes the picture or prints a line
+    # lowered so that two levels reach it: the command fails, naming the
+    # limit and --depth, before it writes the picture or prints a line
     path = tmp_path / "big.cfg"
     path.write_text(f"circle 0 0 1\npoint -1/2 0\npoint 1/{2 ** 1200 + 1} 0\npoint 1/3 0\n")
     svg = tmp_path / "o.svg"
@@ -398,7 +398,7 @@ def test_cli_orbit_that_cannot_print_writes_no_picture(tmp_path, capsys):
     assert svg.read_bytes() == OLD_PICTURE
     for code, out, err in (new, old):
         assert (code, out) == (EXIT_INVALID, "")
-        assert err.startswith("error: Exceeds the limit (640 digits)") and err.count("\n") == 1
+        assert err == "error: an orbit coordinate has more than 640 digits; lower --depth\n"
 
 
 def _library_errors() -> dict:

@@ -6,21 +6,27 @@ from hypothesis import given, strategies as st
 
 from conftest import (
     DegenerateLine,
+    along,
     TangentDirection,
     collinear,
+    fraction_is_between,
+    fraction_reversion,
     in_open_disk,
     line_line_intersection,
     on_circle,
+    outcome,
     pt,
     rand_interior_point,
     rand_unit_circle_point,
     rational_circle_point,
+    sub,
 )
 from reversions.geometry import (
     Circle,
     GeometryError,
     NotInterior,
     NotOnCircle,
+    Point,
     UNIT_CIRCLE,
     format_fraction,
     is_between,
@@ -109,8 +115,31 @@ def test_reversion_random_involution_and_witness():
             continue
         image = reversion(UNIT_CIRCLE, x, c)
         assert on_circle(UNIT_CIRCLE, image)
-        assert is_between(c, x, image)
+        assert fraction_is_between(c, x, image)
         assert reversion(UNIT_CIRCLE, x, image) == c
+
+
+def test_reversion_and_is_between_match_the_fraction_oracles():
+    # the integer homology step and `collinear_between` against the
+    # Fraction chord formula and segment test, refusals included
+    rng = random.Random(13)
+    # each circle with a rational point on it
+    circles = [(UNIT_CIRCLE, pt(-1, 0)),
+               (Circle.of(Fraction(1, 3), Fraction(-2, 5), Fraction(49, 25)), pt("26/15", "-2/5"))]
+    for _ in range(300):
+        circle, base = rng.choice(circles)
+        p = rational_circle_point(circle, base, Fraction(rng.randint(-30, 30), rng.randint(1, 9)))
+        center = rng.choice([rand_interior_point(rng, circle), p, pt(2, 2)])
+        got, want = (outcome(f, circle, center, p) for f in (reversion, fraction_reversion))
+        if isinstance(want, Point):
+            assert got == want
+        else:
+            assert got[0] is want[0]
+        a, b = rand_interior_point(rng, circle), rand_interior_point(rng, circle)
+        t = Fraction(rng.randint(-3, 13), 10)
+        for x in (along(a, sub(b, a), t), rand_interior_point(rng, circle), a, b):
+            assert is_between(a, x, b) == fraction_is_between(a, x, b)
+            assert is_between(a, x, a) == fraction_is_between(a, x, a) is False
 
 
 def rand_collinear_interior_triple(rng):
@@ -119,7 +148,7 @@ def rand_collinear_interior_triple(rng):
     while True:
         a = rand_interior_point(rng, UNIT_CIRCLE)
         b = rand_interior_point(rng, UNIT_CIRCLE)
-        c = a + (b - a).scale(Fraction(rng.randint(1, 9), 10))
+        c = along(a, sub(b, a), Fraction(rng.randint(1, 9), 10))
         triple = (a, b, c)
         if len({a, b, c}) == 3 and in_open_disk(UNIT_CIRCLE, c):
             return triple

@@ -1,13 +1,12 @@
 """The integer projective core against the Fraction reversion it replaces
 on every chain: `act`, `orbit` and `cycle_polygon` run on primitive
 integer triples, and each must give exactly the points of a fold of
-`geometry.reversion`, on the unit circle, an off-centre circle and a
+`fraction_reversion`, on the unit circle, an off-centre circle and a
 circle with irrational radius.  `sorted_triples`, which orders the orbit,
 must equal the Fraction sort and the cross-multiplying comparison sort it
-replaces.  `is_cycle` and
-`build_partial_iso`, which run on triples from the cached test point,
-must give the verdicts, tables and errors of their `act`-based
-versions."""
+replaces.  `is_cycle` and `build_partial_iso`, which run on triples from
+the cached test point, must give the verdicts, tables and errors of their
+`act`-based versions."""
 
 from fractions import Fraction
 
@@ -16,15 +15,18 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     act_build_partial_iso,
+    along,
     act_is_cycle,
     cmp_sorted_triples,
     fraction_orbit,
+    fraction_reversion,
     fresh,
     in_open_disk,
     on_circle,
     outcome,
     pt,
     rational_circle_point,
+    sub,
 )
 from reversions import action, iso
 from reversions.action import Config, act, is_cycle, offline_test_point, orbit
@@ -37,7 +39,6 @@ from reversions.geometry import (
     conic,
     homogeneous,
     homology,
-    reversion,
     sorted_triples,
 )
 from reversions.iso import Isomorphic, build_partial_iso, decide_iso
@@ -104,7 +105,7 @@ def words(draw, alphabet: int, max_length: int):
 def reversion_fold(config: Config, c, letters) -> list:
     chain = [c]
     for letter in letters:
-        chain.append(reversion(config.circle, config.points[letter - 1], chain[-1]))
+        chain.append(fraction_reversion(config.circle, config.points[letter - 1], chain[-1]))
     return chain
 
 
@@ -204,7 +205,7 @@ def test_cycle_polygon_agrees_with_reversion_chain(circle, s, v, reverse):
 def test_triples_are_canonical_and_stay_on_the_conic(circle):
     circ, base, _ = CIRCLES[circle]
     a = conic(circ)
-    hs = [homology(circ, circ.center + pt(dx, dy))
+    hs = [homology(a, homogeneous(along(circ.center, pt(dx, dy), 1)))
           for dx, dy in ((0, 0), ("1/5", "-1/7"), ("-2/3", "1/4"))]
     x = homogeneous(base)
     for k in range(40):
@@ -217,12 +218,13 @@ def test_triples_are_canonical_and_stay_on_the_conic(circle):
 @pytest.mark.parametrize("circle", sorted(CIRCLES))
 def test_homology_needs_an_interior_center(circle):
     circ, base, _ = CIRCLES[circle]
+    a = conic(circ)
     assert in_open_disk(circ, circ.center)
-    homology(circ, circ.center)
-    outside = circ.center + (base - circ.center).scale(Fraction(11, 10))
-    for center in (base, outside, circ.center + (base - circ.center).scale(2)):
+    homology(a, homogeneous(circ.center))
+    radius = sub(base, circ.center)
+    for t in (1, Fraction(11, 10), 2):
         with pytest.raises(NotInterior):
-            homology(circ, center)
+            homology(a, homogeneous(along(circ.center, radius, t)))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -293,5 +295,7 @@ def test_table_build_computes_the_test_point_once_and_one_step_per_word(monkeypa
     words = list(enumerate_words(3, 3))
     table = build_partial_iso(s, r, verdict, words, 1)
     assert sorted(map(id, points)) == sorted([id(s.circle), id(r.circle)])
-    assert len(steps) == 2 * (len(words) - 1)
+    # one step per sampled word on each side, and, in the table check, one
+    # chord end per interior point for every row off the 5-key hull
+    assert len(steps) == 2 * (len(words) - 1) + 2 * 3 * (len(table.rows) - 5)
     assert table == act_build_partial_iso(fresh(s), fresh(r), verdict, words, 1)

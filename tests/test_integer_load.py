@@ -13,12 +13,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    along,
     fraction_offline_test_points,
     fraction_validate_config,
     offline_test_points,
     offset_between,
+    norm_sq,
     outcome,
     pt,
+    sub,
 )
 from reversions import action, geometry
 from reversions.action import Config, _test_triples, act, orbit
@@ -76,11 +79,11 @@ def raw_configs(draw):
     similarity with coordinates up to 10^+-300."""
     center = Point(draw(small), draw(small))
     d = Point(*draw(radii))
-    on = center + d
+    on = along(center, d, 1)
     normal = Point(-d.y, d.x)
 
     def inside(alpha, beta):  # |alpha d + beta normal|^2 < |d|^2 / 2
-        return center + d.scale(alpha) + normal.scale(beta)
+        return along(along(center, d, alpha), normal, beta)
 
     a, b = (inside(*ab) for ab in draw(anchors))
     n = draw(st.sampled_from([3, 3, 3, 3, 3, 2, 1, 0]))
@@ -94,14 +97,15 @@ def raw_configs(draw):
         elif kind == "off":
             points.append(inside(draw(halves), draw(halves)))
         else:
-            points.append(a + (b - a).scale(t))
-    base = draw(st.sampled_from([None, on, center.scale(2) - on, on + Point.of(0, Fraction(1, 97))]))
+            points.append(along(a, sub(b, a), t))
+    base = draw(st.sampled_from(
+        [None, on, along(center, sub(center, on), 1), along(on, Point.of(0, 1), Fraction(1, 97))]))
     s, h = draw(scales), draw(shifts)
 
     def move(p):
         return Point(p.x * s + h, p.y * s - h)
 
-    circle = Circle(move(center), d.norm_sq() * s * s)
+    circle = Circle(move(center), norm_sq(d) * s * s)
     return circle, tuple(map(move, points)), None if base is None else move(base)
 
 
