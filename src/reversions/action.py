@@ -27,6 +27,8 @@ from .geometry import (
     affine,
     apply_homology,
     conic,
+    format_circle,
+    format_point,
     homogeneous,
     homology,
     line_through,
@@ -109,7 +111,7 @@ def _on_circle_triple(config: Config, c: Point) -> Triple:
     """The triple of c, which must lie on the circle: X^T A X = 0."""
     x = homogeneous(c)
     if quadric(config.conic, x) != 0:
-        raise ActionError(f"{c} is not on the configuration circle")
+        raise ActionError(f"point {format_point(c)} is not on the configuration circle")
     return x
 
 
@@ -181,7 +183,8 @@ def _test_triples(config: Config) -> Iterator[Triple]:
     """
     base = x0, x1, x2 = homogeneous(config.base_point)
     if quadric(config.conic, base) != 0:
-        raise NotOnCircle(f"{config.base_point} is not on {config.circle}")
+        raise NotOnCircle(f"base point {format_point(config.base_point)} "
+                          f"is not on {format_circle(config.circle)}")
     u, v, z = homogeneous(config.circle.center)
     ex, ey = x0 * z - u * x2, x1 * z - v * x2
     line = line_through(*map(homogeneous, config.points[:2])) if len(config.points) > 1 else None

@@ -18,13 +18,21 @@ collinear with the middle one strictly between the others, which
 label stays bounded: `NoCycleUpTo(B)` when there is no cycle or its
 middle entry exceeds B.
 
-The two constructors go the other way and produce a configuration
-realizing a prescribed vector, one by exact chord closing, with no
-search, one by certified bisection on the middle point.  The
-bisection signs one exact residual polynomial pair per vector, in closed
-form: for v = (-k, k+m, -m) and the middle abscissa n/d,
+The diameter fact: write w = (1 + x)/(1 - x) for the point (x, 0) of
+the unit circle.  In the Beltrami-Klein model that point lies at signed
+hyperbolic distance (ln w)/2 from the center, and the product of the
+half-turns about two points translates by twice the distance between
+them, so on the x-axis lambda_ij = w_j / w_i.  Three constructors
+rest on it, each in closed form.  `realize_by_closing` solves
+(w2/w1)^k = w3/w2 for the third point of the cycle (-k, k+1, -1): with
+c1x = n1/d1 and c2x = n2/d2, x3 = (A - B)/(A + B) for
+A = (d2 + n2)^(k+1) (d1 - n1)^k and B = (d2 - n2)^(k+1) (d1 + n1)^k.
+`realize_by_bisection` isolates the middle point of
+v = (-k, k+m, -m) between -1/2 and 1/2 by signing, at n/d,
 9^m (d - n)^(2(k+m)) against 9^k (d + n)^(2(k+m)), which are
-lambda_23^(2m) and lambda_12^(2k) times one positive integer.
+lambda_23^(2m) and lambda_12^(2k) times one positive integer
+(`_residual_pair`).  `avoid_all_cycles` picks w = (1/3, 1, 2^j), where
+no cycle can close.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .action import Config, act, offline_test_point, walk
+from .action import Config, act, offline_test_point
 from .geometry import (
     Circle,
     Homology,
@@ -43,9 +51,9 @@ from .geometry import (
     UNIT_CIRCLE,
     collinear_between,
     conic,
+    format_point,
     format_triple,
     homogeneous,
-    homology,
     line_through,
     quadric,
 )
@@ -179,27 +187,27 @@ def validate_config(circle: Circle, points, base_point: Optional[Point] = None) 
     for i, x in enumerate(triples):
         if x in triples[i + 1:]:
             raise ConfigValidationError(
-                "distinctness", f"interior point {points[i]} repeated")
+                "distinctness", f"interior point {format_point(points[i])} repeated")
     matrix = conic(circle)
     for p, x in zip(points, triples):
         if quadric(matrix, x) >= 0:
             raise ConfigValidationError(
-                "interiority", f"{p} is not strictly inside the circle")
+                "interiority", f"point {format_point(p)} is not strictly inside the circle")
     if len(points) >= 3:
         n0, n1, n2 = line_through(triples[0], triples[1])
         for p, (x0, x1, x2) in zip(points[2:], triples[2:]):
             if n0 * x0 + n1 * x1 + n2 * x2 != 0:
-                raise ConfigValidationError(
-                    "collinearity", f"{p} is off the line of the first two points")
+                raise ConfigValidationError("collinearity", f"point {format_point(p)} "
+                                            "is off the line of the first two points")
         for mid, left, middle, right in zip(points[1:], triples, triples[1:], triples[2:]):
             if not collinear_between(left, middle, right):
                 raise ConfigValidationError(
-                    "ordering", f"{mid} is not between its neighbours")
+                    "ordering", f"point {format_point(mid)} is not between its neighbours")
     if base_point is None:
         base_point = default_base_point(circle)
     elif quadric(matrix, homogeneous(base_point)) != 0:
         raise ConfigValidationError(
-            "base_point", f"{base_point} is not on the circle")
+            "base_point", f"base point {format_point(base_point)} is not on the circle")
     config = Config(circle, points, base_point)
     config.__dict__["conic"] = matrix  # the cached property's slot
     return config
@@ -389,18 +397,10 @@ def verify_label(config: Config, label: ClassLabel) -> bool:
     if isinstance(label, NoCycleUpTo):
         return label.v2_bound >= 1
     v = label.vector
-    shape_ok = (
-        is_balanced(v)
-        and v[0] * v[1] * v[2] != 0
-        and abs(v[1]) == abs(v[0]) + abs(v[2])
-        and v[1] >= 1
-        and v[0] <= v[2] <= -1
-        and gcd_vec(v) == 1
-    )
-    if not shape_ok:
+    if not (len(v) == 3 and is_balanced(v) and v[1] >= 1 and v[0] <= v[2] <= -1
+            and gcd_vec(v) == 1):
         return False
-    stored = signature_of(label.witness_word)
-    if stored not in (v, pi13(v)):
+    if signature_of(label.witness_word) not in (v, pi13(v)):
         return False
     return act(config, label.witness_point, label.witness_word) == label.witness_point
 
@@ -413,43 +413,33 @@ def format_label(label: ClassLabel) -> str:
 
 def realize_by_closing(v: Signature, c1x: Fraction, c2x: Fraction,
                        p0: Point) -> Config:
-    """Construct an exact configuration with cycle v by closing the chord.
+    """Construct an exact configuration on the x-axis of the unit circle
+    with cycle v = (-k, k+1, -1) and first points c1x < c2x.
 
-    For v = (v1, v2, -1) the word (2,1)^|v1| (2,3) uses the third point
-    once, as its final reversion.  Apply every reversion but that last one
-    to the triple of p0, giving q; the final reversion must send q back to
-    p0, so the third point is forced: the meet of `line_through(q, p0)`
-    with the axis (0, 1, 0).  Reversions are hyperbolic half-turns, so q
-    is on the other half circle (the chord meets the axis inside the
-    disk) and (2, 3) undoes the translation (2,1)^|v1|, so the third point
-    lies beyond the second: valid input never fails, and SignChangeError
-    marks a bug."""
+    The third point is forced: x3 = (A - B)/(A + B) from the diameter fact
+    (module docstring).  A and B are positive, so x3 is inside, and
+    w3/w2 = (w2/w1)^k > 1, so it lies beyond the second point: valid input
+    never fails.  The word must then fix the off-axis circle point p0
+    exactly, and SignChangeError marks a bug."""
     v = tuple(v)
     if len(v) != 3 or not is_balanced(v) or v[2] != -1 or v[0] > -1:
         raise RealizationError(
             f"{v} must be balanced with v3 = -1 and v1 <= -1")
     if not (-1 < c1x < c2x < 1):
         raise RealizationError(f"need -1 < c1x < c2x < 1, got {c1x}, {c2x}")
-    matrix = conic(UNIT_CIRCLE)
-    x = homogeneous(p0)
-    if quadric(matrix, x) != 0:
-        raise RealizationError(f"{p0} is not on the unit circle")
+    if quadric(conic(UNIT_CIRCLE), homogeneous(p0)) != 0:
+        raise RealizationError(f"point {format_point(p0)} is not on the unit circle")
     if p0.y == 0:
         raise RealizationError("p0 must be off the x-axis")
-    c1 = Point(Fraction(c1x), Fraction(0))
-    c2 = Point(Fraction(c2x), Fraction(0))
-    steps = (homology(matrix, homogeneous(c1)), homology(matrix, homogeneous(c2)))
-    word = canonical_word(v)
-    q = x
-    for q in walk(steps, x, word.letters[:-1]):
-        pass
-    a, _, c = line_through(q, x)  # meets the axis at (-c, 0, a)
-    if a == 0:
-        raise SignChangeError(f"the closing chord for {v} does not cross the axis")
-    c3 = Point(Fraction(-c, a), Fraction(0))
-    config = validate_config(UNIT_CIRCLE, (c1, c2, c3))
-    if act(config, p0, word) != p0:
-        raise SignChangeError(f"the closed word of {v} does not fix {p0}")
+    c1x, c2x, k = Fraction(c1x), Fraction(c2x), -v[0]
+    n1, d1, n2, d2 = c1x.numerator, c1x.denominator, c2x.numerator, c2x.denominator
+    a = (d2 + n2) ** (k + 1) * (d1 - n1) ** k
+    b = (d2 - n2) ** (k + 1) * (d1 + n1) ** k
+    zero = Fraction(0)
+    config = validate_config(
+        UNIT_CIRCLE, (Point(c1x, zero), Point(c2x, zero), Point(Fraction(a - b, a + b), zero)))
+    if act(config, p0, canonical_word(v)) != p0:
+        raise SignChangeError(f"the closed word of {v} does not fix point {format_point(p0)}")
     return config
 
 
@@ -476,10 +466,10 @@ def _residual_pair(v: Signature, n: int, d: int) -> Tuple[int, int]:
     (X, W) = alpha e+ + beta e- with alpha = beta = 1, and each letter
     pair (2, x) scales alpha by t_x (d - n)^2 and beta by s_x (d + n)^2.
     The canonical word (2,1)^k (2,3)^m ends at the pair above, with
-    X = alpha - beta and W = alpha + beta.  Equivalently,
-    alpha/beta = (lambda_23^m / lambda_12^k)^2 for the translation factors
-    lambda_12 = 3w and lambda_23 = 3/w, w = (d + n)/(d - n), of
-    `_cycle_ratio`, so the residual vanishes exactly at a cycle.
+    X = alpha - beta and W = alpha + beta.  Equivalently, by the diameter
+    fact (module docstring) with w = (1/3, (d + n)/(d - n), 3),
+    alpha/beta = (lambda_23^m / lambda_12^k)^2, so the residual vanishes
+    exactly at a cycle.
 
     The chain that `apply_homology` runs differs from this one only by
     positive factors: it divides each step by a positive gcd, and its
@@ -575,12 +565,8 @@ def avoid_all_cycles(seed: int) -> Config:
     (-1/2, 0), (0, 0) and ((2^j - 1)/(2^j + 1), 0) of the unit circle, with
     j = |seed| + 1, so that different |seed| give different third points.
 
-    On a diameter, write w = (1 + x)/(1 - x) for the point (x, 0); the
-    three points have w = 1/3, 1 and 2^j.  In the Beltrami-Klein model the
-    point (x, 0) lies at signed hyperbolic distance (ln w)/2 from the
-    center, and the product of the half-turns about two points translates
-    by twice the distance between them, so the translation factors are
-    lambda_12 = w2/w1 = 3 and lambda_23 = w3/w2 = 2^j.  The stored vector
+    The three points have w = 1/3, 1 and 2^j, so by the diameter fact
+    (module docstring) lambda_12 = 3 and lambda_23 = 2^j.  The stored vector
     (-k, k+m, -m) is a cycle exactly when lambda_12^k = lambda_23^m, that
     is 3^k = 2^(jm), which no k, m >= 1 solve: the left side is odd and the
     right side even.  The cycle decision (`_cycle_ratio`) sees this on the

@@ -39,6 +39,7 @@ from .geometry import (
     Circle,
     GeometryError,
     Point,
+    format_circle,
     format_fraction,
     format_point,
     format_triple,
@@ -156,10 +157,7 @@ def parse_config(text: str) -> Config:
 def serialize_config(config: Config) -> str:
     """Canonical text for a configuration; the base line is kept only when
     it differs from the derived default."""
-    lines = ["circle {} {} {}".format(
-        format_fraction(config.circle.center.x),
-        format_fraction(config.circle.center.y),
-        format_fraction(config.circle.radius_sq))]
+    lines = [format_circle(config.circle)]
     for p in config.points:
         lines.append(f"point {format_point(p)}")
     try:
@@ -203,7 +201,12 @@ def _parse_word_arg(text: str, alphabet: Optional[int]) -> Word:
     return Word.reduced(letters, _within_budget("alphabet", alphabet, MAX_ALPHABET))
 
 
-def _within_budget(flag: str, value: int, cap: int) -> int:
+def _within_budget(flag: str, value: int, cap: int, least: Optional[int] = None) -> int:
+    """The value of a flag, refused below its least meaningful value or
+    above its budget; the commands check their flags before they load a
+    file."""
+    if least is not None and value < least:
+        raise ValueError(f"{flag} must be at least {least}, got {value}")
     if value > cap:
         raise ValueError(f"{flag} {value} exceeds the budget of {cap}")
     return value
@@ -263,7 +266,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_classify(args) -> int:
-    bound = _within_budget("--bound", args.bound, MAX_BOUND)
+    bound = _within_budget("--bound", args.bound, MAX_BOUND, least=1)
     label = classify(_load_config(args.file), bound)
     print(format_label(label))
     if args.strict and isinstance(label, NoCycleUpTo):
@@ -296,7 +299,7 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_iso(args) -> int:
-    bound = _within_budget("--bound", args.bound, MAX_BOUND)
+    bound = _within_budget("--bound", args.bound, MAX_BOUND, least=1)
     verdict = decide_iso(_load_config(args.file_a), _load_config(args.file_b), bound)
     print(format_verdict(verdict))
     if args.strict and isinstance(verdict, ConditionallyIsomorphic):
@@ -327,7 +330,7 @@ def _write_svg(path: str, svg: str) -> None:
 
 
 def _cmd_orbit(args) -> int:
-    depth = _within_budget("--depth", args.depth, MAX_DEPTH)
+    depth = _within_budget("--depth", args.depth, MAX_DEPTH, least=0)
     config = _load_config(args.file)
     start = _parse_cli_point(args.point)
     points = orbit(config, start, depth)
@@ -357,7 +360,7 @@ def _cmd_word(args) -> int:
 
 def _cmd_render(args) -> int:
     if args.orbit_depth is not None:
-        _within_budget("--orbit-depth", args.orbit_depth, MAX_DEPTH)
+        _within_budget("--orbit-depth", args.orbit_depth, MAX_DEPTH, least=0)
     config = _load_config(args.file)
     cycle_points = None
     orbit_points = None

@@ -54,6 +54,7 @@ __all__ = [
     "format_fraction",
     "parse_fraction",
     "format_point",
+    "format_circle",
     "format_triple",
 ]
 
@@ -215,7 +216,7 @@ def reversion(circle: Circle, center: Point, p: Point) -> Point:
     matrix = conic(circle)
     x = homogeneous(p)
     if quadric(matrix, x) != 0:
-        raise NotOnCircle(f"{p} is not on {circle}")
+        raise NotOnCircle(f"point {format_point(p)} is not on {format_circle(circle)}")
     return affine(apply_homology(homology(matrix, homogeneous(center)), x))
 
 
@@ -258,6 +259,11 @@ def parse_fraction(text: str) -> Fraction:
 
 def format_point(p: Point) -> str:
     return f"{format_fraction(p.x)} {format_fraction(p.y)}"
+
+
+def format_circle(circle: Circle) -> str:
+    """The circle's line of a configuration file: circle <cx> <cy> <r2>."""
+    return f"circle {format_point(circle.center)} {format_fraction(circle.radius_sq)}"
 
 
 def _format_ratio(n: int, d: int) -> str:

@@ -35,6 +35,7 @@ from reversions.geometry import (
     affine,
     apply_homology,
     conic,
+    format_circle,
     format_point,
     homogeneous,
     homology,
@@ -147,9 +148,9 @@ def fraction_reversion(circle: Circle, center: Point, p: Point) -> Point:
     """
     w = sub(p, circle.center)
     if norm_sq(w) != circle.radius_sq:
-        raise NotOnCircle(f"{p} is not on {circle}")
+        raise NotOnCircle(f"point {format_point(p)} is not on {format_circle(circle)}")
     if not in_open_disk(circle, center):
-        raise NotInterior(f"reversion center {center} is not interior to {circle}")
+        raise NotInterior(f"reversion center {format_point(center)} is not inside the circle")
     d = sub(center, p)
     return along(p, d, Fraction(-2) * dot(w, d) / norm_sq(d))
 
@@ -167,7 +168,7 @@ def rational_circle_point(circle: Circle, base: Point, t: Rational) -> Point:
     tangent direction at `base`, since then the two intersections coincide.
     """
     if not on_circle(circle, base):
-        raise NotOnCircle(f"{base} is not on {circle}")
+        raise NotOnCircle(f"base point {format_point(base)} is not on {format_circle(circle)}")
     d = Point.of(1, Fraction(t))
     wd = dot(sub(base, circle.center), d)
     if wd == 0:
@@ -218,26 +219,26 @@ def fraction_validate_config(circle: Circle, points,
         for q in points[i + 1:]:
             if p == q:
                 raise ConfigValidationError(
-                    "distinctness", f"interior point {p} repeated")
+                    "distinctness", f"interior point {format_point(p)} repeated")
     for p in points:
         if not in_open_disk(circle, p):
             raise ConfigValidationError(
-                "interiority", f"{p} is not strictly inside the circle")
+                "interiority", f"point {format_point(p)} is not strictly inside the circle")
     if len(points) >= 3:
         a, b = points[0], points[1]
         for p in points[2:]:
             if not collinear(a, b, p):
-                raise ConfigValidationError(
-                    "collinearity", f"{p} is off the line of the first two points")
+                raise ConfigValidationError("collinearity", f"point {format_point(p)} "
+                                            "is off the line of the first two points")
         for left, mid, right in zip(points, points[1:], points[2:]):
             if not fraction_is_between(left, mid, right):
                 raise ConfigValidationError(
-                    "ordering", f"{mid} is not between its neighbours")
+                    "ordering", f"point {format_point(mid)} is not between its neighbours")
     if base_point is None:
         base_point = default_base_point(circle)
     elif not on_circle(circle, base_point):
         raise ConfigValidationError(
-            "base_point", f"{base_point} is not on the circle")
+            "base_point", f"base point {format_point(base_point)} is not on the circle")
     return Config(circle, points, base_point)
 
 
@@ -367,7 +368,7 @@ def fraction_orbit(config: Config, c: Point, max_word_length: int) -> set:
     if max_word_length < 0:
         raise ActionError(f"negative word-length bound {max_word_length}")
     if not on_circle(config.circle, c):
-        raise ActionError(f"{c} is not on the configuration circle")
+        raise ActionError(f"point {format_point(c)} is not on the configuration circle")
     seen = {c}
     frontier = {(c, 0)}
     for _ in range(max_word_length):
@@ -920,7 +921,7 @@ def fraction_realize_by_closing(v: Signature, c1x: Fraction, c2x: Fraction,
     if not (-1 < c1x < c2x < 1):
         raise RealizationError(f"need -1 < c1x < c2x < 1, got {c1x}, {c2x}")
     if not on_circle(UNIT_CIRCLE, p0):
-        raise RealizationError(f"{p0} is not on the unit circle")
+        raise RealizationError(f"point {format_point(p0)} is not on the unit circle")
     if p0.y == 0:
         raise RealizationError("p0 must be off the x-axis")
     c1 = Point(Fraction(c1x), Fraction(0))

@@ -52,7 +52,7 @@ from reversions.classify import (
     verify_label,
 )
 from reversions.geometry import Circle, NotInterior, Point, UNIT_CIRCLE
-from reversions.words import gcd_vec, is_balanced, pi13, signature_of
+from reversions.words import Word, gcd_vec, is_balanced, pi13, signature_of
 
 
 def check_of(excinfo):
@@ -145,6 +145,18 @@ def test_verify_label_with_another_witness_point(sym):
         verify_label(sym, dataclasses.replace(label, witness_point=pt(0, "1/3")))
 
 
+def test_verify_label_refuses_a_bad_shape_or_a_foreign_word(sym):
+    # the vector must be canonical, of any length, and the witness word's
+    # signature the vector or its 1<->3 swap
+    label = classify(sym, 8)
+    for vector in ((-1, 2, -1, 0), (-1, 2), (1, -2, 1), (-2, 4, -2), (-1, 3, -2), (0, 0, 0),
+                   (-1, 2, 0)):
+        assert verify_label(sym, dataclasses.replace(label, vector=vector)) is False, vector
+    foreign = dataclasses.replace(label, vector=(-2, 3, -1))
+    assert verify_label(sym, foreign) is False
+    assert verify_label(sym, dataclasses.replace(foreign, witness_word=Word((2, 1), 3))) is False
+
+
 def test_classify_scaled_copy(sym):
     scaled = validate_config(
         Circle.of(0, 0, 4), (pt(-1, 0), pt(0, 0), pt(1, 0)))
@@ -227,6 +239,20 @@ def test_search_closing_config_matches_the_grid_oracle():
         v = (-(n - 1), n, -1)
         assert serialize_config(search_closing_config(v)) == \
             serialize_config(fraction_search_closing_config(v)), n
+
+
+def test_search_closing_config_steps_only_through_its_check(monkeypatch):
+    # the third point is in closed form, (3^k - 1)/(3^k + 1) at the default
+    # points, so the only homology steps are the 2n letters of the check
+    steps = []
+    action = sys.modules["reversions.action"]
+    step = action.apply_homology
+    monkeypatch.setattr(action, "apply_homology", lambda h, x: steps.append(x) or step(h, x))
+    for n in range(2, 65):
+        steps.clear()
+        config = search_closing_config((-(n - 1), n, -1))
+        assert len(steps) == 2 * n
+        assert config.points[2] == pt(Fraction(3 ** (n - 1) - 1, 3 ** (n - 1) + 1), 0)
 
 
 def unit_circle_point(t: Fraction) -> Point:

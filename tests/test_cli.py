@@ -574,6 +574,42 @@ def test_cli_width_budget(capsys):
     assert code == EXIT_OK
 
 
+# Refusals with their whole stderr.  A flag below its least value is
+# refused before any file is loaded, so a missing file is never reached,
+# and iso refuses its bound also where one-point files need no search.
+REFUSALS = {
+    "classify-bound-0": (["classify", "{missing}", "--bound", "0"],
+                         "--bound must be at least 1, got 0"),
+    "iso-bound-negative": (["iso", "{one}", "{one}", "--bound", "-3"],
+                           "--bound must be at least 1, got -3"),
+    "orbit-depth-negative": (["orbit", "{missing}", "--point", "0,1", "--depth", "-1"],
+                             "--depth must be at least 0, got -1"),
+    "render-orbit-depth-negative": (["render", "{missing}", "--svg", "{svg}", "--point", "0,1",
+                                     "--orbit-depth", "-2"],
+                                    "--orbit-depth must be at least 0, got -2"),
+    "zero-radius": (["classify", "{zero}"], "line 1: squared radius must be positive, got 0"),
+    "point-without-y": (["orbit", "{sym}", "--point", "1"], "expected x,y, got '1'"),
+    "point-off-circle": (["orbit", "{sym}", "--point", "1,1"],
+                         "point 1 1 is not on the configuration circle"),
+    "repeated-point": (["classify", "{repeated}"], "interior point 1/2 0 repeated"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_cli_refusals_name_what_is_wrong(case, tmp_path, capsys):
+    files = {"sym": SYMMETRIC, "one": "circle 0 0 1\npoint 1/2 0\n",
+             "zero": "circle 0 0 0\npoint 0 0\n",
+             "repeated": "circle 0 0 1\npoint 1/2 0\npoint 1/2 0\n"}
+    paths = {"missing": tmp_path / "missing.cfg", "svg": tmp_path / "out.svg"}
+    for name, text in files.items():
+        paths[name] = tmp_path / f"{name}.cfg"
+        paths[name].write_text(text)
+    argv, message = REFUSALS[case]
+    assert run([a.format(**paths) for a in argv], capsys) == \
+        (EXIT_INVALID, "", f"error: {message}\n")
+    assert not paths["svg"].exists()
+
+
 def perfbench_constants() -> dict:
     """The module-level constants of perfbench/workloads.py, read from its
     source without importing it."""

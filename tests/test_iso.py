@@ -77,6 +77,9 @@ def test_decide_iso_mixed_l_errors(sym):
     one = validate_config(UNIT_CIRCLE, (pt(0, 0),))
     with pytest.raises(VerdictError):
         decide_iso(sym, one, 8)
+    four = validate_config(UNIT_CIRCLE, (*sym.points, pt("3/4", 0)))
+    with pytest.raises(VerdictError, match=r"only 1\.\.3 interior points supported, got 4"):
+        decide_iso(four, four, 8)
 
 
 def test_decide_iso_same_class(sym):
