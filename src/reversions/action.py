@@ -4,9 +4,10 @@ A configuration is a circle with an ordered tuple of distinct interior
 points; letter i of a word acts by the reversion through the i-th point,
 applied in reading order.  For collinear interior points the interesting
 structure lives off the interior line: odd-length words swap the two open
-half-circle arcs, even-length ones preserve them, and whether a balanced
-signature vector fixes one off-line point (and then, by the porism, every
-off-line point) is exactly the cycle test driving the classification.
+half-circle arcs, even-length ones preserve them, and whether the words of
+a balanced signature vector fix every off-line point is the cycle test
+driving the classification, decided from tau = lambda + 1/lambda of the
+homology products (`is_cycle`).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence, Tuple
 
 from .geometry import (
     Circle,
@@ -24,6 +25,7 @@ from .geometry import (
     NotOnCircle,
     Point,
     Triple,
+    _strictly_between,
     affine,
     apply_homology,
     conic,
@@ -35,7 +37,7 @@ from .geometry import (
     quadric,
     sorted_triples,
 )
-from .words import Signature, Word, is_balanced, word_from_signature
+from .words import Signature, Word, is_balanced
 
 __all__ = [
     "Config",
@@ -43,7 +45,6 @@ __all__ = [
     "act",
     "orbit",
     "is_cycle",
-    "cycle_word",
     "offline_test_point",
     "walk",
 ]
@@ -67,8 +68,8 @@ class Config:
     conic, which validation, the start-point checks of `act` and `orbit`
     and the homologies all read; the integer homology of each interior
     point; and the integer triple of the off-line test point, which the
-    cycle test, the cycle search, its witness, cycle polygons and the first
-    table seed all start from.
+    classification witness, cycle polygons and the first table seed all
+    start from.
     """
 
     circle: Circle
@@ -207,27 +208,75 @@ def offline_test_point(config: Config) -> Point:
     return affine(config.test_triple)
 
 
-def cycle_word(config: Config, v: Signature) -> Optional[Word]:
-    """The normal-form word of signature v that the cycle test runs from
-    the test point, or None for an unbalanced v, which is never a cycle: a
-    fixing word must have even length, hence a balanced signature.
-    Raises ActionError unless v has one entry per interior point."""
-    if len(v) != config.alphabet:
-        raise ActionError(f"vector length {len(v)} != alphabet {config.alphabet}")
-    return word_from_signature(tuple(v)) if is_balanced(v) else None
+def _tau(hi: Homology, hj: Homology) -> Tuple[int, int]:
+    """tau = lambda + 1/lambda for the translation factor lambda >= 1 of the
+    product of two homologies, as the lowest-terms pair (p, q), q >= 1.
+
+    H_i / q_i and H_j / q_j are the hyperbolic half-turns about the two
+    points, so their product translates along the line through them by
+    lambda, with eigenvalues lambda, 1 and 1/lambda.  Since l . C = q for
+    each homology (the gcd that `geometry.homology` divides by keeps it),
+    tr(H_i H_j) = 4 (l_i . C_j)(l_j . C_i) - q_i q_j, and
+    tau = tr(H_i H_j) / (q_i q_j) - 1 = (t - 2 q) / q
+    with t = 4 (l_i . C_j)(l_j . C_i) and q = q_i q_j > 0.
+    """
+    qi, (li0, li1, li2), (ci0, ci1, ci2) = hi
+    qj, (lj0, lj1, lj2), (cj0, cj1, cj2) = hj
+    q = qi * qj
+    p = 4 * (li0 * cj0 + li1 * cj1 + li2 * cj2) * (lj0 * ci0 + lj1 * ci1 + lj2 * ci2) - 2 * q
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
+def _lucas(p: int, q: int, k: int) -> int:
+    """N_k = q^k V_k for V_k = lambda^k + lambda^-k and tau = p/q, in
+    O(log k) products: from V_2n = V_n^2 - 2 and V_2n+1 = V_n V_n+1 - tau,
+    N_2n = N_n^2 - 2 q^2n and N_2n+1 = N_n N_n+1 - p q^2n, with N_0 = 2
+    and N_1 = p.  The recurrence N_k = p N_(k-1) - q^2 N_(k-2) gives
+    N_k = p^k (mod q) for k >= 1, which is coprime to q as p/q is in lowest
+    terms: the denominator of V_k is exactly q^k."""
+    a, b, s, qq = 2, p, 1, q * q  # N_n, N_n+1 and q^2n, from n = 0
+    for bit in bin(k)[2:]:
+        if bit == "1":  # n -> 2n + 1
+            a, b, s = a * b - p * s, b * b - 2 * s * qq, s * s * qq
+        else:  # n -> 2n
+            a, b, s = a * a - 2 * s, a * b - p * s, s * s
+    return a
+
+
+def _powers_agree(p12: int, q12: int, p23: int, q23: int, k: int, m: int) -> bool:
+    """Is lambda_12^k = lambda_23^m?  V_k(p12/q12) = V_m(p23/q23), cross-multiplied."""
+    return _lucas(p12, q12, k) * q23 ** m == _lucas(p23, q23, m) * q12 ** k
 
 
 def is_cycle(config: Config, v: Signature) -> bool:
     """Does every word of signature v fix every off-line circle point?
 
-    Evaluated at the configuration's cached off-line test point with the
-    normal-form word of signature v (`cycle_word`), on integer triples; by
-    the porism this single exact test decides the question for all
-    off-line points and all words of that signature.  Non-balanced
-    vectors are rejected without evaluation.
+    Decided with no reversion step.  No unbalanced v is a cycle, the zero
+    vector is, and on one or two points no other is.  On three, with
+    a = -v1 and b = -v3, a word of signature v acts as (2,1)^a (2,3)^b,
+    which on the line of the points, at hyperbolic positions d1, d2, d3,
+    translates by +-2 (a (d2 - d1) - b (d3 - d2)).  So v is a cycle
+    exactly when lambda_12^|a| = lambda_23^|b| (`_powers_agree`) and, if
+    a b != 0, a b > 0 exactly when the middle point is strictly between
+    the others.  Off one line only the identity fixes every off-line
+    point, and no nonzero v gives it.  Raises ActionError for more than
+    three points or a v of the wrong length, and what a raw Config's test
+    point or homologies raise.
     """
-    word = cycle_word(config, v)
-    if word is None:
+    if len(v) != config.alphabet:
+        raise ActionError(f"vector length {len(v)} != alphabet {config.alphabet}")
+    if not is_balanced(v):
         return False
-    p = config.test_triple  # on the circle by construction
-    return _chain_end(config, p, word) == p
+    config.test_triple, config.homologies  # a raw Config's errors come first
+    if config.alphabet > 3 and any(v):
+        raise ActionError(f"the cycle test decides at most three points, not {config.alphabet}")
+    if config.alphabet < 3 or not any(v):
+        return not any(v)
+    h1, h2, h3 = config.homologies
+    (n0, n1, n2), (c0, c1, c2) = line_through(h1[2], h2[2]), h3[2]
+    a, b = -v[0], -v[2]
+    if n0 * c0 + n1 * c1 + n2 * c2 != 0 \
+            or (a * b and (a * b > 0) != _strictly_between(h1[2], h2[2], h3[2])):
+        return False
+    return _powers_agree(*_tau(h1, h2), *_tau(h2, h3), abs(a), abs(b))

@@ -42,10 +42,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .action import Config, act, offline_test_point
+from .action import Config, _lucas, _powers_agree, _tau, act, offline_test_point
 from .geometry import (
     Circle,
-    Homology,
     NotInterior,
     Point,
     UNIT_CIRCLE,
@@ -241,42 +240,6 @@ def _power_ratio(x: int, y: int) -> Tuple[int, int]:
     return (c + d) // g, (a + b) // g
 
 
-def _tau(hi: Homology, hj: Homology) -> Tuple[int, int]:
-    """tau = lambda + 1/lambda for the translation factor lambda > 1 of the
-    product of two homologies, as the lowest-terms pair (p, q), q >= 1.
-
-    H_i / q_i and H_j / q_j are the hyperbolic half-turns about the two
-    points, so their product translates along the line through them by
-    lambda, with eigenvalues lambda, 1 and 1/lambda.  Since l . C = q for
-    each homology (the gcd that `geometry.homology` divides by keeps it),
-    tr(H_i H_j) = 4 (l_i . C_j)(l_j . C_i) - q_i q_j, and
-    tau = tr(H_i H_j) / (q_i q_j) - 1 = (t - 2 q) / q
-    with t = 4 (l_i . C_j)(l_j . C_i) and q = q_i q_j > 0.
-    """
-    qi, (li0, li1, li2), (ci0, ci1, ci2) = hi
-    qj, (lj0, lj1, lj2), (cj0, cj1, cj2) = hj
-    q = qi * qj
-    p = 4 * (li0 * cj0 + li1 * cj1 + li2 * cj2) * (lj0 * ci0 + lj1 * ci1 + lj2 * ci2) - 2 * q
-    g = math.gcd(p, q)
-    return p // g, q // g
-
-
-def _lucas(p: int, q: int, k: int) -> int:
-    """N_k = q^k V_k for V_k = lambda^k + lambda^-k and tau = p/q, in
-    O(log k) products: from V_2n = V_n^2 - 2 and V_2n+1 = V_n V_n+1 - tau,
-    N_2n = N_n^2 - 2 q^2n and N_2n+1 = N_n N_n+1 - p q^2n, with N_0 = 2
-    and N_1 = p.  The recurrence N_k = p N_(k-1) - q^2 N_(k-2) gives
-    N_k = p^k (mod q) for k >= 1, which is coprime to q as p/q is in lowest
-    terms: the denominator of V_k is exactly q^k."""
-    a, b, s, qq = 2, p, 1, q * q  # N_n, N_n+1 and q^2n, from n = 0
-    for bit in bin(k)[2:]:
-        if bit == "1":  # n -> 2n + 1
-            a, b, s = a * b - p * s, b * b - 2 * s * qq, s * s * qq
-        else:  # n -> 2n
-            a, b, s = a * a - 2 * s, a * b - p * s, s * s
-    return a
-
-
 def _unit_ratio(p12: int, p23: int, v2_max: int) -> Tuple[int, int]:
     """The first (i, j) with V_i(p12) = V_j(p23), i + j <= v2_max, for
     integral tau = p12 and p23; (0, 0) when there is none.
@@ -307,7 +270,7 @@ def _cycle_ratio(config: Config, v2_max: int) -> Tuple[int, int]:
     direction, by the factors lambda_12 and lambda_23.  So (2,1)^k (2,3)^m
     is the identity, and fixes every off-line point, exactly when
     lambda_12^k = lambda_23^m, that is V_k(tau_12) = V_m(tau_23), since
-    x + 1/x is increasing for x > 1 (`_tau`, `_lucas`).  The denominators
+    x + 1/x is increasing for x > 1 (`_powers_agree`).  The denominators
     q_12^k and q_23^m must then be equal.  When both exceed 1, their
     primitive solution (`_power_ratio`) is the only candidate, as the
     cycles are multiples of one primitive and so are the solutions, and
@@ -325,7 +288,7 @@ def _cycle_ratio(config: Config, v2_max: int) -> Tuple[int, int]:
     if q12 == q23 == 1:
         return _unit_ratio(p12, p23, v2_max)
     k, m = _power_ratio(q12, q23)
-    if k and k + m <= v2_max and _lucas(p12, q12, k) == _lucas(p23, q23, m):
+    if k and k + m <= v2_max and _powers_agree(p12, q12, p23, q23, k, m):
         return k, m
     return 0, 0
 
@@ -571,7 +534,10 @@ def avoid_all_cycles(seed: int) -> Config:
     is 3^k = 2^(jm), which no k, m >= 1 solve: the left side is odd and the
     right side even.  The cycle decision (`_cycle_ratio`) sees this on the
     denominators 3 and 2^j of tau_12 = 10/3 and tau_23 = (4^j + 1)/2^j.
+    A |seed| above 4096 raises ValueError before 2^j is built.
     """
+    if abs(seed) > 4096:
+        raise ValueError(f"|seed| {abs(seed)} exceeds the budget of 4096")
     p = 1 << (abs(seed) + 1)
     return validate_config(
         UNIT_CIRCLE,

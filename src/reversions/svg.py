@@ -14,9 +14,10 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .action import Config, cycle_word, walk
+from .action import Config, is_cycle, walk
+from .classify import SignChangeError
 from .geometry import Triple
-from .words import Signature
+from .words import Signature, word_from_signature
 
 __all__ = ["render_svg", "cycle_polygon", "UnverifiedCycle", "OutOfFloatRange"]
 
@@ -82,20 +83,19 @@ def cycle_polygon(config: Config, v: Signature) -> list:
     """The closed chain of a verified cycle, as canonical triples: the
     deterministic off-line test point followed by its images under each
     successive reversion of the signature word (`geometry.affine` gives
-    the point of each).  The chain is the cycle test of `action.is_cycle`:
-    it is walked once, and v is a cycle exactly when its last triple is
-    its first.  Refuses when v is not an exact nonzero cycle (the zero
-    vector's empty word gives no polygon)."""
+    the point of each).  Refuses when v is not a nonzero cycle
+    (`action.is_cycle`), and raises SignChangeError, a bug, when the chain
+    of a decided cycle does not close."""
     v = tuple(v)
     if not any(v):
         raise UnverifiedCycle("the zero vector has no cycle polygon")
-    word = cycle_word(config, v)
-    if word is not None:
-        start = config.test_triple
-        chain = [start, *walk(config.homologies, start, word.letters)]
-        if chain[-1] == chain[0]:
-            return chain
-    raise UnverifiedCycle(f"{v} is not a cycle for this configuration")
+    if not is_cycle(config, v):
+        raise UnverifiedCycle(f"{v} is not a cycle for this configuration")
+    start = config.test_triple
+    chain = [start, *walk(config.homologies, start, word_from_signature(v).letters)]
+    if chain[-1] != start:
+        raise SignChangeError(f"the chain of the cycle {v} does not close")
+    return chain
 
 
 def render_svg(config: Config,

@@ -36,7 +36,6 @@ __all__ = [
     "enumerate_words",
     "word_to_str",
     "letters_from_str",
-    "word_from_str",
 ]
 
 
@@ -262,8 +261,3 @@ def letters_from_str(text: str) -> tuple:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise ValueError(f"malformed word literal {text!r}") from exc
-
-
-def word_from_str(text: str, alphabet: int) -> Word:
-    """The reduced word of a literal (`letters_from_str`) over the alphabet."""
-    return Word.reduced(letters_from_str(text), alphabet)

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import enum
 import functools
@@ -12,7 +13,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import pytest
 
-from reversions.action import ActionError, Config, _test_triples, act, is_cycle, orbit
+from reversions import action, svg
+from reversions.action import ActionError, Config, _test_triples, act, orbit
 from reversions.classify import (
     ConfigValidationError,
     RealizationError,
@@ -58,6 +60,7 @@ from reversions.words import (
     canonical_word,
     gcd_vec,
     is_balanced,
+    letters_from_str,
     pi13,
     reduce_letters,
     word_from_signature,
@@ -288,6 +291,12 @@ def concatenated_canonical_word(v: Signature) -> Word:
     """Reference for `words.canonical_word`: the letters (2,1)^|v1| and
     (2,3)^|v3|, concatenated."""
     return Word((2, 1) * (-v[0]) + (2, 3) * (-v[2]), 3)
+
+
+def word_from_str(text: str, alphabet: int) -> Word:
+    """The reduced word of a literal (`words.letters_from_str`) over the
+    alphabet."""
+    return Word.reduced(letters_from_str(text), alphabet)
 
 
 def parity_normal_form(g: Word) -> Word:
@@ -629,13 +638,14 @@ def primitive_candidates(v2_max: int) -> Iterator[tuple]:
 
 def scan_search_cycle(config: Config, v2_max: int) -> Optional[Tuple[tuple, tuple]]:
     """Reference for `classify._search_cycle`: test every canonical
-    candidate up to the bound with `is_cycle`, in both point orders, and
-    return the first (canonical, stored-order) hit or None."""
+    candidate up to the bound with `act_is_cycle`, which shares no code
+    with the search, in both point orders, and return the first
+    (canonical, stored-order) hit or None."""
     for v in primitive_candidates(v2_max):
-        if is_cycle(config, v):
+        if act_is_cycle(config, v):
             return v, v
         w = pi13(v)
-        if w != v and is_cycle(config, w):
+        if w != v and act_is_cycle(config, w):
             return v, w
     return None
 
@@ -803,6 +813,21 @@ def act_is_cycle(config: Config, v: Signature) -> bool:
     g = word_from_signature(tuple(v))
     p = next(fraction_offline_test_points(config))
     return act(config, p, g) == p
+
+
+@contextlib.contextmanager
+def no_reversion_steps():
+    """A context in which `action.walk`, `action._chain_end`,
+    `action.apply_homology` and the `walk` of `svg` raise, so that any
+    reversion step taken inside it fails the test."""
+    def refuse(*args):
+        raise AssertionError("a reversion step was taken")
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name in ((action, "walk"), (action, "_chain_end"),
+                             (action, "apply_homology"), (svg, "walk")):
+            patch.setattr(module, name, refuse)
+        yield
 
 
 def _act_stored_vector(config: Config, vector: tuple) -> tuple:

@@ -5,7 +5,10 @@ import pytest
 
 from conftest import (
     Side,
+    act_is_cycle,
+    fresh,
     halfplane_side,
+    no_reversion_steps,
     offline_test_points,
     point_orbit,
     pt,
@@ -14,7 +17,7 @@ from conftest import (
 )
 from reversions.action import ActionError, Config, act, is_cycle, offline_test_point, orbit
 from reversions.classify import classify, validate_config
-from reversions.geometry import UNIT_CIRCLE
+from reversions.geometry import UNIT_CIRCLE, Circle
 from reversions.words import Word, normal_form, signature_of
 
 
@@ -117,6 +120,37 @@ def test_is_cycle_examples(sym):
     assert not is_cycle(sym, (1, 0, 0))  # unbalanced: rejected without evaluation
     with pytest.raises(ActionError):
         is_cycle(sym, (-1, 2))
+
+
+def test_is_cycle_decides_raw_configs_in_closed_form():
+    # On one line a word of signature (-a, a+b, -b) translates by
+    # a (d2 - d1) - b (d3 - d2) in hyperbolic position, so with the middle
+    # stored point outside the other two the cycles have a b < 0; with
+    # points 2 and 3 equal, (0, b, -b) is a cycle and (-a, a, 0) is not.
+    # Off one line no nonzero vector is a cycle.
+    radius_root_two = Circle.of(0, 0, 2)
+    cases = [
+        (Config(radius_root_two, (pt(0, 0), pt(0, "1/10"), pt(0, "-1/10")), pt(1, 1)),
+         {(-2, 1, 1): True, (-4, 2, 2): True, (-1, 2, -1): False, (2, -1, -1): True}),
+        (Config(UNIT_CIRCLE, (pt(0, 0), pt("1/3", 0), pt("1/3", 0)), pt(0, 1)),
+         {(0, 1, -1): True, (0, -3, 3): True, (-1, 1, 0): False, (-1, 2, -1): False}),
+        (Config(UNIT_CIRCLE, (pt(0, 0), pt("1/3", 0), pt("1/5", "1/2")), pt(0, 1)),
+         {(-1, 2, -1): False, (-2, 1, 1): False, (0, 0, 0): True}),
+    ]
+    for config, expected in cases:
+        for v, cycle in expected.items():
+            assert act_is_cycle(fresh(config), v) is cycle, v
+            with no_reversion_steps():
+                assert is_cycle(config, v) is cycle, v
+
+
+def test_is_cycle_refuses_more_than_three_points():
+    points = tuple(pt(Fraction(k, 5), 0) for k in range(4))
+    config = validate_config(UNIT_CIRCLE, points)
+    assert is_cycle(config, (0, 0, 0, 0))
+    assert not is_cycle(config, (1, 0, 0, 0))
+    with pytest.raises(ActionError, match="at most three points"):
+        is_cycle(config, (-1, 1, 1, -1))
 
 
 def test_is_cycle_porism_additional_points(sym):

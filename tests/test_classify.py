@@ -23,6 +23,7 @@ from conftest import (
     fraction_search_closing_config,
     linear_lucas,
     load_perfbench,
+    no_reversion_steps,
     offline_test_points,
     outcome,
     point_homology,
@@ -33,7 +34,7 @@ from conftest import (
     translated_config,
 )
 from reversions.action import ActionError, Config, act, is_cycle, walk
-from reversions.cli import EXIT_OK, MAX_BOUND, main, serialize_config
+from reversions.cli import EXIT_INVALID, EXIT_OK, MAX_BOUND, main, serialize_config
 from reversions.classify import (
     _search_cycle,
     ConfigValidationError,
@@ -850,16 +851,46 @@ def test_witness_walk_stays_near_the_homology_size():
 @pytest.mark.parametrize("a", [300, 600])
 def test_large_coordinate_cycles_classify_within_the_budget(tmp_path, capsys, a):
     # about 2a-bit coordinates and the cycle (-(a+1), 2a+1, -a): the Lucas
-    # check, the witness walk and its re-check stay well under 2 s each
+    # check, the witness walk and its re-check stay well under 2 s each, and
+    # `is-cycle` walks no word
     path = str(doubling_file(tmp_path, a))
     vector = (-(a + 1), 2 * a + 1, -a)
     for argv, expected in [
             (["classify", path, "--bound", "4096"], "cycle {} {} {}\n".format(*vector)),
-            (["iso", path, path, "--bound", "4096"], "isomorphic v=({},{},{})\n".format(*vector))]:
+            (["iso", path, path, "--bound", "4096"], "isomorphic v=({},{},{})\n".format(*vector)),
+            (["is-cycle", path, "--v", "{},{},{}".format(*vector)], "true\n"),
+            (["is-cycle", path, "--v", "{},{},{}".format(*pi13(vector))], "false\n")]:
         start = time.perf_counter()
         assert main(argv) == EXIT_OK
         assert time.perf_counter() - start < 2, argv
         assert capsys.readouterr().out == expected
+
+
+def test_found_cycle_questions_take_no_reversion_step(tmp_path, capsys):
+    # `is-cycle` of the cycle of the a = 300 doubling file and of its 1<->3
+    # swap, and `render --cycle` of the swap, which is refused before any walk
+    path = str(doubling_file(tmp_path, 300))
+    with no_reversion_steps():
+        for v, expected in [("-301,601,-300", "true\n"), ("-300,601,-301", "false\n")]:
+            assert main(["is-cycle", path, "--v", v]) == EXIT_OK
+            assert capsys.readouterr().out == expected
+        start = time.perf_counter()
+        assert main(["render", path, "--svg", str(tmp_path / "c.svg"),
+                     "--cycle", "-300,601,-301"]) == EXIT_INVALID
+        assert time.perf_counter() - start < 2
+    assert capsys.readouterr().err == \
+        "error: (-300, 601, -301) is not a cycle for this configuration\n"
+    assert not (tmp_path / "c.svg").exists()
+
+
+def test_avoid_all_cycles_refuses_a_seed_past_its_budget():
+    # 2^(|seed| + 1) is never built for a seed past the budget
+    assert avoid_all_cycles(-4096) == avoid_all_cycles(4096)
+    for seed in (4097, -4097, 10 ** 9):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds the budget of 4096"):
+            avoid_all_cycles(seed)
+        assert time.perf_counter() - start < 0.5
 
 
 def test_cycle_ratio_on_a_thousand_doublings_is_fast():

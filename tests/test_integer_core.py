@@ -22,6 +22,7 @@ from conftest import (
     fraction_reversion,
     fresh,
     in_open_disk,
+    no_reversion_steps,
     on_circle,
     outcome,
     pt,
@@ -42,7 +43,7 @@ from reversions.geometry import (
     sorted_triples,
 )
 from reversions.iso import Isomorphic, build_partial_iso, decide_iso
-from reversions.svg import cycle_polygon
+from reversions.svg import UnverifiedCycle, cycle_polygon
 from reversions.words import Word, enumerate_words, pi13, word_from_signature
 
 OFF_CENTRE = Circle.of(Fraction(1, 3), Fraction(-2, 5), Fraction(49, 25))
@@ -236,6 +237,24 @@ def test_is_cycle_agrees_with_act_oracle(data, config):
         st.lists(st.integers(-6, 6), min_size=l, max_size=l).map(tuple),
         st.lists(st.integers(-3, 3), min_size=1, max_size=4).map(tuple)))
     assert outcome(is_cycle, config, v) == outcome(act_is_cycle, fresh(config), v)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data(), config=st.one_of(configs(), cycle_configs))
+def test_is_cycle_takes_no_reversion_step(data, config):
+    # the draws of test_is_cycle_agrees_with_act_oracle, decided with every
+    # reversion step refused; cycle_polygon refuses a non-cycle before its walk
+    l = config.alphabet
+    v = data.draw(st.one_of(
+        st.sampled_from(CYCLES + [pi13(v) for v in CYCLES] + [(0, 0, 0)]).map(lambda v: v[:l]),
+        st.lists(st.integers(-6, 6), min_size=l, max_size=l).map(tuple),
+        st.lists(st.integers(-3, 3), min_size=1, max_size=4).map(tuple)))
+    expected = outcome(act_is_cycle, fresh(config), v)
+    with no_reversion_steps():
+        assert outcome(is_cycle, config, v) == expected
+        if expected is False:
+            assert outcome(cycle_polygon, config, v) == \
+                (UnverifiedCycle, f"{v} is not a cycle for this configuration")
 
 
 def test_is_cycle_oracle_sees_cycles():

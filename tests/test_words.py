@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reversions.words
-from conftest import concatenated_canonical_word, parity_normal_form
+from conftest import concatenated_canonical_word, parity_normal_form, word_from_str
 from reversions.words import (
     AlphabetMismatch,
     InvalidPermutation,
@@ -23,7 +23,6 @@ from reversions.words import (
     reduce_letters,
     signature_of,
     word_from_signature,
-    word_from_str,
     word_to_str,
 )
 
