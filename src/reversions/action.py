@@ -1,13 +1,15 @@
-"""The right action of words on a circle through reversions.
+"""Configurations and the right action of words on a circle through
+reversions.
 
 A configuration is a circle with an ordered tuple of distinct interior
-points; letter i of a word acts by the reversion through the i-th point,
-applied in reading order.  For collinear interior points the interesting
-structure lives off the interior line: odd-length words swap the two open
-half-circle arcs, even-length ones preserve them, and whether the words of
-a balanced signature vector fix every off-line point is the cycle test
-driving the classification, decided from tau = lambda + 1/lambda of the
-homology products (`is_cycle`).
+points, checked when it is built (`Config`); letter i of a word acts by
+the reversion through the i-th point, applied in reading order.  For
+collinear interior points the interesting structure lives off the
+interior line: odd-length words swap the two open half-circle arcs,
+even-length ones preserve them, and whether the words of a balanced
+signature vector fix every off-line point is the cycle test driving the
+classification, decided from tau = lambda + 1/lambda of the homology
+products (`is_cycle`).
 """
 
 from __future__ import annotations
@@ -16,20 +18,19 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from fractions import Fraction
+from typing import Iterator, Optional, Sequence, Tuple
 
 from .geometry import (
     Circle,
     Conic,
     Homology,
-    NotOnCircle,
     Point,
     Triple,
-    _strictly_between,
     affine,
     apply_homology,
+    collinear_between,
     conic,
-    format_circle,
     format_point,
     homogeneous,
     homology,
@@ -41,6 +42,8 @@ from .words import Signature, Word, is_balanced
 
 __all__ = [
     "Config",
+    "ConfigValidationError",
+    "default_base_point",
     "ActionError",
     "act",
     "orbit",
@@ -54,18 +57,63 @@ class ActionError(ValueError):
     pass
 
 
+class ConfigValidationError(ValueError):
+    """A configuration failed validation; `check` names the failed test."""
+
+    def __init__(self, check: str, message: str):
+        super().__init__(message)
+        self.check = check
+
+
+def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
+    if x < 0:
+        return None
+    rn = math.isqrt(x.numerator)
+    rd = math.isqrt(x.denominator)
+    if rn * rn == x.numerator and rd * rd == x.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
+def default_base_point(circle: Circle) -> Point:
+    """Easternmost point when the radius is rational; a rational point on a
+    rational circle need not exist in general, so otherwise the caller must
+    supply a base point explicitly."""
+    r = _rational_sqrt(circle.radius_sq)
+    if r is None:
+        raise ConfigValidationError(
+            "base_point",
+            f"radius^2 = {circle.radius_sq} is not a rational square; "
+            "supply an explicit rational base point on the circle")
+    return Point(circle.center.x + r, circle.center.y)
+
+
 @dataclass(frozen=True)
 class Config:
     """A circle with ordered interior points and a rational seed point on
-    the circle.
+    the circle, checked when it is built.
 
-    Built by `classify.validate_config`, which guarantees that the points
-    lie on one line (vacuously for one or two points) and are monotone
-    along it, each middle point between its neighbours.
+    Construction checks distinctness, interiority and (for three or more
+    points) collinearity and monotone order, in that order, and then the
+    base point, which defaults to `default_base_point` when it is None;
+    each failed check raises ConfigValidationError under its own name.
+    So the points of every Config lie on one line (vacuously for one or
+    two points), each middle point strictly between its neighbours, and
+    its base point lies on the circle.
+
+    The checks run on the `homogeneous` triples of the points, against the
+    circle's integer conic A (`Config.conic`): a point is inside when
+    X^T A X < 0 and the base point is on the circle when X^T A X = 0
+    (`geometry.quadric`); three points are collinear when their 3x3
+    determinant vanishes (`geometry.line_through`); and of three distinct
+    collinear points the middle one is strictly between the others when
+    the two segment vectors, cross-multiplied to integers, have a positive
+    dot product (`geometry.collinear_between`, which also tests the
+    collinearity).
 
     Three derived values are built on first use and kept on the instance,
     outside the fields that equality and hashing see: the circle's integer
-    conic, which validation, the start-point checks of `act` and `orbit`
+    conic, which the checks, the start-point checks of `act` and `orbit`
     and the homologies all read; the integer homology of each interior
     point; and the integer triple of the off-line test point, which the
     classification witness, cycle polygons and the first table seed all
@@ -74,7 +122,37 @@ class Config:
 
     circle: Circle
     points: tuple
-    base_point: Point
+    base_point: Optional[Point]
+
+    def __post_init__(self) -> None:
+        points = tuple(self.points)
+        object.__setattr__(self, "points", points)
+        if not points:
+            raise ConfigValidationError("count", "need at least one interior point")
+        triples = [homogeneous(p) for p in points]
+        for i, x in enumerate(triples):
+            if x in triples[i + 1:]:
+                raise ConfigValidationError(
+                    "distinctness", f"interior point {format_point(points[i])} repeated")
+        for p, x in zip(points, triples):
+            if quadric(self.conic, x) >= 0:
+                raise ConfigValidationError(
+                    "interiority", f"point {format_point(p)} is not strictly inside the circle")
+        if len(points) >= 3:
+            n0, n1, n2 = line_through(triples[0], triples[1])
+            for p, (x0, x1, x2) in zip(points[2:], triples[2:]):
+                if n0 * x0 + n1 * x1 + n2 * x2 != 0:
+                    raise ConfigValidationError("collinearity", f"point {format_point(p)} "
+                                                "is off the line of the first two points")
+            for mid, left, middle, right in zip(points[1:], triples, triples[1:], triples[2:]):
+                if not collinear_between(left, middle, right):
+                    raise ConfigValidationError(
+                        "ordering", f"point {format_point(mid)} is not between its neighbours")
+        if self.base_point is None:
+            object.__setattr__(self, "base_point", default_base_point(self.circle))
+        elif quadric(self.conic, homogeneous(self.base_point)) != 0:
+            raise ConfigValidationError(
+                "base_point", f"base point {format_point(self.base_point)} is not on the circle")
 
     @functools.cached_property
     def conic(self) -> Conic:
@@ -177,20 +255,13 @@ def _test_triples(config: Config) -> Iterator[Triple]:
     N = k (X z - u W) + (Y z - v W), which is W z times the dot product of
     the direction with base - center, the chord's far end is
     (X z (k^2 + 1) - 2 k N, Y z (k^2 + 1) - 2 N, W z (k^2 + 1)) up to
-    its gcd; N = 0 is the tangent.  Raises NotOnCircle for a base point
-    off the circle, and ActionError for first two interior points that
-    coincide, which only a Config built without `validate_config` can
-    have.
+    its gcd; N = 0 is the tangent.  The base point is on the circle and
+    the first two interior points are distinct, as `Config` checks.
     """
-    base = x0, x1, x2 = homogeneous(config.base_point)
-    if quadric(config.conic, base) != 0:
-        raise NotOnCircle(f"base point {format_point(config.base_point)} "
-                          f"is not on {format_circle(config.circle)}")
+    x0, x1, x2 = homogeneous(config.base_point)
     u, v, z = homogeneous(config.circle.center)
     ex, ey = x0 * z - u * x2, x1 * z - v * x2
     line = line_through(*map(homogeneous, config.points[:2])) if len(config.points) > 1 else None
-    if line == (0, 0, 0):
-        raise ActionError("the first two interior points coincide")
     for k in itertools.count(1):
         n = k * ex + ey
         if n == 0:
@@ -256,27 +327,21 @@ def is_cycle(config: Config, v: Signature) -> bool:
     vector is, and on one or two points no other is.  On three, with
     a = -v1 and b = -v3, a word of signature v acts as (2,1)^a (2,3)^b,
     which on the line of the points, at hyperbolic positions d1, d2, d3,
-    translates by +-2 (a (d2 - d1) - b (d3 - d2)).  So v is a cycle
-    exactly when lambda_12^|a| = lambda_23^|b| (`_powers_agree`) and, if
-    a b != 0, a b > 0 exactly when the middle point is strictly between
-    the others.  Off one line only the identity fixes every off-line
-    point, and no nonzero v gives it.  Raises ActionError for more than
-    three points or a v of the wrong length, and what a raw Config's test
-    point or homologies raise.
+    translates by +-2 (a (d2 - d1) - b (d3 - d2)).  The middle point is
+    strictly between the others (`Config` checks it), so d2 - d1 and
+    d3 - d2 are nonzero with one sign, and the translation vanishes
+    exactly when a b > 0 and lambda_12^|a| = lambda_23^|b|
+    (`_powers_agree`).  Raises ActionError for more than three points or
+    a v of the wrong length.
     """
     if len(v) != config.alphabet:
         raise ActionError(f"vector length {len(v)} != alphabet {config.alphabet}")
     if not is_balanced(v):
         return False
-    config.test_triple, config.homologies  # a raw Config's errors come first
     if config.alphabet > 3 and any(v):
         raise ActionError(f"the cycle test decides at most three points, not {config.alphabet}")
     if config.alphabet < 3 or not any(v):
         return not any(v)
     h1, h2, h3 = config.homologies
-    (n0, n1, n2), (c0, c1, c2) = line_through(h1[2], h2[2]), h3[2]
     a, b = -v[0], -v[2]
-    if n0 * c0 + n1 * c1 + n2 * c2 != 0 \
-            or (a * b and (a * b > 0) != _strictly_between(h1[2], h2[2], h3[2])):
-        return False
-    return _powers_agree(*_tau(h1, h2), *_tau(h2, h3), abs(a), abs(b))
+    return a * b > 0 and _powers_agree(*_tau(h1, h2), *_tau(h2, h3), abs(a), abs(b))

@@ -12,11 +12,11 @@ reversion step, from tau = lambda + 1/lambda = p/q in lowest terms, which
 comes from the traces of the homology products: the denominator of
 V_k = lambda^k + lambda^-k is exactly q^k, so both q > 1 leave one
 candidate (k, m) to check, one q = 1 leaves none, and both q = 1 make
-V_k two integer sequences to merge.  The decision assumes the points
-collinear with the middle one strictly between the others, which
-`validate_config` checks and which is tested again on the triples.  The
-label stays bounded: `NoCycleUpTo(B)` when there is no cycle or its
-middle entry exceeds B.
+V_k two integer sequences to merge.  The decision rests on the points
+being collinear with the middle one strictly between the others, which
+every `Config` is checked for when it is built.  The label stays
+bounded: `NoCycleUpTo(B)` when there is no cycle or its middle entry
+exceeds B.
 
 The diameter fact: write w = (1 + x)/(1 - x) for the point (x, 0) of
 the unit circle.  In the Beltrami-Klein model that point lies at signed
@@ -42,18 +42,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .action import Config, _lucas, _powers_agree, _tau, act, offline_test_point
+from .action import (
+    Config,
+    ConfigValidationError,
+    _lucas,
+    _powers_agree,
+    _tau,
+    act,
+    default_base_point,
+    offline_test_point,
+)
 from .geometry import (
     Circle,
     NotInterior,
     Point,
     UNIT_CIRCLE,
-    collinear_between,
     conic,
     format_point,
     format_triple,
     homogeneous,
-    line_through,
     quadric,
 )
 from .words import (
@@ -89,14 +96,6 @@ __all__ = [
 # The first inward shift of the bisection endpoints from -1/2 and 1/2 is
 # 2^-BISECTION_SHIFT_BITS.
 BISECTION_SHIFT_BITS = 10
-
-
-class ConfigValidationError(ValueError):
-    """A configuration failed validation; `check` names the failed test."""
-
-    def __init__(self, check: str, message: str):
-        super().__init__(message)
-        self.check = check
 
 
 class RealizationError(ValueError):
@@ -141,75 +140,11 @@ class RealizationInterval:
     a_hi: Fraction
 
 
-def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
-    if x < 0:
-        return None
-    rn = math.isqrt(x.numerator)
-    rd = math.isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def default_base_point(circle: Circle) -> Point:
-    """Easternmost point when the radius is rational; a rational point on a
-    rational circle need not exist in general, so otherwise the caller must
-    supply a base point explicitly."""
-    r = _rational_sqrt(circle.radius_sq)
-    if r is None:
-        raise ConfigValidationError(
-            "base_point",
-            f"radius^2 = {circle.radius_sq} is not a rational square; "
-            "supply an explicit rational base point on the circle")
-    return Point(circle.center.x + r, circle.center.y)
-
-
 def validate_config(circle: Circle, points, base_point: Optional[Point] = None) -> Config:
-    """Check distinctness, interiority and (for three or more points)
-    collinearity and monotone order, and attach a rational seed point on
-    the circle.  Each failed check is reported under its own name.
-
-    The checks run on the `homogeneous` triples of the points, against the
-    circle's integer conic A (`geometry.conic`), which the returned Config
-    keeps as `Config.conic`: a point is inside when X^T A X < 0 and the
-    base point is on the circle when X^T A X = 0 (`geometry.quadric`);
-    three points are collinear when their 3x3 determinant vanishes
-    (`geometry.line_through`); and of three distinct collinear points the
-    middle one is strictly between the others when the two segment
-    vectors, cross-multiplied to integers, have a positive dot product
-    (`geometry.collinear_between`, which also tests the collinearity).
-    """
-    points = tuple(points)
-    if not points:
-        raise ConfigValidationError("count", "need at least one interior point")
-    triples = [homogeneous(p) for p in points]
-    for i, x in enumerate(triples):
-        if x in triples[i + 1:]:
-            raise ConfigValidationError(
-                "distinctness", f"interior point {format_point(points[i])} repeated")
-    matrix = conic(circle)
-    for p, x in zip(points, triples):
-        if quadric(matrix, x) >= 0:
-            raise ConfigValidationError(
-                "interiority", f"point {format_point(p)} is not strictly inside the circle")
-    if len(points) >= 3:
-        n0, n1, n2 = line_through(triples[0], triples[1])
-        for p, (x0, x1, x2) in zip(points[2:], triples[2:]):
-            if n0 * x0 + n1 * x1 + n2 * x2 != 0:
-                raise ConfigValidationError("collinearity", f"point {format_point(p)} "
-                                            "is off the line of the first two points")
-        for mid, left, middle, right in zip(points[1:], triples, triples[1:], triples[2:]):
-            if not collinear_between(left, middle, right):
-                raise ConfigValidationError(
-                    "ordering", f"point {format_point(mid)} is not between its neighbours")
-    if base_point is None:
-        base_point = default_base_point(circle)
-    elif quadric(matrix, homogeneous(base_point)) != 0:
-        raise ConfigValidationError(
-            "base_point", f"base point {format_point(base_point)} is not on the circle")
-    config = Config(circle, points, base_point)
-    config.__dict__["conic"] = matrix  # the cached property's slot
-    return config
+    """The checked configuration of the circle, the interior points and the
+    base point (the default one when None); `Config` runs the checks and
+    raises ConfigValidationError for the first that fails."""
+    return Config(circle, points, base_point)
 
 
 def _power_ratio(x: int, y: int) -> Tuple[int, int]:
@@ -264,26 +199,21 @@ def _cycle_ratio(config: Config, v2_max: int) -> Tuple[int, int]:
     """The primitive (k, m) of the cycle (-k, k+m, -m) in stored order, or
     (0, 0) when the configuration has no cycle with k + m <= v2_max.
 
-    When the three points are collinear and the middle one is strictly
-    between the others (what `validate_config` checks, on the same
-    triples), the words (2,1) and (3,2) translate along their line in one
-    direction, by the factors lambda_12 and lambda_23.  So (2,1)^k (2,3)^m
-    is the identity, and fixes every off-line point, exactly when
-    lambda_12^k = lambda_23^m, that is V_k(tau_12) = V_m(tau_23), since
-    x + 1/x is increasing for x > 1 (`_powers_agree`).  The denominators
-    q_12^k and q_23^m must then be equal.  When both exceed 1, their
+    The three points are collinear with the middle one strictly between
+    the others (`Config` checks it), so the words (2,1) and (3,2)
+    translate along their line in one direction, by the factors lambda_12
+    and lambda_23.  So (2,1)^k (2,3)^m is the identity, and fixes every
+    off-line point, exactly when lambda_12^k = lambda_23^m, that is
+    V_k(tau_12) = V_m(tau_23), since x + 1/x is increasing for x > 1
+    (`_powers_agree`).  The denominators q_12^k and q_23^m must then be
+    equal.  When both exceed 1, their
     primitive solution (`_power_ratio`) is the only candidate, as the
     cycles are multiples of one primitive and so are the solutions, and
     one exact check of the numerators decides it.  When only one is 1
     there is no solution.  When both are 1, both V sequences are integers
-    and a merge finds the first equal pair (`_unit_ratio`).  A Config
-    built without `validate_config` can break the premise; then the two
-    translations run in opposite directions or along different lines, and
-    no power of one is a power of the other.
+    and a merge finds the first equal pair (`_unit_ratio`).
     """
     h1, h2, h3 = config.homologies
-    if not collinear_between(h1[2], h2[2], h3[2]):
-        return 0, 0
     (p12, q12), (p23, q23) = _tau(h1, h2), _tau(h2, h3)
     if q12 == q23 == 1:
         return _unit_ratio(p12, p23, v2_max)
@@ -306,9 +236,6 @@ def _search_cycle(config: Config, v2_max: int) -> Optional[Tuple[tuple, tuple]]:
         raise ConfigValidationError("count", "cycle search needs three points")
     if v2_max < 1:
         raise ValueError(f"v2_max must be >= 1, got {v2_max}")
-    # the witness's inputs, so that a Config built without validation
-    # fails as it always has
-    config.homologies, config.test_triple
     k, m = _cycle_ratio(config, v2_max)
     if k == 0:
         return None

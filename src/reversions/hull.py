@@ -2,7 +2,7 @@
 
 For collinear interior points the collinear hull inside circle-plus-points
 is just the points themselves together with the two ends of their chord.
-`validate_config` stores the points in their order along the line, so the
+Every `Config` has its points in their order along the line, so the
 hull is the stored points' canonical triples between a low and a high
 chord-end token.  The two chord ends are irrational in general, so the
 tokens carry only their position along the line; `svg` computes the float

@@ -16,7 +16,7 @@ from conftest import (
     stab_contains,
 )
 from reversions.action import ActionError, Config, act, is_cycle, offline_test_point, orbit
-from reversions.classify import classify, validate_config
+from reversions.classify import ConfigValidationError, validate_config
 from reversions.geometry import UNIT_CIRCLE, Circle
 from reversions.words import Word, normal_form, signature_of
 
@@ -122,20 +122,21 @@ def test_is_cycle_examples(sym):
         is_cycle(sym, (-1, 2))
 
 
-def test_is_cycle_decides_raw_configs_in_closed_form():
+def test_is_cycle_decides_line_configs_in_closed_form():
     # On one line a word of signature (-a, a+b, -b) translates by
-    # a (d2 - d1) - b (d3 - d2) in hyperbolic position, so with the middle
-    # stored point outside the other two the cycles have a b < 0; with
-    # points 2 and 3 equal, (0, b, -b) is a cycle and (-a, a, 0) is not.
-    # Off one line no nonzero vector is a cycle.
+    # a (d2 - d1) - b (d3 - d2) in hyperbolic position, and with the
+    # middle point between the others d2 - d1 and d3 - d2 have one sign:
+    # the cycles have a b > 0, and (0, b, -b) and (-a, a, 0) are none.
+    # On the diameter with w = (1 + x)/(1 - x) = 1, 2, 8, lambda_12 = 2
+    # and lambda_23 = 4, so (-2, 3, -1) is the primitive cycle.
     radius_root_two = Circle.of(0, 0, 2)
     cases = [
-        (Config(radius_root_two, (pt(0, 0), pt(0, "1/10"), pt(0, "-1/10")), pt(1, 1)),
-         {(-2, 1, 1): True, (-4, 2, 2): True, (-1, 2, -1): False, (2, -1, -1): True}),
-        (Config(UNIT_CIRCLE, (pt(0, 0), pt("1/3", 0), pt("1/3", 0)), pt(0, 1)),
-         {(0, 1, -1): True, (0, -3, 3): True, (-1, 1, 0): False, (-1, 2, -1): False}),
-        (Config(UNIT_CIRCLE, (pt(0, 0), pt("1/3", 0), pt("1/5", "1/2")), pt(0, 1)),
-         {(-1, 2, -1): False, (-2, 1, 1): False, (0, 0, 0): True}),
+        (Config(radius_root_two, (pt(0, "-1/10"), pt(0, 0), pt(0, "1/10")), pt(1, 1)),
+         {(-1, 2, -1): True, (2, -4, 2): True, (-2, 1, 1): False, (2, -1, -1): False,
+          (0, 1, -1): False}),
+        (Config(UNIT_CIRCLE, (pt(0, 0), pt("1/3", 0), pt("7/9", 0)), pt(0, 1)),
+         {(-2, 3, -1): True, (-4, 6, -2): True, (2, -3, 1): True, (-1, 3, -2): False,
+          (-1, 2, -1): False, (1, 0, -1): False, (-1, 1, 0): False, (0, 0, 0): True}),
     ]
     for config, expected in cases:
         for v, cycle in expected.items():
@@ -213,15 +214,11 @@ def test_signature_determines_action(sym):
 
 
 def test_coincident_first_points_raise_instead_of_hanging():
-    # validate_config refuses repeated points; a Config built without it
-    # has no interior line to avoid, and the test-point stream says so
+    # with repeated points the test-point stream would have no interior
+    # line to avoid; no Config has them, as construction refuses them
     p = pt(0, 0)
-    coincide = "first two interior points coincide"
-    for points, v in [((p, p, pt("1/2", 0)), (-1, 2, -1)), ((p, p), (1, -1))]:
-        config = Config(UNIT_CIRCLE, points, pt(1, 0))
-        with pytest.raises(ActionError, match=coincide):
-            offline_test_point(config)
-        with pytest.raises(ActionError, match=coincide):
-            is_cycle(config, v)
-    with pytest.raises(ActionError, match=coincide):
-        classify(Config(UNIT_CIRCLE, (p, p, pt("1/2", 0)), pt(1, 0)), 8)
+    for points in ((p, p, pt("1/2", 0)), (p, p)):
+        for build in (Config, validate_config):
+            with pytest.raises(ConfigValidationError) as err:
+                build(UNIT_CIRCLE, points, pt(1, 0))
+            assert err.value.check == "distinctness"

@@ -34,7 +34,7 @@ from conftest import (
     translated_config,
 )
 from reversions.action import ActionError, Config, act, is_cycle, walk
-from reversions.cli import EXIT_INVALID, EXIT_OK, MAX_BOUND, main, serialize_config
+from reversions.cli import EXIT_INVALID, EXIT_OK, MAX_BOUND, main, parse_config, serialize_config
 from reversions.classify import (
     _search_cycle,
     ConfigValidationError,
@@ -60,53 +60,66 @@ def check_of(excinfo):
     return excinfo.value.check
 
 
+def refused(circle, points, base_point=None) -> str:
+    """The check that refuses the configuration, which must be the same,
+    with the same message, for `validate_config` and a direct `Config`."""
+    refusals = []
+    for build in (validate_config, Config):
+        with pytest.raises(ConfigValidationError) as err:
+            build(circle, points, base_point)
+        refusals.append((check_of(err), str(err.value)))
+    assert refusals[0] == refusals[1]
+    return refusals[0][0]
+
+
 def test_validate_config_accepts_symmetric():
-    config = validate_config(
-        UNIT_CIRCLE, (pt("-1/2", 0), pt(0, 0), pt("1/2", 0)))
-    assert config.points == (pt("-1/2", 0), pt(0, 0), pt("1/2", 0))
+    points = (pt("-1/2", 0), pt(0, 0), pt("1/2", 0))
+    config = validate_config(UNIT_CIRCLE, points)
+    assert config.points == points
     assert config.base_point == pt(1, 0)
+    assert Config(UNIT_CIRCLE, list(points), None) == config
 
 
 def test_validate_config_order_error():
-    with pytest.raises(ConfigValidationError) as err:
-        validate_config(UNIT_CIRCLE, (pt("-1/2", 0), pt("1/2", 0), pt(0, 0)))
-    assert check_of(err) == "ordering"
+    assert refused(UNIT_CIRCLE, (pt("-1/2", 0), pt("1/2", 0), pt(0, 0))) == "ordering"
 
 
 def test_validate_config_interiority_error():
-    with pytest.raises(ConfigValidationError) as err:
-        validate_config(UNIT_CIRCLE, (pt(0, 1), pt(0, 0), pt("1/2", 0)))
-    assert check_of(err) == "interiority"
+    assert refused(UNIT_CIRCLE, (pt(0, 1), pt(0, 0), pt("1/2", 0))) == "interiority"
 
 
 def test_validate_config_distinctness_error():
-    with pytest.raises(ConfigValidationError) as err:
-        validate_config(UNIT_CIRCLE, (pt(0, 0), pt(0, 0)))
-    assert check_of(err) == "distinctness"
+    assert refused(UNIT_CIRCLE, (pt(0, 0), pt(0, 0))) == "distinctness"
 
 
 def test_validate_config_collinearity_error():
-    with pytest.raises(ConfigValidationError) as err:
-        validate_config(UNIT_CIRCLE, (pt("-1/2", 0), pt(0, "1/4"), pt("1/2", "1/8")))
-    assert check_of(err) == "collinearity"
+    assert refused(UNIT_CIRCLE, (pt("-1/2", 0), pt(0, "1/4"), pt("1/2", "1/8"))) \
+        == "collinearity"
 
 
 def test_validate_config_empty():
-    with pytest.raises(ConfigValidationError) as err:
-        validate_config(UNIT_CIRCLE, ())
-    assert check_of(err) == "count"
+    assert refused(UNIT_CIRCLE, ()) == "count"
 
 
 def test_base_point_handling():
     surd = Circle.of(0, 0, 3)  # no rational point exists on x^2 + y^2 = 3
-    with pytest.raises(ConfigValidationError) as err:
-        validate_config(surd, (pt(0, 0),))
-    assert check_of(err) == "base_point"
+    assert refused(surd, (pt(0, 0),)) == "base_point"
     explicit = validate_config(UNIT_CIRCLE, (pt(0, 0),), base_point=pt("3/5", "4/5"))
     assert explicit.base_point == pt("3/5", "4/5")
-    with pytest.raises(ConfigValidationError):
-        validate_config(UNIT_CIRCLE, (pt(0, 0),), base_point=pt("1/2", "1/2"))
+    assert refused(UNIT_CIRCLE, (pt(0, 0),), pt("1/2", "1/2")) == "base_point"
     assert default_base_point(Circle.of(1, 2, Fraction(9, 4))) == pt("5/2", 2)
+
+
+def test_validation_reports_the_first_failed_check():
+    # a point outside x^2 + y^2 = 2 and no base line: the point checks run
+    # before the default base point is sought on the irrational radius
+    text = "circle 0 0 2\npoint 2 0\n"
+    with pytest.raises(ConfigValidationError) as err:
+        parse_config(text)
+    assert (check_of(err), str(err.value)) == \
+        ("interiority", "point 2 0 is not strictly inside the circle")
+    assert refused(Circle.of(0, 0, 2), (pt(2, 0),)) == "interiority"
+    assert refused(Circle.of(0, 0, 2), (pt(0, 0),)) == "base_point"
 
 
 def test_primitive_candidates_shape():
@@ -422,14 +435,15 @@ def test_bisection_makes_no_homology_step(monkeypatch):
     ((-1, 3, -1), Fraction(0), ValueError),
 ])
 def test_middle_point_residual_errors_match_act(v, a, error):
-    with pytest.raises(error) as expected:
-        act_middle_point_residual(v, a)
     with pytest.raises(error) as got:
         middle_point_residual(v, a)
-    assert type(got.value) is type(expected.value)
-    assert str(got.value) == str(expected.value)
-    assert outcome(chain_middle_point_residual, v, a) == \
-        (type(expected.value), str(expected.value))
+    expected = (type(got.value), str(got.value))
+    assert outcome(chain_middle_point_residual, v, a) == expected
+    if error is NotInterior:
+        # act needs a Config, which refuses the middle point as it is built
+        assert outcome(act_middle_point_residual, v, a)[0] is ConfigValidationError
+    else:
+        assert outcome(act_middle_point_residual, v, a) == expected
 
 
 def test_third_point_scan_at_most_one_sign_change():
@@ -705,21 +719,17 @@ def test_irrational_chord_ends_reach_the_chain_search(y):
         assert_dispatch_matches_chain(config)
 
 
-def test_premise_guard_falls_back_to_the_chain_search():
-    # a raw Config with the middle point outside the other two: the words
-    # (2,1) and (3,2) translate in opposite directions, so the factor
-    # equation would report (-2, 3, -1), which is not a cycle; the guard
-    # answers (0, 0), as the chain search does
-    raw = Config(UNIT_CIRCLE, (pt("-1/2", 0), pt("1/2", 0), pt(0, 0)), pt(1, 0))
-    assert classify_module._cycle_ratio(raw, 40) == (0, 0)
-    assert _search_cycle(raw, 40) is None
-    assert _search_cycle(raw, 40) == chain_search_cycle(raw, 40)
-    assert classify(raw, 40) == NoCycleUpTo(40)
-    assert find_primitive_cycle(raw, 40) is None
-    # the same points off one line
-    bent = Config(UNIT_CIRCLE, (pt("-1/2", 0), pt(0, "1/4"), pt("1/2", 0)), pt(1, 0))
-    assert classify_module._cycle_ratio(bent, 40) == (0, 0)
-    assert_dispatch_matches_chain(bent)
+def test_premise_is_checked_when_the_config_is_built():
+    # with the middle point outside the other two the words (2,1) and
+    # (3,2) would translate in opposite directions, and off one line along
+    # different lines; no Config has either, so the decision needs no guard
+    assert refused(UNIT_CIRCLE, (pt("-1/2", 0), pt("1/2", 0), pt(0, 0))) == "ordering"
+    assert refused(UNIT_CIRCLE, (pt("-1/2", 0), pt(0, "1/4"), pt("1/2", 0))) == "collinearity"
+    ordered = Config(UNIT_CIRCLE, (pt("-1/2", 0), pt(0, 0), pt("1/2", 0)), pt(1, 0))
+    assert classify_module._cycle_ratio(ordered, 40) == (1, 1)
+    assert _search_cycle(ordered, 40) == chain_search_cycle(ordered, 40)
+    assert find_primitive_cycle(ordered, 40) == (-1, 2, -1)
+    assert_dispatch_matches_chain(ordered)
 
 
 def test_square_d_classify_at_the_bound_cap_takes_no_step(monkeypatch):

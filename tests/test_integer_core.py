@@ -64,10 +64,16 @@ slopes = st.fractions(Fraction(0), Fraction(30), max_denominator=20)
 
 @st.composite
 def configs(draw, min_points=1, max_points=3):
+    """Points in line order on the segment between two distinct offsets,
+    which stays in the square of the offsets and so inside the circle."""
     circle, base, _ = CIRCLES[draw(st.sampled_from(sorted(CIRCLES)))]
     n = draw(st.integers(min_points, max_points))
-    deltas = draw(st.lists(st.tuples(offsets, offsets), min_size=n, max_size=n, unique=True))
-    points = tuple(pt(circle.center.x + dx, circle.center.y + dy) for dx, dy in deltas)
+    (ax, ay), (bx, by) = draw(st.lists(st.tuples(offsets, offsets), min_size=2, max_size=2,
+                                       unique=True))
+    ts = draw(st.lists(st.fractions(0, 1, max_denominator=12), min_size=n, max_size=n,
+                       unique=True))
+    points = tuple(pt(circle.center.x + ax + t * (bx - ax), circle.center.y + ay + t * (by - ay))
+                   for t in sorted(ts, reverse=draw(st.booleans())))
     return Config(circle, points, base)
 
 

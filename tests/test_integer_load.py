@@ -1,7 +1,7 @@
 """Configuration loading on integer triples against the Fraction code it
-replaces: `validate_config` must accept exactly the configurations of
-`fraction_validate_config` and refuse the others under the same check name
-and message, the off-line test-point stream must give the points of the
+replaces: `validate_config` and a direct `Config` must accept exactly the
+configurations of `fraction_validate_config` and refuse the others under
+the same check name and message, the off-line test-point stream must give the points of the
 `rational_circle_point` stream, and nothing on the load path may call a
 Fraction predicate."""
 
@@ -19,7 +19,6 @@ from conftest import (
     offline_test_points,
     offset_between,
     norm_sq,
-    outcome,
     pt,
     sub,
 )
@@ -29,7 +28,6 @@ from reversions.classify import ConfigValidationError, CycleLabel, classify, val
 from reversions.cli import parse_config
 from reversions.geometry import (
     Circle,
-    NotOnCircle,
     Point,
     collinear_between,
     conic,
@@ -113,7 +111,7 @@ def raw_configs(draw):
 @given(raw=raw_configs())
 def test_validate_config_agrees_with_fraction_oracle(raw):
     got = verdict(validate_config, *raw)
-    assert got == verdict(fraction_validate_config, *raw)
+    assert got == verdict(fraction_validate_config, *raw) == verdict(Config, *raw)
     if not isinstance(got, tuple):
         assert got.conic == conic(got.circle)
         assert first_triples(got) == oracle_triples(got)
@@ -173,7 +171,8 @@ CASES = {
 def test_validate_config_cases(case):
     circle, points, base, check = CASES[case]
     got = verdict(validate_config, circle, points, base)
-    assert got == verdict(fraction_validate_config, circle, points, base)
+    assert got == verdict(fraction_validate_config, circle, points, base) \
+        == verdict(Config, circle, points, base)
     if check is None:
         assert first_triples(got) == oracle_triples(got)
         assert list(itertools.islice(offline_test_points(got), 5)) == \
@@ -192,10 +191,9 @@ def test_stream_skips_the_tangent_and_the_interior_line():
     assert first_triples(on_line, 1) == [(-3, -4, 5)]
     for config in (tangent, on_line):
         assert first_triples(config, 12) == oracle_triples(config, 12)
-    # a Config built without validation may have its base off the circle
-    off = Config(UNIT, (pt(0, 0),), pt(1, 1))
-    assert outcome(first_triples, off) == outcome(oracle_triples, off)
-    assert outcome(first_triples, off)[0] is NotOnCircle
+    # no Config has its base off the circle, where the chords would not end
+    assert verdict(Config, UNIT, (pt(0, 0),), pt(1, 1)) == \
+        ("base_point", "base point 1 1 is not on the circle")
 
 
 FORBIDDEN = ("in_open_disk", "on_circle", "collinear", "is_between", "rational_circle_point")
