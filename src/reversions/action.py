@@ -8,8 +8,8 @@ collinear interior points the interesting structure lives off the
 interior line: odd-length words swap the two open half-circle arcs,
 even-length ones preserve them, and whether the words of a balanced
 signature vector fix every off-line point is the cycle test driving the
-classification, decided from tau = lambda + 1/lambda of the homology
-products (`is_cycle`).
+classification, decided from one primitive cycle (`_cycle_ratio`) that
+`is_cycle` and `classify` both read.
 """
 
 from __future__ import annotations
@@ -315,24 +315,95 @@ def _lucas(p: int, q: int, k: int) -> int:
     return a
 
 
-def _powers_agree(p12: int, q12: int, p23: int, q23: int, k: int, m: int) -> bool:
-    """Is lambda_12^k = lambda_23^m?  V_k(p12/q12) = V_m(p23/q23), cross-multiplied."""
-    return _lucas(p12, q12, k) * q23 ** m == _lucas(p23, q23, m) * q12 ** k
+def _power_ratio(x: int, y: int) -> Tuple[int, int]:
+    """The primitive (k, m), k, m >= 1, with x^k = y^m, for integers
+    x, y >= 1 that are not both 1; (0, 0) when only k = m = 0 solves it.
+
+    A Euclid that divides the larger number by the smaller.  If x^k = y^m
+    with x > y, then y divides x and (x/y)^k = y^(m-k), so each division
+    keeps every solution, with its exponents moved by a unimodular map; a
+    remainder proves that there is none.  The invariants x0 = x^a y^b and
+    y0 = x^c y^d hold throughout, so when x = y = r it ends with
+    x0 = r^(a+b) and y0 = r^(c+d).  Each division halves one number at
+    least, so there are fewer steps than the bits of x0 and y0.
+    """
+    if x == 1 or y == 1:
+        return 0, 0
+    a, b, c, d = 1, 0, 0, 1
+    while x != y:
+        if x > y:
+            x, rest = divmod(x, y)
+            b, d = b + a, d + c
+        else:
+            y, rest = divmod(y, x)
+            a, c = a + b, c + d
+        if rest:
+            return 0, 0
+    g = math.gcd(a + b, c + d)
+    return (c + d) // g, (a + b) // g
+
+
+def _unit_ratio(p12: int, p23: int, v2_max: int) -> Tuple[int, int]:
+    """The first (i, j) with V_i(p12) = V_j(p23), i + j <= v2_max, for
+    integral tau = p12 and p23; (0, 0) when there is none.
+
+    Both V sequences increase with the index, as lambda > 1, so a merge
+    that advances the smaller one meets every equal pair in order, and
+    the first one is the primitive cycle: equal pairs are its multiples.
+    """
+    i = j = 1
+    a, a_prev, b, b_prev = p12, 2, p23, 2
+    while i + j <= v2_max:
+        if a < b:
+            a, a_prev, i = p12 * a - a_prev, a, i + 1
+        elif b < a:
+            b, b_prev, j = p23 * b - b_prev, b, j + 1
+        else:
+            return i, j
+    return 0, 0
+
+
+def _cycle_ratio(config: Config, v2_max: int) -> Tuple[int, int]:
+    """The primitive (k, m) of the cycle (-k, k+m, -m) in stored order, or
+    (0, 0) when the configuration has no cycle with k + m <= v2_max.
+
+    With a = -v1 and b = -v3, a word of balanced signature v acts as
+    (2,1)^a (2,3)^b, which on the line of the points, at hyperbolic
+    positions d1, d2, d3, translates by +-2 (a (d2 - d1) - b (d3 - d2)).
+    The middle point is strictly between the others (`Config` checks it),
+    so d2 - d1 and d3 - d2 are nonzero with one sign, and the word fixes
+    every off-line point exactly when a b > 0 and
+    lambda_12^|a| = lambda_23^|b| for the translation factors of (2,1) and
+    (3,2).  So the cycles are the multiples of one primitive, or only 0.
+
+    As x + 1/x increases for x > 1, lambda_12^k = lambda_23^m says
+    V_k(tau_12) = V_m(tau_23) for tau = lambda + 1/lambda = p/q (`_tau`),
+    and the denominator of V_k is exactly q^k (`_lucas`), so
+    q_12^k = q_23^m.  When both q exceed 1, their primitive solution
+    (`_power_ratio`) is the only candidate, as the solutions are multiples
+    of it too, and one exact check of the numerators decides it.  When
+    only one is 1 there is no solution.  When both are 1, both V sequences
+    are integers and a merge finds the first equal pair (`_unit_ratio`).
+    """
+    h1, h2, h3 = config.homologies
+    (p12, q12), (p23, q23) = _tau(h1, h2), _tau(h2, h3)
+    if q12 == q23 == 1:
+        return _unit_ratio(p12, p23, v2_max)
+    k, m = _power_ratio(q12, q23)
+    if k and k + m <= v2_max and _lucas(p12, q12, k) * q23 ** m == _lucas(p23, q23, m) * q12 ** k:
+        return k, m
+    return 0, 0
 
 
 def is_cycle(config: Config, v: Signature) -> bool:
     """Does every word of signature v fix every off-line circle point?
 
     Decided with no reversion step.  No unbalanced v is a cycle, the zero
-    vector is, and on one or two points no other is.  On three, with
-    a = -v1 and b = -v3, a word of signature v acts as (2,1)^a (2,3)^b,
-    which on the line of the points, at hyperbolic positions d1, d2, d3,
-    translates by +-2 (a (d2 - d1) - b (d3 - d2)).  The middle point is
-    strictly between the others (`Config` checks it), so d2 - d1 and
-    d3 - d2 are nonzero with one sign, and the translation vanishes
-    exactly when a b > 0 and lambda_12^|a| = lambda_23^|b|
-    (`_powers_agree`).  Raises ActionError for more than three points or
-    a v of the wrong length.
+    vector is, and on one or two points no other is.  On three, v is a
+    cycle exactly when v1 v3 > 0 and (|v1|, |v3|) is a multiple of the
+    primitive (k, m) of `_cycle_ratio`, sought up to k + m <= |v1| + |v3|,
+    which a multiple never exceeds.  Raises ActionError for more than
+    three points or a v of the wrong length.
     """
     if len(v) != config.alphabet:
         raise ActionError(f"vector length {len(v)} != alphabet {config.alphabet}")
@@ -342,6 +413,8 @@ def is_cycle(config: Config, v: Signature) -> bool:
         raise ActionError(f"the cycle test decides at most three points, not {config.alphabet}")
     if config.alphabet < 3 or not any(v):
         return not any(v)
-    h1, h2, h3 = config.homologies
-    a, b = -v[0], -v[2]
-    return a * b > 0 and _powers_agree(*_tau(h1, h2), *_tau(h2, h3), abs(a), abs(b))
+    if v[0] * v[2] <= 0:
+        return False
+    a, b = abs(v[0]), abs(v[2])
+    k, m = _cycle_ratio(config, a + b)
+    return k >= 1 and a * m == b * k

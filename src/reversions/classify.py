@@ -4,19 +4,10 @@ The cycle vectors of a configuration form a cyclic subgroup of Z^3: either
 only the zero vector (one single shared class for all such configurations),
 or all integer multiples of one primitive balanced vector v with v2 >= 1,
 v1 <= v3 <= -1 and gcd 1, which is then a complete class label.  The
-stored vector (-k, k+m, -m) is a cycle exactly when the words (2,1) and
-(3,2), which translate along the line of the points by factors lambda_12
-and lambda_23 in the Beltrami-Klein model, satisfy
-lambda_12^k = lambda_23^m.  That equation is decided exactly, with no
-reversion step, from tau = lambda + 1/lambda = p/q in lowest terms, which
-comes from the traces of the homology products: the denominator of
-V_k = lambda^k + lambda^-k is exactly q^k, so both q > 1 leave one
-candidate (k, m) to check, one q = 1 leaves none, and both q = 1 make
-V_k two integer sequences to merge.  The decision rests on the points
-being collinear with the middle one strictly between the others, which
-every `Config` is checked for when it is built.  The label stays
-bounded: `NoCycleUpTo(B)` when there is no cycle or its middle entry
-exceeds B.
+primitive, stored as (-k, k+m, -m), is decided exactly with no
+reversion step by `action._cycle_ratio`, which `action.is_cycle` reads
+too.  The label stays bounded: `NoCycleUpTo(B)` when there is no cycle
+or its middle entry exceeds B.
 
 The diameter fact: write w = (1 + x)/(1 - x) for the point (x, 0) of
 the unit circle.  In the Beltrami-Klein model that point lies at signed
@@ -37,7 +28,6 @@ no cycle can close.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
@@ -45,9 +35,7 @@ from typing import Optional, Tuple, Union
 from .action import (
     Config,
     ConfigValidationError,
-    _lucas,
-    _powers_agree,
-    _tau,
+    _cycle_ratio,
     act,
     default_base_point,
     offline_test_point,
@@ -147,90 +135,15 @@ def validate_config(circle: Circle, points, base_point: Optional[Point] = None) 
     return Config(circle, points, base_point)
 
 
-def _power_ratio(x: int, y: int) -> Tuple[int, int]:
-    """The primitive (k, m), k, m >= 1, with x^k = y^m, for integers
-    x, y >= 1 that are not both 1; (0, 0) when only k = m = 0 solves it.
-
-    A Euclid that divides the larger number by the smaller.  If x^k = y^m
-    with x > y, then y divides x and (x/y)^k = y^(m-k), so each division
-    keeps every solution, with its exponents moved by a unimodular map; a
-    remainder proves that there is none.  The invariants x0 = x^a y^b and
-    y0 = x^c y^d hold throughout, so when x = y = r it ends with
-    x0 = r^(a+b) and y0 = r^(c+d).  Each division halves one number at
-    least, so there are fewer steps than the bits of x0 and y0.
-    """
-    if x == 1 or y == 1:
-        return 0, 0
-    a, b, c, d = 1, 0, 0, 1
-    while x != y:
-        if x > y:
-            x, rest = divmod(x, y)
-            b, d = b + a, d + c
-        else:
-            y, rest = divmod(y, x)
-            a, c = a + b, c + d
-        if rest:
-            return 0, 0
-    g = math.gcd(a + b, c + d)
-    return (c + d) // g, (a + b) // g
-
-
-def _unit_ratio(p12: int, p23: int, v2_max: int) -> Tuple[int, int]:
-    """The first (i, j) with V_i(p12) = V_j(p23), i + j <= v2_max, for
-    integral tau = p12 and p23; (0, 0) when there is none.
-
-    Both V sequences increase with the index, as lambda > 1, so a merge
-    that advances the smaller one meets every equal pair in order, and
-    the first one is the primitive cycle: equal pairs are its multiples.
-    """
-    i = j = 1
-    a, a_prev, b, b_prev = p12, 2, p23, 2
-    while i + j <= v2_max:
-        if a < b:
-            a, a_prev, i = p12 * a - a_prev, a, i + 1
-        elif b < a:
-            b, b_prev, j = p23 * b - b_prev, b, j + 1
-        else:
-            return i, j
-    return 0, 0
-
-
-def _cycle_ratio(config: Config, v2_max: int) -> Tuple[int, int]:
-    """The primitive (k, m) of the cycle (-k, k+m, -m) in stored order, or
-    (0, 0) when the configuration has no cycle with k + m <= v2_max.
-
-    The three points are collinear with the middle one strictly between
-    the others (`Config` checks it), so the words (2,1) and (3,2)
-    translate along their line in one direction, by the factors lambda_12
-    and lambda_23.  So (2,1)^k (2,3)^m is the identity, and fixes every
-    off-line point, exactly when lambda_12^k = lambda_23^m, that is
-    V_k(tau_12) = V_m(tau_23), since x + 1/x is increasing for x > 1
-    (`_powers_agree`).  The denominators q_12^k and q_23^m must then be
-    equal.  When both exceed 1, their
-    primitive solution (`_power_ratio`) is the only candidate, as the
-    cycles are multiples of one primitive and so are the solutions, and
-    one exact check of the numerators decides it.  When only one is 1
-    there is no solution.  When both are 1, both V sequences are integers
-    and a merge finds the first equal pair (`_unit_ratio`).
-    """
-    h1, h2, h3 = config.homologies
-    (p12, q12), (p23, q23) = _tau(h1, h2), _tau(h2, h3)
-    if q12 == q23 == 1:
-        return _unit_ratio(p12, p23, v2_max)
-    k, m = _power_ratio(q12, q23)
-    if k and k + m <= v2_max and _powers_agree(p12, q12, p23, q23, k, m):
-        return k, m
-    return 0, 0
-
-
 def _search_cycle(config: Config, v2_max: int) -> Optional[Tuple[tuple, tuple]]:
     """First (canonical, stored-order) cycle pair up to the bound, or None.
 
     A stored vector (-k, k+m, -m) has the word (2,1)^k (2,3)^m.  The
     primitive (k, m) is decided exactly, with no reversion step
-    (`_cycle_ratio`); the bound only stops the merge of the integral case
-    and the numerator check of the others.  When the primitive's middle
-    entry k + m exceeds the bound, so does every other cycle's.
+    (`action._cycle_ratio`); the bound only stops the merge of the
+    integral case and the numerator check of the others.  When the
+    primitive's middle entry k + m exceeds the bound, so does every other
+    cycle's.
     """
     if len(config.points) != 3:
         raise ConfigValidationError("count", "cycle search needs three points")
@@ -457,10 +370,11 @@ def avoid_all_cycles(seed: int) -> Config:
 
     The three points have w = 1/3, 1 and 2^j, so by the diameter fact
     (module docstring) lambda_12 = 3 and lambda_23 = 2^j.  The stored vector
-    (-k, k+m, -m) is a cycle exactly when lambda_12^k = lambda_23^m, that
-    is 3^k = 2^(jm), which no k, m >= 1 solve: the left side is odd and the
-    right side even.  The cycle decision (`_cycle_ratio`) sees this on the
-    denominators 3 and 2^j of tau_12 = 10/3 and tau_23 = (4^j + 1)/2^j.
+    (-k, k+m, -m) is a cycle exactly when lambda_12^k = lambda_23^m
+    (`action._cycle_ratio`), that is 3^k = 2^(jm), which no k, m >= 1
+    solve: the left side is odd and the right side even.  The decision
+    sees this on the denominators 3 and 2^j of tau_12 = 10/3 and
+    tau_23 = (4^j + 1)/2^j.
     A |seed| above 4096 raises ValueError before 2^j is built.
     """
     if abs(seed) > 4096:

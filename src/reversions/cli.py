@@ -74,8 +74,8 @@ EXIT_USAGE = 64
 # `orbit --depth 60 --svg` from (0, 1) yields 5,491 points in about 0.1 s.
 # A balanced vector's largest entry in absolute value (the middle entry of
 # a canonical vector) is half the length of its word.  `is-cycle` walks no
-# word (0.08 s at entry 4096 on the 2^600 file), but `render --cycle` walks
-# a cycle's word for its polygon: 7 s for (-301, 601, -300) at 2^300, 2^601.
+# word and checks the primitive cycle (0.02 s at entry 4096 on the 2^600
+# file); `render --cycle` walks a cycle's word: 7 s for the one at 2^300.
 # `realize --bisect` costs grow with both its vector and the number of
 # halvings down to --width, ceil(log2(1/width)): at entry 64 and 64
 # halvings it takes about 6 ms, at 128 and 64 about 6 ms, and at 64 and

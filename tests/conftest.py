@@ -681,7 +681,7 @@ def chain_ratio(config: Config, v2_max: int) -> Tuple[int, int]:
 
 
 def linear_lucas(p: int, q: int, k: int) -> int:
-    """Reference for `classify._lucas`: N_k = q^k V_k(p/q) by k steps of
+    """Reference for `action._lucas`: N_k = q^k V_k(p/q) by k steps of
     N_k = p N_(k-1) - q^2 N_(k-2) from N_0 = 2 and N_1 = p."""
     a, b, qq = 2, p, q * q
     for _ in range(k):
@@ -813,6 +813,22 @@ def act_is_cycle(config: Config, v: Signature) -> bool:
     g = word_from_signature(tuple(v))
     p = next(fraction_offline_test_points(config))
     return act(config, p, g) == p
+
+
+def powers_agree_is_cycle(config: Config, v: Signature) -> bool:
+    """Reference for `action.is_cycle` on three points: the rule that
+    checks the Lucas values at the vector's own entries.  A nonzero
+    balanced v is a cycle exactly when v1 v3 > 0 and
+    N_|v1|(tau_12) q_23^|v3| = N_|v3|(tau_23) q_12^|v1| (`linear_lucas`)."""
+    if not is_balanced(v):
+        return False
+    if not any(v):
+        return True
+    h1, h2, h3 = config.homologies
+    (p12, q12), (p23, q23) = action._tau(h1, h2), action._tau(h2, h3)
+    a, b = abs(v[0]), abs(v[2])
+    return v[0] * v[2] > 0 and \
+        linear_lucas(p12, q12, a) * q23 ** b == linear_lucas(p23, q23, b) * q12 ** a
 
 
 @contextlib.contextmanager

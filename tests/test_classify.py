@@ -28,6 +28,7 @@ from conftest import (
     outcome,
     point_homology,
     primitive_candidates,
+    powers_agree_is_cycle,
     pt,
     scan_search_cycle,
     third_point_residual,
@@ -53,6 +54,8 @@ from reversions.classify import (
     verify_label,
 )
 from reversions.geometry import Circle, NotInterior, Point, UNIT_CIRCLE
+from reversions.iso import Isomorphic, build_partial_iso, decide_iso
+from reversions.svg import cycle_polygon
 from reversions.words import Word, gcd_vec, is_balanced, pi13, signature_of
 
 
@@ -373,11 +376,11 @@ def test_middle_point_residual_signs_the_translation_factors():
     # x + 1/x increases for x > 1
     ends = (point_homology(UNIT_CIRCLE, pt("-1/2", 0)), point_homology(UNIT_CIRCLE, pt("1/2", 0)))
     vectors = [(v1, v2, -v2 - v1) for v2 in range(2, 13) for v1 in range(-(v2 - 1), 0)]
-    lucas = classify_module._lucas
+    lucas = action_module._lucas
     for a in [Fraction(0), Fraction(1, 3), Fraction(-2, 7), *residual_abscissas(12)]:
         middle = point_homology(UNIT_CIRCLE, Point(a, Fraction(0)))
-        (p12, q12) = classify_module._tau(ends[0], middle)
-        (p23, q23) = classify_module._tau(middle, ends[1])
+        (p12, q12) = action_module._tau(ends[0], middle)
+        (p23, q23) = action_module._tau(middle, ends[1])
         for v in vectors:
             k, m = -v[0], -v[2]
             gap = lucas(p23, q23, m) * q12 ** k - lucas(p12, q12, k) * q23 ** m
@@ -563,6 +566,7 @@ def test_cycle_bound_is_on_middle_entry(reverse, monkeypatch):
 
 
 classify_module = sys.modules["reversions.classify"]
+action_module = sys.modules["reversions.action"]
 ORACLE_BOUNDS = range(1, 25)
 
 
@@ -584,11 +588,11 @@ def test_dispatch_matches_chain_on_generated_cases():
             for reverse in (False, True):
                 case = gen.cycle_case(rng, v, s, reverse)
                 k, m = -case.stored[0], -case.stored[2]
-                assert classify_module._cycle_ratio(case.config, 24) == (k, m)
+                assert action_module._cycle_ratio(case.config, 24) == (k, m)
                 assert assert_dispatch_matches_chain(case.config) == (v, case.stored)
     for _ in range(40):
         case = gen.free_case(rng)
-        assert classify_module._cycle_ratio(case.config, MAX_BOUND) == (0, 0)
+        assert action_module._cycle_ratio(case.config, MAX_BOUND) == (0, 0)
         assert assert_dispatch_matches_chain(case.config) is None
 
 
@@ -596,7 +600,7 @@ def test_dispatch_matches_chain_on_closing_configs():
     for n in range(2, 65):
         v = (-(n - 1), n, -1)
         closing = search_closing_config(v)
-        assert classify_module._cycle_ratio(closing, n) == (n - 1, 1)
+        assert action_module._cycle_ratio(closing, n) == (n - 1, 1)
         assert assert_dispatch_matches_chain(closing) == ((v, v) if n <= 24 else None)
 
 
@@ -624,11 +628,11 @@ def test_avoid_all_cycles_is_cycle_free_in_closed_form():
     # tau_23 = (4^j + 1)/2^j, and already 3^k != 2^(jm) at any bound
     for seed in AVOID_SEEDS:
         config = avoid_all_cycles(seed)
-        assert classify_module._cycle_ratio(config, 10 ** 9) == (0, 0), seed
+        assert action_module._cycle_ratio(config, 10 ** 9) == (0, 0), seed
         h1, h2, h3 = config.homologies
         j = abs(seed) + 1
-        assert classify_module._tau(h1, h2) == (10, 3)
-        assert classify_module._tau(h2, h3) == (4 ** j + 1, 2 ** j), seed
+        assert action_module._tau(h1, h2) == (10, 3)
+        assert action_module._tau(h2, h3) == (4 ** j + 1, 2 ** j), seed
 
 
 def test_avoid_all_cycles_has_no_chain_cycle_at_bound_64():
@@ -690,13 +694,13 @@ def test_power_ratio_matches_brute_force(r, e1, e2, u, w):
     x, y = r ** e1 * u, r ** e2 * w
     if x == y == 1:
         return
-    assert classify_module._power_ratio(x, y) == power_ratio_by_search(x, y)
+    assert action_module._power_ratio(x, y) == power_ratio_by_search(x, y)
 
 
 def taus(config):
-    """(p, q) of tau_12 and tau_23 (`classify._tau`)."""
+    """(p, q) of tau_12 and tau_23 (`action._tau`)."""
     h1, h2, h3 = config.homologies
-    return classify_module._tau(h1, h2), classify_module._tau(h2, h3)
+    return action_module._tau(h1, h2), action_module._tau(h2, h3)
 
 
 def irrational(tau) -> bool:
@@ -726,7 +730,7 @@ def test_premise_is_checked_when_the_config_is_built():
     assert refused(UNIT_CIRCLE, (pt("-1/2", 0), pt("1/2", 0), pt(0, 0))) == "ordering"
     assert refused(UNIT_CIRCLE, (pt("-1/2", 0), pt(0, "1/4"), pt("1/2", 0))) == "collinearity"
     ordered = Config(UNIT_CIRCLE, (pt("-1/2", 0), pt(0, 0), pt("1/2", 0)), pt(1, 0))
-    assert classify_module._cycle_ratio(ordered, 40) == (1, 1)
+    assert action_module._cycle_ratio(ordered, 40) == (1, 1)
     assert _search_cycle(ordered, 40) == chain_search_cycle(ordered, 40)
     assert find_primitive_cycle(ordered, 40) == (-1, 2, -1)
     assert_dispatch_matches_chain(ordered)
@@ -812,8 +816,8 @@ def test_lucas_refuted_cases_match_the_chain():
     for y in (Fraction(1, 3), Fraction(2, 5), Fraction(3, 7)):
         for config in chord_corpus(y, 24, 10):
             (p12, q12), (p23, q23) = taus(config)
-            k, m = classify_module._power_ratio(q12, q23)
-            if k and classify_module._lucas(p12, q12, k) != classify_module._lucas(p23, q23, m):
+            k, m = action_module._power_ratio(q12, q23)
+            if k and action_module._lucas(p12, q12, k) != action_module._lucas(p23, q23, m):
                 refuted += 1
                 assert assert_dispatch_matches_chain(config) is None
     assert refuted > 200
@@ -825,7 +829,86 @@ def test_lucas_doubling_matches_the_linear_recurrence():
              for _ in range(300)]
     cases += [(p, q, k) for p in (-3, 0, 2, 7) for q in (1, 2, 9) for k in range(6)]
     for p, q, k in cases:
-        assert classify_module._lucas(p, q, k) == linear_lucas(p, q, k), (p, q, k)
+        assert action_module._lucas(p, q, k) == linear_lucas(p, q, k), (p, q, k)
+
+
+def is_cycle_oracle_configs():
+    """The configurations on which `is_cycle` meets its oracle: those of
+    `test_integral_tau_cases_match_the_chain` (52 with both tau integral,
+    40 with one) and of `test_lucas_refuted_cases_match_the_chain`, and
+    the 138 generated cycle cases with v2 <= 12, every base, both orders."""
+    one = 0
+    for y, den, reach in [(Fraction(1, 2), 12, 10), (Fraction(1, 4), 24, 23)]:
+        for config in chord_corpus(y, den, reach):
+            (_, q12), (_, q23) = taus(config)
+            if q12 == q23 == 1:
+                yield config
+            elif 1 in (q12, q23) and one < 40:
+                one += 1
+                yield config
+    for y in (Fraction(1, 3), Fraction(2, 5), Fraction(3, 7)):
+        for config in chord_corpus(y, 24, 10):
+            (p12, q12), (p23, q23) = taus(config)
+            k, m = action_module._power_ratio(q12, q23)
+            if k and action_module._lucas(p12, q12, k) != action_module._lucas(p23, q23, m):
+                yield config
+    gen = load_perfbench("gen")
+    rng = random.Random(29)
+    for v in gen.canonical_vectors(12):
+        for s in gen.CYCLE_BASES:
+            for reverse in (False, True):
+                yield gen.cycle_case(rng, v, s, reverse).config
+
+
+def test_is_cycle_agrees_with_the_powers_agree_rule():
+    # `is_cycle` reads the primitive (k, m) and tests for a multiple; the
+    # rule it replaced checked the Lucas values at (|v1|, |v3|) themselves
+    configs = list(is_cycle_oracle_configs())
+    assert len(configs) > 52 + 40 + 200 + 138
+    cycles = 0
+    for config in configs:
+        vectors = [(-a, a + b, -b) for a in range(1, 7) for b in range(1, 7)]
+        vectors += [(1, 1, -2), (-3, 1, 2), (2, -7, 5), (0, 4, -4), (-5, 5, 0)]
+        k, m = action_module._cycle_ratio(config, 10 ** 6)
+        if k:
+            cycles += 1
+            vectors += [(-t * k, t * (k + m), -t * m) for t in range(1, 5)]
+            vectors.append((k, -k - m, m))
+            near = (-k - 1, k + m + 2, -m - 1)
+            assert is_cycle(config, near) == (k == m == 1), (config, near)
+            vectors.append(near)
+        for v in vectors:
+            assert is_cycle(config, v) == powers_agree_is_cycle(config, v), (config, v)
+    assert cycles >= 52 + 138
+
+
+def test_every_cycle_question_reads_the_one_primitive(monkeypatch):
+    # with `_cycle_ratio` a raising stub in every namespace that holds it,
+    # each cycle question on three points reaches the stub, and `is_cycle`
+    # still answers the vectors it decides without the primitive
+    class Decided(Exception):
+        pass
+
+    def stub(*args):
+        raise Decided
+
+    original = action_module._cycle_ratio
+    for name, module in list(sys.modules.items()):
+        if name.startswith("reversions.") and vars(module).get("_cycle_ratio") is original:
+            monkeypatch.setattr(module, "_cycle_ratio", stub)
+    config = validate_config(UNIT_CIRCLE, (pt("-1/2", 0), pt(0, 0), pt("1/2", 0)))
+    word = Word((2, 1, 2, 3), 3)
+    for question in (lambda: is_cycle(config, (-1, 2, -1)),
+                     lambda: is_cycle(config, (2, -3, 1)),
+                     lambda: classify(config, 8),
+                     lambda: decide_iso(config, config, 8),
+                     lambda: build_partial_iso(config, config, Isomorphic((-1, 2, -1)), [word], 1),
+                     lambda: cycle_polygon(config, (-1, 2, -1))):
+        with pytest.raises(Decided):
+            question()
+    assert is_cycle(config, (0, 0, 0))
+    for v in [(1, 1, -1), (-2, 2, 1), (0, 3, -3), (-3, 3, 0), (1, 1, -2), (-4, 1, 3)]:
+        assert not is_cycle(config, v), v
 
 
 @pytest.mark.parametrize("k, m", [(1, 1), (2, 1), (1, 2), (3, 5), (7, 4), (12, 1), (1, 12)])
@@ -869,6 +952,7 @@ def test_large_coordinate_cycles_classify_within_the_budget(tmp_path, capsys, a)
             (["classify", path, "--bound", "4096"], "cycle {} {} {}\n".format(*vector)),
             (["iso", path, path, "--bound", "4096"], "isomorphic v=({},{},{})\n".format(*vector)),
             (["is-cycle", path, "--v", "{},{},{}".format(*vector)], "true\n"),
+            (["is-cycle", path, "--v", "{},{},{}".format(*(2 * x for x in vector))], "true\n"),
             (["is-cycle", path, "--v", "{},{},{}".format(*pi13(vector))], "false\n")]:
         start = time.perf_counter()
         assert main(argv) == EXIT_OK
@@ -906,5 +990,5 @@ def test_avoid_all_cycles_refuses_a_seed_past_its_budget():
 def test_cycle_ratio_on_a_thousand_doublings_is_fast():
     config = doubling_config(1000)
     start = time.perf_counter()
-    assert classify_module._cycle_ratio(config, 4096) == (1001, 1000)
+    assert action_module._cycle_ratio(config, 4096) == (1001, 1000)
     assert time.perf_counter() - start < 1
