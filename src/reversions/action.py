@@ -9,7 +9,8 @@ interior line: odd-length words swap the two open half-circle arcs,
 even-length ones preserve them, and whether the words of a balanced
 signature vector fix every off-line point is the cycle test driving the
 classification, decided from one primitive cycle (`_cycle_ratio`) that
-`is_cycle` and `classify` both read.
+`is_cycle` and `classify` both read.  Decisions read only the conic and
+the triples of a `Config`; its homologies serve only walks.
 """
 
 from __future__ import annotations
@@ -101,23 +102,23 @@ class Config:
     two points), each middle point strictly between its neighbours, and
     its base point lies on the circle.
 
-    The checks run on the `homogeneous` triples of the points, against the
-    circle's integer conic A (`Config.conic`): a point is inside when
-    X^T A X < 0 and the base point is on the circle when X^T A X = 0
-    (`geometry.quadric`); three points are collinear when their 3x3
-    determinant vanishes (`geometry.line_through`); and of three distinct
-    collinear points the middle one is strictly between the others when
-    the two segment vectors, cross-multiplied to integers, have a positive
-    dot product (`geometry.collinear_between`, which also tests the
-    collinearity).
+    The checks run on `triples` against the circle's integer conic A
+    (`conic`): a point is inside when X^T A X < 0 and the base point is on
+    the circle when X^T A X = 0 (`geometry.quadric`); three points are
+    collinear when their 3x3 determinant vanishes (`geometry.line_through`);
+    and of three distinct collinear points the middle one is strictly
+    between the others when the two segment vectors, cross-multiplied to
+    integers, have a positive dot product (`geometry.collinear_between`,
+    which also tests the collinearity).
 
-    Three derived values are built on first use and kept on the instance,
-    outside the fields that equality and hashing see: the circle's integer
-    conic, which the checks, the start-point checks of `act` and `orbit`
-    and the homologies all read; the integer homology of each interior
-    point; and the integer triple of the off-line test point, which the
-    classification witness, cycle polygons and the first table seed all
-    start from.
+    Four derived values are built on first use and kept on the instance,
+    outside the fields that equality, hashing and repr see.  The decisions
+    (the checks, the cycle decision, the test-point stream, the hulls and
+    the start-point checks of `act` and `orbit`) read `conic`, the circle's
+    integer conic, and `triples`, the points' triples, which the checks
+    fill.  Only walks read `homologies`: `act`, `orbit`, tables and cycle
+    polygons.  `test_triple`, the first off-line test point, starts the
+    classification witness, cycle polygons and the first table seed.
     """
 
     circle: Circle
@@ -129,7 +130,7 @@ class Config:
         object.__setattr__(self, "points", points)
         if not points:
             raise ConfigValidationError("count", "need at least one interior point")
-        triples = [homogeneous(p) for p in points]
+        triples = self.triples
         for i, x in enumerate(triples):
             if x in triples[i + 1:]:
                 raise ConfigValidationError(
@@ -160,10 +161,14 @@ class Config:
         return conic(self.circle)
 
     @functools.cached_property
+    def triples(self) -> tuple:
+        """The canonical triple (`geometry.homogeneous`) of each point."""
+        return tuple(map(homogeneous, self.points))
+
+    @functools.cached_property
     def homologies(self) -> tuple:
-        """The integer homology (`geometry.homology`) of each interior point,
-        in index order, all from the one cached conic."""
-        return tuple(homology(self.conic, homogeneous(c)) for c in self.points)
+        """The integer homology (`geometry.homology`) of each point."""
+        return tuple(homology(self.conic, c) for c in self.triples)
 
     @functools.cached_property
     def test_triple(self) -> Triple:
@@ -183,7 +188,10 @@ def act(config: Config, c: Point, g: Word) -> Point:
     if g.alphabet != config.alphabet:
         raise ActionError(
             f"word alphabet {g.alphabet} != {config.alphabet} interior points")
-    return affine(_chain_end(config, _on_circle_triple(config, c), g))
+    x = _on_circle_triple(config, c)
+    for x in walk(config.homologies, x, g.letters):
+        pass
+    return affine(x)
 
 
 def _on_circle_triple(config: Config, c: Point) -> Triple:
@@ -200,13 +208,6 @@ def walk(homologies: Sequence[Homology], x: Triple, letters) -> Iterator[Triple]
     for letter in letters:
         x = apply_homology(homologies[letter - 1], x)
         yield x
-
-
-def _chain_end(config: Config, x: Triple, g: Word) -> Triple:
-    """The triple x moved by the reversions of g (`walk`)."""
-    for x in walk(config.homologies, x, g.letters):
-        pass
-    return x
 
 
 def orbit(config: Config, c: Point, max_word_length: int) -> tuple:
@@ -251,22 +252,22 @@ def _test_triples(config: Config) -> Iterator[Triple]:
     stream is effectively inexhaustible.  A single interior point has no
     line to avoid.
 
-    With the base (X/W, Y/W), the center (u/z, v/z) and
-    N = k (X z - u W) + (Y z - v W), which is W z times the dot product of
-    the direction with base - center, the chord's far end is
-    (X z (k^2 + 1) - 2 k N, Y z (k^2 + 1) - 2 N, W z (k^2 + 1)) up to
+    With the base (X/W, Y/W), the center (-b/a, -e/a) read off the conic
+    and N = k (X a + b W) + (Y a + e W), which is W a times the dot product
+    of the direction with base - center, the chord's far end is
+    (X a (k^2 + 1) - 2 k N, Y a (k^2 + 1) - 2 N, W a (k^2 + 1)) up to
     its gcd; N = 0 is the tangent.  The base point is on the circle and
     the first two interior points are distinct, as `Config` checks.
     """
     x0, x1, x2 = homogeneous(config.base_point)
-    u, v, z = homogeneous(config.circle.center)
-    ex, ey = x0 * z - u * x2, x1 * z - v * x2
-    line = line_through(*map(homogeneous, config.points[:2])) if len(config.points) > 1 else None
+    (a, _, b), (_, _, e), _ = config.conic
+    ex, ey = x0 * a + b * x2, x1 * a + e * x2
+    line = line_through(*config.triples[:2]) if len(config.points) > 1 else None
     for k in itertools.count(1):
         n = k * ex + ey
         if n == 0:
             continue
-        m = z * (k * k + 1)
+        m = a * (k * k + 1)
         p0, p1, p2 = x0 * m - 2 * k * n, x1 * m - 2 * n, x2 * m
         if line is None or line[0] * p0 + line[1] * p1 + line[2] * p2 != 0:
             g = math.gcd(p0, p1, p2)
@@ -279,22 +280,22 @@ def offline_test_point(config: Config) -> Point:
     return affine(config.test_triple)
 
 
-def _tau(hi: Homology, hj: Homology) -> Tuple[int, int]:
-    """tau = lambda + 1/lambda for the translation factor lambda >= 1 of the
-    product of two homologies, as the lowest-terms pair (p, q), q >= 1.
+def _tau(matrix: Conic, x: Triple, y: Triple) -> Tuple[int, int]:
+    """tau = lambda + 1/lambda, as the lowest-terms pair (p, q), q >= 1, for
+    the translation factor lambda >= 1 of the product of the reversions
+    through the points of the triples x and y, from the `conic` matrix A
+    alone: Q(x) = x^T A x and B(x, y) = x^T A y.
 
-    H_i / q_i and H_j / q_j are the hyperbolic half-turns about the two
-    points, so their product translates along the line through them by
-    lambda, with eigenvalues lambda, 1 and 1/lambda.  Since l . C = q for
-    each homology (the gcd that `geometry.homology` divides by keeps it),
-    tr(H_i H_j) = 4 (l_i . C_j)(l_j . C_i) - q_i q_j, and
-    tau = tr(H_i H_j) / (q_i q_j) - 1 = (t - 2 q) / q
-    with t = 4 (l_i . C_j)(l_j . C_i) and q = q_i q_j > 0.
+    The reversions are the hyperbolic half-turns about the two points, so
+    the product translates along their line by twice their Cayley-Klein
+    distance d, cosh d = |B| / sqrt(Q_x Q_y): tau = 2 cosh 2d, which is
+    (2B)^2 / (Q_x Q_y) - 2, with 2B = Q(x + y) - Q_x - Q_y by polarization
+    and Q_x Q_y > 0 as both points are inside the circle.
     """
-    qi, (li0, li1, li2), (ci0, ci1, ci2) = hi
-    qj, (lj0, lj1, lj2), (cj0, cj1, cj2) = hj
-    q = qi * qj
-    p = 4 * (li0 * cj0 + li1 * cj1 + li2 * cj2) * (lj0 * ci0 + lj1 * ci1 + lj2 * ci2) - 2 * q
+    qx, qy = quadric(matrix, x), quadric(matrix, y)
+    b2 = quadric(matrix, (x[0] + y[0], x[1] + y[1], x[2] + y[2])) - qx - qy
+    q = qx * qy
+    p = b2 * b2 - 2 * q
     g = math.gcd(p, q)
     return p // g, q // g
 
@@ -377,16 +378,16 @@ def _cycle_ratio(config: Config, v2_max: int) -> Tuple[int, int]:
     (3,2).  So the cycles are the multiples of one primitive, or only 0.
 
     As x + 1/x increases for x > 1, lambda_12^k = lambda_23^m says
-    V_k(tau_12) = V_m(tau_23) for tau = lambda + 1/lambda = p/q (`_tau`),
-    and the denominator of V_k is exactly q^k (`_lucas`), so
-    q_12^k = q_23^m.  When both q exceed 1, their primitive solution
+    V_k(tau_12) = V_m(tau_23) for tau = lambda + 1/lambda = p/q (`_tau`, on
+    the conic and triples), and the denominator of V_k is exactly q^k
+    (`_lucas`), so q_12^k = q_23^m.  When both q exceed 1, their primitive solution
     (`_power_ratio`) is the only candidate, as the solutions are multiples
     of it too, and one exact check of the numerators decides it.  When
     only one is 1 there is no solution.  When both are 1, both V sequences
     are integers and a merge finds the first equal pair (`_unit_ratio`).
     """
-    h1, h2, h3 = config.homologies
-    (p12, q12), (p23, q23) = _tau(h1, h2), _tau(h2, h3)
+    c1, c2, c3 = config.triples
+    (p12, q12), (p23, q23) = _tau(config.conic, c1, c2), _tau(config.conic, c2, c3)
     if q12 == q23 == 1:
         return _unit_ratio(p12, p23, v2_max)
     k, m = _power_ratio(q12, q23)

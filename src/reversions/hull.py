@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .action import Config
-from .geometry import homogeneous
 
 __all__ = [
     "EndpointToken",
@@ -37,10 +36,9 @@ def collinear_hull(config: Config) -> tuple:
     """The collinear hull of the interior points in line order: the low
     chord end, the triples of the points in stored order, the high chord
     end.  A single interior point is its own hull."""
-    points = tuple(map(homogeneous, config.points))
-    if len(points) == 1:
-        return points
-    return (EndpointToken("low"),) + points + (EndpointToken("high"),)
+    if len(config.points) == 1:
+        return config.triples
+    return (EndpointToken("low"),) + config.triples + (EndpointToken("high"),)
 
 
 @dataclass(frozen=True)

@@ -815,17 +815,39 @@ def act_is_cycle(config: Config, v: Signature) -> bool:
     return act(config, p, g) == p
 
 
+def trace_tau(hi, hj) -> Tuple[int, int]:
+    """Reference for `action._tau` by the homology route: tau = lambda +
+    1/lambda for the translation factor lambda >= 1 of the product of two
+    homologies (`geometry.homology`), as the lowest-terms pair (p, q).
+
+    H_i / q_i and H_j / q_j are the hyperbolic half-turns about the two
+    points, so their product translates along the line through them by
+    lambda, with eigenvalues lambda, 1 and 1/lambda.  Since l . C = q for
+    each homology (the gcd that `geometry.homology` divides by keeps it),
+    tr(H_i H_j) = 4 (l_i . C_j)(l_j . C_i) - q_i q_j, and
+    tau = tr(H_i H_j) / (q_i q_j) - 1 = (t - 2 q) / q
+    with t = 4 (l_i . C_j)(l_j . C_i) and q = q_i q_j > 0.
+    """
+    qi, (li0, li1, li2), (ci0, ci1, ci2) = hi
+    qj, (lj0, lj1, lj2), (cj0, cj1, cj2) = hj
+    q = qi * qj
+    p = 4 * (li0 * cj0 + li1 * cj1 + li2 * cj2) * (lj0 * ci0 + lj1 * ci1 + lj2 * ci2) - 2 * q
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
 def powers_agree_is_cycle(config: Config, v: Signature) -> bool:
     """Reference for `action.is_cycle` on three points: the rule that
     checks the Lucas values at the vector's own entries.  A nonzero
     balanced v is a cycle exactly when v1 v3 > 0 and
-    N_|v1|(tau_12) q_23^|v3| = N_|v3|(tau_23) q_12^|v1| (`linear_lucas`)."""
+    N_|v1|(tau_12) q_23^|v3| = N_|v3|(tau_23) q_12^|v1| (`linear_lucas`),
+    with tau from the homology traces (`trace_tau`)."""
     if not is_balanced(v):
         return False
     if not any(v):
         return True
     h1, h2, h3 = config.homologies
-    (p12, q12), (p23, q23) = action._tau(h1, h2), action._tau(h2, h3)
+    (p12, q12), (p23, q23) = trace_tau(h1, h2), trace_tau(h2, h3)
     a, b = abs(v[0]), abs(v[2])
     return v[0] * v[2] > 0 and \
         linear_lucas(p12, q12, a) * q23 ** b == linear_lucas(p23, q23, b) * q12 ** a
@@ -833,15 +855,14 @@ def powers_agree_is_cycle(config: Config, v: Signature) -> bool:
 
 @contextlib.contextmanager
 def no_reversion_steps():
-    """A context in which `action.walk`, `action._chain_end`,
+    """A context in which `action.walk` (which `act` walks by),
     `action.apply_homology` and the `walk` of `svg` raise, so that any
     reversion step taken inside it fails the test."""
     def refuse(*args):
         raise AssertionError("a reversion step was taken")
 
     with pytest.MonkeyPatch.context() as patch:
-        for module, name in ((action, "walk"), (action, "_chain_end"),
-                             (action, "apply_homology"), (svg, "walk")):
+        for module, name in ((action, "walk"), (action, "apply_homology"), (svg, "walk")):
             patch.setattr(module, name, refuse)
         yield
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from conftest import (
 )
 from reversions.action import ActionError, Config, act, is_cycle, offline_test_point, orbit
 from reversions.classify import ConfigValidationError, validate_config
-from reversions.geometry import UNIT_CIRCLE, Circle
+from reversions.geometry import UNIT_CIRCLE, Circle, homogeneous
 from reversions.words import Word, normal_form, signature_of
 
 
@@ -27,6 +28,22 @@ def two_point_config(rng):
         b = pt(Fraction(rng.randint(-7, 7), 16), Fraction(rng.randint(-7, 7), 16))
         if a != b:
             return validate_config(UNIT_CIRCLE, (a, b))
+
+
+def test_derived_values_stay_outside_the_fields(sym):
+    # conic, triples, homologies and test_triple are cached on the instance,
+    # unseen by equality, hashing and repr; the checks fill the triples
+    assert [f.name for f in dataclasses.fields(Config)] == ["circle", "points", "base_point"]
+    off_centre = Circle.of(Fraction(1, 3), Fraction(-2, 5), Fraction(49, 25))
+    for config in (sym, two_point_config(random.Random(2)),
+                   validate_config(off_centre, (pt(0, "1/2"),)),
+                   validate_config(Circle.of(0, 0, 2), (pt(0, 0), pt("1/2", "1/2")), pt(1, 1))):
+        read = Config(config.circle, config.points, config.base_point)
+        for name in ("conic", "triples", "homologies", "test_triple"):
+            getattr(read, name)
+        new = Config(config.circle, config.points, config.base_point)
+        assert read == new and hash(read) == hash(new) and repr(read) == repr(new)
+        assert new.triples == tuple(map(homogeneous, new.points))
 
 
 def test_act_examples(sym):

@@ -26,12 +26,12 @@ from conftest import (
     no_reversion_steps,
     offline_test_points,
     outcome,
-    point_homology,
     primitive_candidates,
     powers_agree_is_cycle,
     pt,
     scan_search_cycle,
     third_point_residual,
+    trace_tau,
     translated_config,
 )
 from reversions.action import ActionError, Config, act, is_cycle, walk
@@ -53,8 +53,8 @@ from reversions.classify import (
     validate_config,
     verify_label,
 )
-from reversions.geometry import Circle, NotInterior, Point, UNIT_CIRCLE
-from reversions.iso import Isomorphic, build_partial_iso, decide_iso
+from reversions.geometry import Circle, NotInterior, Point, UNIT_CIRCLE, conic, homogeneous
+from reversions.iso import ConditionallyIsomorphic, Isomorphic, build_partial_iso, decide_iso
 from reversions.svg import cycle_polygon
 from reversions.words import Word, gcd_vec, is_balanced, pi13, signature_of
 
@@ -374,13 +374,14 @@ def test_middle_point_residual_signs_the_translation_factors():
     # of lambda_23^m - lambda_12^k, which is the sign of
     # V_m(tau_23) - V_k(tau_12), V_k(p/q) = N_k / q^k (`_lucas`), as
     # x + 1/x increases for x > 1
-    ends = (point_homology(UNIT_CIRCLE, pt("-1/2", 0)), point_homology(UNIT_CIRCLE, pt("1/2", 0)))
+    matrix = conic(UNIT_CIRCLE)
+    ends = (homogeneous(pt("-1/2", 0)), homogeneous(pt("1/2", 0)))
     vectors = [(v1, v2, -v2 - v1) for v2 in range(2, 13) for v1 in range(-(v2 - 1), 0)]
     lucas = action_module._lucas
     for a in [Fraction(0), Fraction(1, 3), Fraction(-2, 7), *residual_abscissas(12)]:
-        middle = point_homology(UNIT_CIRCLE, Point(a, Fraction(0)))
-        (p12, q12) = action_module._tau(ends[0], middle)
-        (p23, q23) = action_module._tau(middle, ends[1])
+        middle = homogeneous(Point(a, Fraction(0)))
+        (p12, q12) = action_module._tau(matrix, ends[0], middle)
+        (p23, q23) = action_module._tau(matrix, middle, ends[1])
         for v in vectors:
             k, m = -v[0], -v[2]
             gap = lucas(p23, q23, m) * q12 ** k - lucas(p12, q12, k) * q23 ** m
@@ -629,10 +630,10 @@ def test_avoid_all_cycles_is_cycle_free_in_closed_form():
     for seed in AVOID_SEEDS:
         config = avoid_all_cycles(seed)
         assert action_module._cycle_ratio(config, 10 ** 9) == (0, 0), seed
-        h1, h2, h3 = config.homologies
+        tau12, tau23 = taus(config)
         j = abs(seed) + 1
-        assert action_module._tau(h1, h2) == (10, 3)
-        assert action_module._tau(h2, h3) == (4 ** j + 1, 2 ** j), seed
+        assert tau12 == (10, 3)
+        assert tau23 == (4 ** j + 1, 2 ** j), seed
 
 
 def test_avoid_all_cycles_has_no_chain_cycle_at_bound_64():
@@ -699,8 +700,48 @@ def test_power_ratio_matches_brute_force(r, e1, e2, u, w):
 
 def taus(config):
     """(p, q) of tau_12 and tau_23 (`action._tau`)."""
-    h1, h2, h3 = config.homologies
-    return action_module._tau(h1, h2), action_module._tau(h2, h3)
+    c1, c2, c3 = config.triples
+    return action_module._tau(config.conic, c1, c2), action_module._tau(config.conic, c2, c3)
+
+
+def random_line_config(rng) -> Config:
+    """A valid three-point configuration: a random rational center and
+    radius, and three points in line order on a random rational line,
+    vertical or horizontal one time in three each."""
+    while True:
+        r = Fraction(rng.randint(1, 40), rng.randint(1, 9))
+        center = pt(Fraction(rng.randint(-40, 40), rng.randint(1, 9)),
+                    Fraction(rng.randint(-40, 40), rng.randint(1, 9)))
+        dx, dy = rng.choice([(0, 1), (1, 0), (rng.randint(-9, 9), rng.randint(-9, 9))])
+        if dx == dy == 0:
+            continue
+        x0 = center.x + r * Fraction(rng.randint(-6, 6), 10)
+        y0 = center.y + r * Fraction(rng.randint(-6, 6), 10)
+        step = r / (40 * (abs(dx) + abs(dy)))
+        ts = sorted(step * t for t in rng.sample(range(-39, 40), 3))
+        if rng.random() < 0.5:
+            ts.reverse()
+        points = [pt(x0 + t * dx, y0 + t * dy) for t in ts]
+        try:
+            return validate_config(Circle(center, r * r), points)
+        except ConfigValidationError:
+            continue
+
+
+def test_tau_from_the_quadratic_form_matches_the_homology_trace():
+    # tau = (2B)^2 / (Q_i Q_j) - 2 (`action._tau`) against the trace of the
+    # product of the two homologies (`trace_tau`), on 6,000 adjacent pairs
+    rng = random.Random(22)
+    slopes = set()
+    for _ in range(3000):
+        config = random_line_config(rng)
+        a, b = config.points[:2]
+        slopes.add("vertical" if a.x == b.x else "horizontal" if a.y == b.y else "other")
+        c, h = config.triples, config.homologies
+        for i in (0, 1):
+            assert action_module._tau(config.conic, c[i], c[i + 1]) == \
+                trace_tau(h[i], h[i + 1]), config
+    assert slopes == {"vertical", "horizontal", "other"}
 
 
 def irrational(tau) -> bool:
@@ -909,6 +950,35 @@ def test_every_cycle_question_reads_the_one_primitive(monkeypatch):
     assert is_cycle(config, (0, 0, 0))
     for v in [(1, 1, -1), (-2, 2, 1), (0, 3, -3), (-3, 3, 0), (1, 1, -2), (-4, 1, 3)]:
         assert not is_cycle(config, v), v
+
+
+def test_cycle_decisions_read_no_homology(monkeypatch):
+    # with `Config.homologies` raising, `is_cycle` on the vectors above,
+    # `classify` on cycle-free configurations and `decide_iso` of two of them
+    # give their answers from the conic and the triples alone; `classify` of
+    # a cycle decides it too, and raises only from the walk of its witness
+    class HomologiesRead(Exception):
+        pass
+
+    def read(self):
+        raise HomologiesRead
+
+    config = validate_config(UNIT_CIRCLE, (pt("-1/2", 0), pt(0, 0), pt("1/2", 0)))
+    vectors = [(-1, 2, -1), (2, -3, 1), (0, 0, 0), (1, 1, -1), (-2, 2, 1), (0, 3, -3),
+               (-3, 3, 0), (1, 1, -2), (-4, 1, 3)]
+    cycles = [is_cycle(config, v) for v in vectors]
+    assert cycles == [True, False, True] + [False] * 6
+    monkeypatch.setattr(Config, "homologies", property(read))
+    config = validate_config(config.circle, config.points)
+    assert [is_cycle(config, v) for v in vectors] == cycles
+    for seed in AVOID_SEEDS:
+        assert classify(avoid_all_cycles(seed), 64) == NoCycleUpTo(64), seed
+    assert decide_iso(avoid_all_cycles(1), avoid_all_cycles(2), 64) == ConditionallyIsomorphic(64)
+    assert _search_cycle(config, 8) == ((-1, 2, -1), (-1, 2, -1))
+    with pytest.raises(HomologiesRead) as raised:
+        classify(config, 8)
+    assert [entry.name for entry in raised.traceback][-4:] == \
+        ["classify", "verify_label", "act", "read"]
 
 
 @pytest.mark.parametrize("k, m", [(1, 1), (2, 1), (1, 2), (3, 5), (7, 4), (12, 1), (1, 12)])

@@ -249,7 +249,8 @@ def test_is_cycle_agrees_with_act_oracle(data, config):
 @given(data=st.data(), config=st.one_of(configs(), cycle_configs))
 def test_is_cycle_takes_no_reversion_step(data, config):
     # the draws of test_is_cycle_agrees_with_act_oracle, decided with every
-    # reversion step refused; cycle_polygon refuses a non-cycle before its walk
+    # reversion step refused; cycle_polygon refuses a non-cycle before its walk,
+    # and the context does refuse the steps of `act`
     l = config.alphabet
     v = data.draw(st.one_of(
         st.sampled_from(CYCLES + [pi13(v) for v in CYCLES] + [(0, 0, 0)]).map(lambda v: v[:l]),
@@ -257,6 +258,8 @@ def test_is_cycle_takes_no_reversion_step(data, config):
         st.lists(st.integers(-3, 3), min_size=1, max_size=4).map(tuple)))
     expected = outcome(act_is_cycle, fresh(config), v)
     with no_reversion_steps():
+        assert outcome(act, config, affine(config.test_triple), Word((1,), l)) == \
+            (AssertionError, "a reversion step was taken")
         assert outcome(is_cycle, config, v) == expected
         if expected is False:
             assert outcome(cycle_polygon, config, v) == \

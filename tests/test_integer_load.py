@@ -114,6 +114,7 @@ def test_validate_config_agrees_with_fraction_oracle(raw):
     assert got == verdict(fraction_validate_config, *raw) == verdict(Config, *raw)
     if not isinstance(got, tuple):
         assert got.conic == conic(got.circle)
+        assert got.triples == tuple(map(homogeneous, got.points))
         assert first_triples(got) == oracle_triples(got)
         assert got.test_triple == first_triples(got)[0]
 

@@ -169,7 +169,9 @@ def test_mirrored_table_orientation_walks_no_word(monkeypatch):
     def no_walk(*args):
         raise AssertionError("a word was walked")
 
-    monkeypatch.setattr(sys.modules["reversions.action"], "_chain_end", no_walk)
+    monkeypatch.setattr(sys.modules["reversions.action"], "walk", no_walk)
+    with pytest.raises(AssertionError, match="a word was walked"):
+        act(base, affine(base.test_triple), words[-1])
     table = build_partial_iso(base, mirrored, verdict, words, 1)
     assert table == expected and table.sigma == (3, 2, 1)
 
