@@ -156,15 +156,23 @@ def _search_cycle(config: Config, v2_max: int) -> Optional[Tuple[tuple, tuple]]:
     return (stored if k >= m else pi13(stored)), stored
 
 
-def _witness_word(k: int, m: int) -> Word:
-    """The pairs (2,1) and (2,3), k and m times, interleaved as Bresenham
-    draws a line of slope m/k: from d = 0, (2,1) when d <= 0, adding m to
-    d, else (2,3), subtracting k.  As d stays in (-k, m], the counts are k
-    and m: the word has the signature (-k, k+m, -m) of (2,1)^k (2,3)^m, and
-    as the two pairs translate along one line and commute, it acts the same.
-    But where the walk of (2,1)^k grows to about k log2 lambda_12 bits, this
-    one translates by a factor between 1/lambda_23 and lambda_12 after every
-    pair, so its triples stay near the homologies' size."""
+def _witness_word(v: Signature) -> Word:
+    """The word that walks the cycle v, a balanced 3-vector in stored order
+    with v1 v3 > 0; every walk of a cycle in this package walks it.
+
+    For v2 > 0, with k = -v1 and m = -v3, it is the pairs (2,1) and (2,3),
+    k and m times, interleaved as Bresenham draws a line of slope m/k: from
+    d = 0, (2,1) when d <= 0, adding m to d, else (2,3), subtracting k.  As
+    d stays in (-k, m], the counts are k and m: the word has the signature
+    v of (2,1)^k (2,3)^m, and as the two pairs translate along one line and
+    commute, it acts the same.  But where the walk of (2,1)^k grows to
+    about k log2 lambda_12 bits, this one translates by a factor between
+    1/lambda_23 and lambda_12 after every pair, so its triples stay near the
+    homologies' size.  For v2 < 0 it is the reversal of the word of -v,
+    whose signature is v as the word has even length."""
+    if v[1] < 0:
+        return _witness_word((-v[0], -v[1], -v[2])).inverse()
+    k, m = -v[0], -v[2]
     letters = []
     d = 0
     for _ in range(k + m):
@@ -186,7 +194,7 @@ def classify(config: Config, v2_max: int) -> ClassLabel:
     if found is None:
         return NoCycleUpTo(v2_max)
     canonical, stored = found
-    witness_word = _witness_word(-stored[0], -stored[2])
+    witness_word = _witness_word(stored)
     witness_point = offline_test_point(config)
     label = CycleLabel(canonical, witness_word, witness_point)
     if not verify_label(config, label):
@@ -222,8 +230,8 @@ def realize_by_closing(v: Signature, c1x: Fraction, c2x: Fraction,
     The third point is forced: x3 = (A - B)/(A + B) from the diameter fact
     (module docstring).  A and B are positive, so x3 is inside, and
     w3/w2 = (w2/w1)^k > 1, so it lies beyond the second point: valid input
-    never fails.  The word must then fix the off-axis circle point p0
-    exactly, and SignChangeError marks a bug."""
+    never fails.  The witness word of v (`_witness_word`) must then fix the
+    off-axis circle point p0 exactly, and SignChangeError marks a bug."""
     v = tuple(v)
     if len(v) != 3 or not is_balanced(v) or v[2] != -1 or v[0] > -1:
         raise RealizationError(
@@ -241,8 +249,8 @@ def realize_by_closing(v: Signature, c1x: Fraction, c2x: Fraction,
     zero = Fraction(0)
     config = validate_config(
         UNIT_CIRCLE, (Point(c1x, zero), Point(c2x, zero), Point(Fraction(a - b, a + b), zero)))
-    if act(config, p0, canonical_word(v)) != p0:
-        raise SignChangeError(f"the closed word of {v} does not fix point {format_point(p0)}")
+    if act(config, p0, _witness_word(v)) != p0:
+        raise SignChangeError(f"the witness word of {v} does not fix point {format_point(p0)}")
     return config
 
 

@@ -75,7 +75,9 @@ EXIT_USAGE = 64
 # A balanced vector's largest entry in absolute value (the middle entry of
 # a canonical vector) is half the length of its word.  `is-cycle` walks no
 # word and checks the primitive cycle (0.02 s at entry 4096 on the 2^600
-# file); `render --cycle` walks a cycle's word: 7 s for the one at 2^300.
+# file); `render --cycle` walks a cycle's witness word, whose triples stay
+# near the input's size: 0.02 s for the one at 2^300 and for twice it,
+# 0.05 s for six times it.
 # `realize --bisect` costs grow with both its vector and the number of
 # halvings down to --width, ceil(log2(1/width)): at entry 64 and 64
 # halvings it takes about 6 ms, at 128 and 64 about 6 ms, and at 64 and
@@ -275,8 +277,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_is_cycle(args) -> int:
-    config = _load_config(args.file)
-    print("true" if is_cycle(config, _parse_vector("--v", args.v, MAX_ENTRY)) else "false")
+    v = _parse_vector("--v", args.v, MAX_ENTRY)
+    print("true" if is_cycle(_load_config(args.file), v) else "false")
     return EXIT_OK
 
 
@@ -331,8 +333,8 @@ def _write_svg(path: str, svg: str) -> None:
 
 def _cmd_orbit(args) -> int:
     depth = _within_budget("--depth", args.depth, MAX_DEPTH, least=0)
-    config = _load_config(args.file)
     start = _parse_cli_point(args.point)
+    config = _load_config(args.file)
     points = orbit(config, start, depth)
     # the text, then the picture, then the print, so that a command that
     # fails leaves neither output
@@ -361,17 +363,17 @@ def _cmd_word(args) -> int:
 def _cmd_render(args) -> int:
     if args.orbit_depth is not None:
         _within_budget("--orbit-depth", args.orbit_depth, MAX_DEPTH, least=0)
-    config = _load_config(args.file)
-    cycle_points = None
-    orbit_points = None
-    if args.cycle is not None:
-        cycle_points = cycle_polygon(config, _parse_vector("--cycle", args.cycle, MAX_ENTRY))
+    v = None if args.cycle is None else _parse_vector("--cycle", args.cycle, MAX_ENTRY)
+    start = None
     if args.orbit_depth is not None:
         if not args.point:
             raise ValueError("--orbit-depth needs --point")
-        orbit_points = orbit(config, _parse_cli_point(args.point), args.orbit_depth)
+        start = _parse_cli_point(args.point)
     elif args.point is not None:
         raise ValueError("--point needs --orbit-depth")
+    config = _load_config(args.file)
+    cycle_points = None if v is None else cycle_polygon(config, v)
+    orbit_points = None if start is None else orbit(config, start, args.orbit_depth)
     _write_svg(args.svg, render_svg(config, orbit_points=orbit_points,
                                     cycle_points=cycle_points))
     return EXIT_OK

@@ -15,14 +15,18 @@ order along the collinear hull, and the chords p - c_i - p.i through the
 interior points, since no circle point lies strictly between two points of
 the closed disc.  `verify_table` reads each side's triples off those two
 sources in O(n*l) exact steps, finding the far end of each chord as one
-homology step from its near end, after checking in O(n) the premise that
-makes this complete: the interior hull points lie strictly inside the
-circle, and every other table point lies on the circle, off the hull line.
+homology step from its near end.  The premise that makes this complete
+has two halves.  The interior hull points lie strictly inside the circle,
+on one line in hull order: every `Config` is checked for that when it is
+built, and a table carries its two `Config`s, whose hulls
+(`collinear_hull`), conics and homologies `verify_table` reads.  Every
+other table point lies on the circle, off the hull line: `verify_table`
+checks that in O(n).
 
 Tables hold points as canonical triples (`geometry.homogeneous`) and the
-chord ends as tokens, in rows, seed pairs and hulls.  A build starts from
-each configuration's cached test point (`Config.test_triple`) and takes
-each sampled image x.g as one homology step on the image of g's prefix;
+chord ends as tokens, in rows and seed pairs.  A build starts from each
+configuration's cached test point (`Config.test_triple`) and takes each
+sampled image x.g as one homology step on the image of g's prefix;
 `verify_table` reads its maps off the rows and refuses non-canonical
 triples, so no point appears under two keys.
 """
@@ -42,17 +46,7 @@ from .classify import (
     _search_cycle,
     classify,
 )
-from .geometry import (
-    Circle,
-    Triple,
-    apply_homology,
-    collinear_between,
-    conic,
-    format_triple,
-    homology,
-    line_through,
-    quadric,
-)
+from .geometry import Triple, apply_homology, format_triple, line_through, quadric
 from .hull import EndpointToken, collinear_hull, hull_isomorphism
 from .words import Word
 
@@ -159,18 +153,16 @@ Key = Union[Triple, EndpointToken]
 class PartialIsoTable:
     """A finite, exactly verified piece of a betweenness isomorphism: hull
     keys matched ordinally, sampled orbit points matched through the
-    relabelled words.  src_hull and dst_hull list each side's hull keys
-    (`collinear_hull`) in its own line order, which is all the endpoint
-    tokens have for coordinates; src_circle and dst_circle are each side's
-    circle, against which `verify_table` checks its premise."""
+    relabelled words.  src and dst are the source and target
+    configurations; `verify_table` reads each side's hull keys in line
+    order (`collinear_hull`, which is all the endpoint tokens have for
+    coordinates), conic and homologies off them."""
 
     rows: tuple  # ((source key, target key), ...)
     sigma: tuple
     seed_pairs: tuple  # ((x_seed, y_seed), ...), as triples
-    src_hull: tuple
-    dst_hull: tuple
-    src_circle: Circle
-    dst_circle: Circle
+    src: Config
+    dst: Config
 
 
 def _stored_vector(config: Config, vector: tuple) -> tuple:
@@ -245,8 +237,8 @@ def build_partial_iso(s: Config, r: Config, verdict: IsoVerdict,
     for w in sample_words:
         if w.alphabet != l:
             raise VerdictError(f"sample word {w.letters} has alphabet {w.alphabet} != {l}")
-    src_hull, dst_hull = collinear_hull(s), collinear_hull(r)
-    hull_iso = hull_isomorphism(src_hull, dst_hull, _mirrored(s, r, verdict.vector))
+    hull_iso = hull_isomorphism(collinear_hull(s), collinear_hull(r),
+                                _mirrored(s, r, verdict.vector))
     sigma = hull_iso.sigma
     mapping: Dict[Key, Key] = {}
 
@@ -273,40 +265,33 @@ def build_partial_iso(s: Config, r: Config, verdict: IsoVerdict,
         if first != src:
             raise CollisionError(f"targets collide: {_key_str(first)} and "
                                  f"{_key_str(src)} both map to {_key_str(dst)}")
-    table = PartialIsoTable(tuple(mapping.items()), sigma, seed_pairs,
-                            src_hull, dst_hull, s.circle, r.circle)
+    table = PartialIsoTable(tuple(mapping.items()), sigma, seed_pairs, s, r)
     bad = verify_table(table)
     if bad is not None:
         raise CollisionError("triple check failed at " + ", ".join(map(_key_str, bad)))
     return table
 
 
-def _between_rows(hull: tuple, circle: Circle,
-                  row_of: Dict[Key, int]) -> Set[tuple]:
+def _between_rows(config: Config, row_of: Dict[Key, int]) -> Set[tuple]:
     """The row triples (i, j, k), i < k, whose keys on this side have key
     j strictly between keys i and k, from the two sources of betweenness;
-    raises VerdictError when the premise fails.
+    raises VerdictError when a key is outside the premise.
 
-    The middle hull keys are interior points on one line, in hull order,
-    and every other table key is a circle point off that line (a zero dot
-    product with `line_through` two middles).  Then no circle point (chord
-    ends included) is strictly between two points of the closed disc, so
-    the middle of a triple is a middle hull key c.  Its ends are either two
-    hull keys, between in hull order, or a circle point p and the far end
-    q of its chord through c, the reversion of p through c: one
-    `apply_homology` step, looked up among the keys.  The line through p
-    and c meets the hull line only at c, so q is never a hull key.
+    The interior points are on one line, strictly inside the circle and in
+    hull order (`Config` checks all three), and every other table key must
+    be a circle point off that line (a zero dot product with `line_through`
+    two interior points).  Then no circle point (chord ends included) is
+    strictly between two points of the closed disc, so the middle of a
+    triple is an interior point c.  Its ends are either two hull keys,
+    between in hull order, or a circle point p and the far end q of its
+    chord through c, the reversion of p through c: one `apply_homology`
+    step with c's cached homology, looked up among the keys.  The line
+    through p and c meets the hull line only at c, so q is never a hull key.
     """
-    middles = hull if len(hull) == 1 else hull[1:-1]
-    matrix = conic(circle)
-    for c in middles:
-        if quadric(matrix, c) >= 0:
-            raise VerdictError(f"hull point {format_triple(c)} is not inside the circle")
-    if len(middles) == 3 and not collinear_between(*middles):
-        raise VerdictError("the hull points are not on one line in hull order")
-    ranked = [row_of[t] for t in hull if t in row_of]
+    middles = config.triples
+    ranked = [row_of[t] for t in collinear_hull(config) if t in row_of]
     found = {(min(i, k), j, max(i, k)) for i, j, k in itertools.combinations(ranked, 3)}
-    chords = [(homology(matrix, c), row_of[c]) for c in middles if c in row_of]
+    chords = [(h, row_of[c]) for c, h in zip(middles, config.homologies) if c in row_of]
     n0, n1, n2 = line_through(*middles[:2]) if len(middles) > 1 else (0, 0, 0)
     on_hull = set(ranked)
     for p, k in row_of.items():
@@ -314,7 +299,7 @@ def _between_rows(hull: tuple, circle: Circle,
             continue
         if not isinstance(p, tuple):
             raise VerdictError(f"table token {_key_str(p)} is not on the hull")
-        if quadric(matrix, p) != 0:
+        if quadric(config.conic, p) != 0:
             raise VerdictError(f"table point {format_triple(p)} is not on the circle")
         if len(middles) > 1 and n0 * p[0] + n1 * p[1] + n2 * p[2] == 0:
             raise VerdictError(f"table point {format_triple(p)} is on the hull line")
@@ -335,15 +320,15 @@ def verify_table(table: PartialIsoTable) -> Optional[tuple]:
     sources: the order along the collinear hull, and the chords p - c_i -
     p.i through the interior points.  Each side's triples are read off
     those two in O(n*l) exact steps (see `_between_rows`), instead of
-    testing every triple.  The premise that makes this complete is checked
-    on both sides in O(n): every middle hull key lies strictly inside its
-    circle, on one line in hull order, and every other key is a circle
-    point off that line.  VerdictError if not, if a key is neither an
-    endpoint token nor a canonical triple (integers, W > 0, gcd 1), or if
-    the rows repeat a source or a target.
+    testing every triple, with the hull, conic and homologies of the
+    side's `Config`, which was checked for its half of the premise when it
+    was built.  The other half is checked on both sides in O(n): every key
+    off the hull is a circle point off the hull line.  VerdictError if
+    not, if a key is neither an endpoint token nor a canonical triple
+    (integers, W > 0, gcd 1), or if the rows repeat a source or a target.
     """
     rows = table.rows
-    for key in itertools.chain(table.src_hull, table.dst_hull, *rows):
+    for key in itertools.chain(*rows):
         if not isinstance(key, EndpointToken) and not (
                 isinstance(key, tuple) and len(key) == 3
                 and type(key[0]) is type(key[1]) is type(key[2]) is int
@@ -353,8 +338,7 @@ def verify_table(table: PartialIsoTable) -> Optional[tuple]:
     dst_row = {dst: i for i, (_, dst) in enumerate(rows)}
     if len(src_row) != len(rows) or len(dst_row) != len(rows):
         raise VerdictError("table rows repeat a source or a target")
-    mismatch = (_between_rows(table.src_hull, table.src_circle, src_row)
-                ^ _between_rows(table.dst_hull, table.dst_circle, dst_row))
+    mismatch = _between_rows(table.src, src_row) ^ _between_rows(table.dst, dst_row)
     if not mismatch:
         return None
     i, j, k = min(mismatch)

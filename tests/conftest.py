@@ -21,6 +21,7 @@ from reversions.classify import (
     RealizationInterval,
     SignChangeError,
     _search_cycle,
+    _witness_word,
     default_base_point,
     validate_config,
 )
@@ -409,15 +410,15 @@ def point_orbit_stdout(points: Sequence[Point]) -> str:
 
 def point_cycle_polygon(config: Config, v: Signature) -> List[Point]:
     """Reference for `svg.cycle_polygon`: the chain of `fraction_reversion`
-    images of the first off-line test point under the normal-form word of
-    a cycle verified by `act_is_cycle`."""
+    images of the first off-line test point under the witness word
+    (`classify._witness_word`) of a cycle verified by `act_is_cycle`."""
     v = tuple(v)
     if not any(v):
         raise UnverifiedCycle("the zero vector has no cycle polygon")
     if not act_is_cycle(config, v):
         raise UnverifiedCycle(f"{v} is not a cycle for this configuration")
     chain = [next(fraction_offline_test_points(config))]
-    for letter in word_from_signature(v).letters:
+    for letter in _witness_word(v).letters:
         chain.append(fraction_reversion(config.circle, config.points[letter - 1], chain[-1]))
     return chain
 
@@ -791,8 +792,8 @@ def cubic_verify_table(table: PartialIsoTable) -> Optional[tuple]:
     exactly the condition that every small subsample passes the
     brute-force oracle: a restriction is an isomorphism if and only if
     each of its triples agrees on both sides."""
-    src_pos = {point_of(t): i for i, t in enumerate(table.src_hull)}
-    dst_pos = {point_of(t): i for i, t in enumerate(table.dst_hull)}
+    src_pos = {t: i for i, t in enumerate(point_hull(table.src))}
+    dst_pos = {t: i for i, t in enumerate(point_hull(table.dst))}
     rows = [(point_of(a), point_of(b)) for a, b in table.rows]
     for r1, r2, r3 in itertools.combinations(range(len(rows)), 3):
         for i, j, k in ((r1, r2, r3), (r2, r1, r3), (r1, r3, r2)):
@@ -900,15 +901,14 @@ def point_hull(config: Config) -> tuple:
 
 
 def keyed_table(table: PartialIsoTable) -> PartialIsoTable:
-    """The table with every Point of its rows, seed pairs and hulls
-    replaced by its `homogeneous` triple, the key the library uses."""
+    """The table with every Point of its rows and seed pairs replaced by its
+    `homogeneous` triple, the key the library uses."""
     def key(token):
         return homogeneous(token) if isinstance(token, Point) else token
 
     return dataclasses.replace(
         table, rows=tuple((key(a), key(b)) for a, b in table.rows),
-        seed_pairs=tuple((key(x), key(y)) for x, y in table.seed_pairs),
-        src_hull=tuple(map(key, table.src_hull)), dst_hull=tuple(map(key, table.dst_hull)))
+        seed_pairs=tuple((key(x), key(y)) for x, y in table.seed_pairs))
 
 
 def act_build_partial_iso(s: Config, r: Config, verdict: IsoVerdict,
@@ -927,10 +927,9 @@ def act_build_partial_iso(s: Config, r: Config, verdict: IsoVerdict,
     for w in sample_words:
         if w.alphabet != l:
             raise VerdictError(f"sample word {w.letters} has alphabet {w.alphabet} != {l}")
-    src_hull, dst_hull = point_hull(s), point_hull(r)
     mirrored = (l == 3 and verdict.vector is not None
                 and _act_stored_vector(s, verdict.vector) != _act_stored_vector(r, verdict.vector))
-    hull_iso = hull_isomorphism(src_hull, dst_hull, mirrored)
+    hull_iso = hull_isomorphism(point_hull(s), point_hull(r), mirrored)
     sigma = hull_iso.sigma
     mapping: Dict[Token, Token] = {}
 
@@ -958,8 +957,7 @@ def act_build_partial_iso(s: Config, r: Config, verdict: IsoVerdict,
             raise CollisionError(f"targets collide: {token_text(targets[dst])} and "
                                  f"{token_text(src)} both map to {token_text(dst)}")
         targets[dst] = src
-    table = keyed_table(PartialIsoTable(tuple(mapping.items()), sigma, tuple(seed_pairs),
-                                        src_hull, dst_hull, s.circle, r.circle))
+    table = keyed_table(PartialIsoTable(tuple(mapping.items()), sigma, tuple(seed_pairs), s, r))
     bad = verify_table(table)
     if bad is not None:
         raise CollisionError("triple check failed at " + ", ".join(map(token_text, bad)))

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -983,7 +984,7 @@ def test_cycle_decisions_read_no_homology(monkeypatch):
 
 @pytest.mark.parametrize("k, m", [(1, 1), (2, 1), (1, 2), (3, 5), (7, 4), (12, 1), (1, 12)])
 def test_witness_word_interleaves_the_stored_cycle(k, m):
-    word = classify_module._witness_word(k, m)
+    word = classify_module._witness_word((-k, k + m, -m))
     pairs = [word.letters[i:i + 2] for i in range(0, len(word.letters), 2)]
     assert sorted(pairs) == [(2, 1)] * k + [(2, 3)] * m
     assert signature_of(word) == (-k, k + m, -m)
@@ -994,7 +995,7 @@ def test_witness_word_interleaves_the_stored_cycle(k, m):
         stored = pi13(v) if reverse != (k < m) else v
         label = classify(config, k + m)
         assert signature_of(label.witness_word) == stored
-        assert label.witness_word == classify_module._witness_word(-stored[0], -stored[2])
+        assert label.witness_word == classify_module._witness_word(stored)
 
 
 def test_witness_walk_stays_near_the_homology_size():
@@ -1045,6 +1046,66 @@ def test_found_cycle_questions_take_no_reversion_step(tmp_path, capsys):
     assert capsys.readouterr().err == \
         "error: (-300, 601, -301) is not a cycle for this configuration\n"
     assert not (tmp_path / "c.svg").exists()
+
+
+def test_render_cycle_walks_the_witness_within_the_budget(tmp_path, capsys):
+    # the polygon of the a = 300 cycle, and of twice it, walks the witness
+    # word, whose triples stay near the size of the homologies: one polygon
+    # of 2 v2 + 1 vertices, well under 2 s (the normal-form word of the
+    # first took about 7 s)
+    path = str(doubling_file(tmp_path, 300))
+    svg = tmp_path / "c.svg"
+    for t in (1, 2):
+        v = (-301 * t, 601 * t, -300 * t)
+        start = time.perf_counter()
+        assert main(["render", path, "--svg", str(svg), "--cycle", "{},{},{}".format(*v)]) \
+            == EXIT_OK
+        assert time.perf_counter() - start < 2, v
+        polygons = re.findall(r'<polygon points="([^"]*)"', svg.read_text(encoding="utf-8"))
+        assert len(polygons) == 1 and len(polygons[0].split()) == 2 * v[1] + 1, v
+    assert capsys.readouterr() == ("", "")
+
+
+def test_cycle_walks_build_no_normal_form_word(tmp_path, capsys, monkeypatch):
+    # with `word_from_signature` and `canonical_word` raising in every
+    # namespace that holds them, `classify`, `render --cycle` and
+    # `realize --closing` give the same answers and pictures: every walk of
+    # a cycle takes its word from `_witness_word`
+    sym = tmp_path / "sym.cfg"
+    sym.write_text("circle 0 0 1\npoint -1/2 0\npoint 0 0\npoint 1/2 0\n", encoding="utf-8")
+    closing = tmp_path / "closing.cfg"
+    closing.write_text(serialize_config(search_closing_config((-3, 4, -1))), encoding="utf-8")
+    svg = tmp_path / "c.svg"
+    runs = [["classify", str(sym)], ["classify", str(closing), "--bound", "8"],
+            ["render", str(sym), "--svg", str(svg), "--cycle", "-3,6,-3"],
+            ["render", str(closing), "--svg", str(svg), "--cycle", "3,-4,1"],
+            ["render", str(closing), "--svg", str(svg), "--cycle", "-6,8,-2"],
+            ["realize", "--v", "-3,4,-1", "--closing"],
+            ["realize", "--v", "-5,6,-1", "--closing"]]
+
+    def answers() -> list:
+        out = []
+        for argv in runs:
+            code = main(argv)
+            picture = svg.read_bytes() if argv[0] == "render" else None
+            out.append((code, capsys.readouterr(), picture))
+        return out
+
+    expected = answers()
+    assert {code for code, _, _ in expected} == {EXIT_OK}
+
+    def refuse(*args):
+        raise AssertionError("a normal-form word was built")
+
+    words_module = sys.modules["reversions.words"]
+    for name in ("word_from_signature", "canonical_word"):
+        original = getattr(words_module, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "reversions" and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError, match="normal-form word"):
+        words_module.canonical_word((-1, 2, -1))
+    assert answers() == expected
 
 
 def test_avoid_all_cycles_refuses_a_seed_past_its_budget():

@@ -574,10 +574,29 @@ def test_cli_width_budget(capsys):
     assert code == EXIT_OK
 
 
-# Refusals with their whole stderr.  A flag below its least value is
-# refused before any file is loaded, so a missing file is never reached,
-# and iso refuses its bound also where one-point files need no search.
+# Refusals with their whole stderr.  A bad flag value, or a flag without
+# its partner, is refused before any file is loaded, so a missing file is
+# never reached, and iso refuses its bound also where one-point files need
+# no search.
 REFUSALS = {
+    "is-cycle-short-vector": (["is-cycle", "{missing}", "--v", "1,-1"],
+                              "expected v1,v2,v3, got '1,-1'"),
+    "is-cycle-entry-budget": (["is-cycle", "{missing}", "--v", "-4097,8194,-4097"],
+                              "--v entry 8194 exceeds the budget of 4096"),
+    "orbit-point-without-y": (["orbit", "{missing}", "--point", "1"], "expected x,y, got '1'"),
+    "render-cycle-short-vector": (["render", "{missing}", "--svg", "{svg}", "--cycle", "1,-1"],
+                                  "expected v1,v2,v3, got '1,-1'"),
+    "render-cycle-entry-budget": (["render", "{missing}", "--svg", "{svg}",
+                                   "--cycle", "-1,4097,-4096"],
+                                  "--cycle entry 4097 exceeds the budget of 4096"),
+    "render-point-without-y": (["render", "{missing}", "--svg", "{svg}", "--point", "1",
+                                "--orbit-depth", "2"], "expected x,y, got '1'"),
+    "render-orbit-depth-without-point": (["render", "{missing}", "--svg", "{svg}",
+                                          "--orbit-depth", "2"], "--orbit-depth needs --point"),
+    "render-point-without-orbit-depth": (["render", "{missing}", "--svg", "{svg}",
+                                          "--point", "0,1"], "--point needs --orbit-depth"),
+    "render-cycle-then-pairing": (["render", "{sym}", "--svg", "{svg}", "--cycle", "-2,3,-1",
+                                   "--orbit-depth", "2"], "--orbit-depth needs --point"),
     "classify-bound-0": (["classify", "{missing}", "--bound", "0"],
                          "--bound must be at least 1, got 0"),
     "iso-bound-negative": (["iso", "{one}", "{one}", "--bound", "-3"],

@@ -31,6 +31,7 @@ from conftest import (
 )
 from reversions import action, iso
 from reversions.action import Config, act, is_cycle, offline_test_point, orbit
+from reversions.classify import _witness_word
 from reversions.geometry import (
     Circle,
     NotInterior,
@@ -44,7 +45,7 @@ from reversions.geometry import (
 )
 from reversions.iso import Isomorphic, build_partial_iso, decide_iso
 from reversions.svg import UnverifiedCycle, cycle_polygon
-from reversions.words import Word, enumerate_words, pi13, word_from_signature
+from reversions.words import Word, enumerate_words, pi13
 
 OFF_CENTRE = Circle.of(Fraction(1, 3), Fraction(-2, 5), Fraction(49, 25))
 IRRATIONAL = Circle.of(0, 0, 2)
@@ -202,7 +203,7 @@ def test_cycle_polygon_agrees_with_reversion_chain(circle, s, v, reverse):
     stored = pi13(v) if reverse else v
     chain = cycle_polygon(config, stored)
     expected = reversion_fold(config, offline_test_point(config),
-                              word_from_signature(stored).letters)
+                              _witness_word(stored).letters)
     assert [affine(x) for x in chain] == expected
     assert chain == [homogeneous(p) for p in expected]
     assert chain[-1] == chain[0]

@@ -31,7 +31,7 @@ from reversions.classify import (
     validate_config,
 )
 from reversions.geometry import Circle, Point, UNIT_CIRCLE, affine, format_point, homogeneous
-from reversions.hull import EndpointToken
+from reversions.hull import EndpointToken, collinear_hull
 from reversions.iso import (
     CollisionError,
     ConditionallyIsomorphic,
@@ -262,10 +262,10 @@ def test_serialize_table(sym):
 
 
 def chord_end_swap_table() -> PartialIsoTable:
-    """The identity on an l = 2 table, except that the two rational chord
-    ends trade places."""
+    """The identity on an l = 2 table, except that the two chord ends trade
+    places."""
     config = validate_config(UNIT_CIRCLE, (pt("-1/2", 0), pt("1/4", 0)))
-    x1, x2 = pt(-1, 0), pt(1, 0)
+    x1, x2 = EndpointToken("low"), EndpointToken("high")
     ps = list(itertools.islice(offline_test_points(config), 2))
     rows = (
         (x1, x2), (x2, x1),
@@ -273,9 +273,7 @@ def chord_end_swap_table() -> PartialIsoTable:
         (config.points[1], config.points[1]),
         (ps[0], ps[0]), (ps[1], ps[1]),
     )
-    hull_order = (x1, config.points[0], config.points[1], x2)
-    return keyed_table(PartialIsoTable(rows, (1, 2), ((ps[0], ps[0]),), hull_order, hull_order,
-                                       UNIT_CIRCLE, UNIT_CIRCLE))
+    return keyed_table(PartialIsoTable(rows, (1, 2), ((ps[0], ps[0]),), config, config))
 
 
 def test_l2_counterexample_regression():
@@ -333,7 +331,7 @@ def built_tables() -> list:
 
 def test_build_partial_iso_agrees_with_act_oracle():
     # mirrored storage, two seeds, l = 1, 2, 3 and the cross-seed pair: the
-    # same rows in the same order, sigma, seed pairs, hulls and circles
+    # same rows in the same order, sigma, seed pairs and configurations
     cases = table_cases() + [
         (s, r, Isomorphic((-3, 5, -2)), list(enumerate_words(3, 2)), 2)
         for s, r in map(cross_seed_pair, (True, False))]
@@ -394,7 +392,7 @@ def mutants(tables: list, count: int, seed: int):
 
 def test_verify_table_agrees_with_cubic_on_built_tables():
     tables = built_tables()
-    assert {len(t.src_hull) for t in tables} == {1, 4, 5}
+    assert {len(collinear_hull(t.src)) for t in tables} == {1, 4, 5}
     assert {t.sigma for t in tables} >= {(1, 2, 3), (3, 2, 1)}
     for table in tables:
         assert verify_table(table) is None
@@ -435,23 +433,26 @@ def test_verify_table_premise():
                           ((-1, 0, 1), "table point -1 0 is on the hull line")):
         bad = dataclasses.replace(table, rows=table.rows + ((bad_src, far),))
         assert premise_error(bad) == text
-    # a middle hull token outside the open disc: the hull-only table of the
-    # symmetric configuration against circles through or inside (1/2, 0)
+    # the hull half of the premise is checked where each `Config` is built:
+    # a middle hull point outside the open disc (the symmetric points in
+    # circles through or inside (1/2, 0)) ...
     sym = symmetric_config()
     hull_only = build_partial_iso(sym, sym, Isomorphic((-1, 2, -1)), [], 0)
     assert verify_table(hull_only) is None
     for radius_sq in ("1/4", "1/5"):
-        bad = dataclasses.replace(hull_only, dst_circle=Circle.of(0, 0, Fraction(radius_sq)))
-        assert premise_error(bad) == "hull point -1/2 0 is not inside the circle"
-    # interior hull points off one line, out of line order, or repeated
-    low, high = hull_only.src_hull[0], hull_only.src_hull[-1]
-    for middles in ((pt("-1/2", 0), pt(0, "1/4"), pt("1/2", 0)),
-                    (pt(0, 0), pt("-1/2", 0), pt("1/2", 0)),
-                    (pt(0, 0), pt(0, 0), pt("1/2", 0))):
-        hull = (low,) + tuple(map(homogeneous, middles)) + (high,)
-        bad = PartialIsoTable(tuple((t, t) for t in dict.fromkeys(hull)), (1, 2, 3), (),
-                              hull, hull, UNIT_CIRCLE, UNIT_CIRCLE)
-        assert premise_error(bad) == "the hull points are not on one line in hull order"
+        with pytest.raises(ConfigValidationError,
+                           match="^point -1/2 0 is not strictly inside the circle$"):
+            validate_config(Circle.of(0, 0, Fraction(radius_sq)), sym.points)
+    # ... and interior hull points off one line, out of line order, or repeated
+    for middles, text in (((pt("-1/2", 0), pt(0, "1/4"), pt("1/2", 0)),
+                           "point 1/2 0 is off the line of the first two points"),
+                          ((pt(0, 0), pt("-1/2", 0), pt("1/2", 0)),
+                           "point -1/2 0 is not between its neighbours"),
+                          ((pt(0, 0), pt(0, 0), pt("1/2", 0)),
+                           "interior point 0 0 repeated")):
+        with pytest.raises(ConfigValidationError) as err:
+            validate_config(UNIT_CIRCLE, middles)
+        assert str(err.value) == text
 
 
 def premise_mutants(tables: list):
@@ -460,19 +461,20 @@ def premise_mutants(tables: list):
     circle's centre, the source moved to a rational end of its hull chord,
     and an endpoint token in place of a point beside a one-point hull."""
     for table in tables:
-        i = max(k for k, (a, _) in enumerate(table.rows) if a not in table.src_hull)
+        hull = collinear_hull(table.src)
+        i = max(k for k, (a, _) in enumerate(table.rows) if a not in hull)
         a, b = table.rows[i]
 
         def with_row(row):
             return dataclasses.replace(table, rows=table.rows[:i] + (row,) + table.rows[i + 1:])
 
-        for side, circle in ((0, table.src_circle), (1, table.dst_circle)):
+        for side, circle in ((0, table.src.circle), (1, table.dst.circle)):
             p = affine(table.rows[i][side])
             m = Point((p.x + circle.center.x) / 2, (p.y + circle.center.y) / 2)
             yield (with_row((homogeneous(m), b) if side == 0 else (a, homogeneous(m))),
                    f"table point {format_point(m)} is not on the circle", "off-circle")
-        c = table.src_circle
-        middles = table.src_hull[1:-1]
+        c = table.src.circle
+        middles = table.src.triples
         if len(middles) > 1 and all(affine(q).y == c.center.y for q in middles):
             try:
                 end = default_base_point(c)  # (cx + r, cy) when r is rational
@@ -480,7 +482,7 @@ def premise_mutants(tables: list):
                 continue
             yield (with_row((homogeneous(end), b)),
                    f"table point {format_point(end)} is on the hull line", "on-line")
-        if len(table.src_hull) == 1:
+        if len(hull) == 1:
             for row, role in (((EndpointToken("low"), b), "low"),
                               ((a, EndpointToken("high")), "high")):
                 yield (with_row(row),
@@ -498,13 +500,39 @@ def test_verify_table_premise_mutants():
     assert kinds == {"off-circle", "on-line", "non-hull token"}
 
 
+def test_verify_table_builds_no_conic_and_no_homology(monkeypatch):
+    # with `geometry.conic` and `geometry.homology` raising in every
+    # namespace that holds them, every built table and its row mutants get
+    # the same answers: `verify_table` reads the conic that each `Config`
+    # computed when it was built and the homologies that the build cached
+    tables = built_tables()
+    cases = tables + list(mutants(tables, 60, seed=11)) + \
+        [mutant for mutant, _, _ in premise_mutants(tables)]
+    expected = [outcome(verify_table, table) for table in cases]
+    assert None in expected and any(isinstance(e, tuple) and e[0] is VerdictError
+                                    for e in expected)
+
+    def refuse(*args):
+        raise AssertionError("a conic or a homology was built")
+
+    for name in ("conic", "homology"):
+        original = getattr(geometry, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "reversions" and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError, match="was built"):
+        geometry.conic(UNIT_CIRCLE)
+    assert [outcome(verify_table, table) for table in cases] == expected
+
+
 def test_verify_table_refuses_keys_that_are_not_canonical():
     # a point has one canonical triple (W > 0, gcd 1); any other triple of
     # it, or a Point, would let one point appear under two keys
     sym = symmetric_config()
     table = build_partial_iso(sym, sym, Isomorphic((-1, 2, -1)), list(enumerate_words(3, 2)), 1)
     assert verify_table(table) is None
-    i = max(k for k, (a, _) in enumerate(table.rows) if a not in table.src_hull)
+    hull = collinear_hull(sym)
+    i = max(k for k, (a, _) in enumerate(table.rows) if a not in hull)
     x, y, w = table.rows[i][0]
     for bad in ((2 * x, 2 * y, 2 * w), (-x, -y, -w), (x, y, 0), (0, 0, 0),
                 (Fraction(x), y, w), (x, y), affine((x, y, w))):
@@ -512,15 +540,17 @@ def test_verify_table_refuses_keys_that_are_not_canonical():
             mutant = dataclasses.replace(
                 table, rows=table.rows[:i] + (row,) + table.rows[i + 1:])
             assert premise_error(mutant) == f"table key {bad!r} is not a canonical triple"
-    for side in ("src_hull", "dst_hull"):
-        hull = getattr(table, side)
-        doubled = (hull[0], tuple(2 * c for c in hull[1])) + hull[2:]
-        assert premise_error(dataclasses.replace(table, **{side: doubled})) == \
-            f"table key {doubled[1]!r} is not a canonical triple"
+    # the hull keys are the `Config`'s canonical triples, so a row keyed by
+    # another triple of a hull point is refused on either side
+    j = next(k for k, (a, _) in enumerate(table.rows) if a == hull[1])
+    doubled = tuple(2 * c for c in hull[1])
+    for row in ((doubled, table.rows[j][1]), (table.rows[j][0], doubled)):
+        mutant = dataclasses.replace(table, rows=table.rows[:j] + (row,) + table.rows[j + 1:])
+        assert premise_error(mutant) == f"table key {doubled!r} is not a canonical triple"
 
 
 def test_build_partial_iso_makes_no_affine_call(monkeypatch):
-    # the rows, seed pairs and hulls hold the triples they are built on
+    # the rows and seed pairs hold the triples they are built on
     cases = table_cases()  # the verdicts build witness points
     calls = []
     original = geometry.affine

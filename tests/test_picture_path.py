@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    doubling_config,
     load_perfbench,
     outcome,
     point_cycle_polygon,
@@ -22,6 +23,7 @@ from conftest import (
     point_render_svg,
     symmetric_config,
 )
+from reversions.classify import search_closing_config
 from reversions.cli import EXIT_OK, main, parse_config
 from reversions.geometry import (
     Point,
@@ -135,3 +137,15 @@ def test_cycle_polygon_walks_the_word_once(monkeypatch):
     v = (-3, 6, -3)
     chain = cycle_polygon(symmetric_config(), v)
     assert len(steps) == len(word_from_signature(v).letters) == len(chain) - 1 == 12
+
+
+def test_cycle_polygon_of_the_negated_cycle_is_reversed():
+    # the witness word of -v is the reversal of the word of v, so it walks
+    # the same closed chain backwards; multiples walk the primitive's
+    closing = search_closing_config((-2, 3, -1))
+    for config, v in ((symmetric_config(), (-1, 2, -1)), (symmetric_config(), (-3, 6, -3)),
+                      (closing, (-2, 3, -1)), (closing, (-6, 9, -3)),
+                      (doubling_config(10), (-11, 21, -10))):
+        chain = cycle_polygon(config, v)
+        assert len(chain) == 2 * v[1] + 1 and chain[0] == chain[-1]
+        assert cycle_polygon(config, tuple(-x for x in v)) == chain[::-1], v
