@@ -67,8 +67,6 @@ class ConfigValidationError(ValueError):
 
 
 def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
-    if x < 0:
-        return None
     rn = math.isqrt(x.numerator)
     rd = math.isqrt(x.denominator)
     if rn * rn == x.numerator and rd * rd == x.denominator:

@@ -7,7 +7,8 @@ v1 <= v3 <= -1 and gcd 1, which is then a complete class label.  The
 primitive, stored as (-k, k+m, -m), is decided exactly with no
 reversion step by `action._cycle_ratio`, which `action.is_cycle` reads
 too.  The label stays bounded: `NoCycleUpTo(B)` when there is no cycle
-or its middle entry exceeds B.
+or its middle entry exceeds B.  Every walk of a cycle is the checked
+chain of its witness word (`_closed_chain`).
 
 The diameter fact: write w = (1 + x)/(1 - x) for the point (x, 0) of
 the unit circle.  In the Beltrami-Klein model that point lies at signed
@@ -15,15 +16,14 @@ hyperbolic distance (ln w)/2 from the center, and the product of the
 half-turns about two points translates by twice the distance between
 them, so on the x-axis lambda_ij = w_j / w_i.  Three constructors
 rest on it, each in closed form.  `realize_by_closing` solves
-(w2/w1)^k = w3/w2 for the third point of the cycle (-k, k+1, -1): with
-c1x = n1/d1 and c2x = n2/d2, x3 = (A - B)/(A + B) for
-A = (d2 + n2)^(k+1) (d1 - n1)^k and B = (d2 - n2)^(k+1) (d1 + n1)^k.
+(w2/w1)^k = w3/w2 for the third point of the cycle (-k, k+1, -1), and
+`avoid_all_cycles` picks w = (1/3, 1, 2^j), where no cycle can close;
+both build their points from the weights (`_diameter_config`).
 `realize_by_bisection` isolates the middle point of
 v = (-k, k+m, -m) between -1/2 and 1/2 by signing, at n/d,
 9^m (d - n)^(2(k+m)) against 9^k (d + n)^(2(k+m)), which are
 lambda_23^(2m) and lambda_12^(2k) times one positive integer
-(`_residual_pair`).  `avoid_all_cycles` picks w = (1/3, 1, 2^j), where
-no cycle can close.
+(`_residual_pair`).
 """
 
 from __future__ import annotations
@@ -39,11 +39,13 @@ from .action import (
     act,
     default_base_point,
     offline_test_point,
+    walk,
 )
 from .geometry import (
     Circle,
     NotInterior,
     Point,
+    Triple,
     UNIT_CIRCLE,
     conic,
     format_point,
@@ -185,21 +187,31 @@ def _witness_word(v: Signature) -> Word:
     return Word(tuple(letters), 3)
 
 
+def _closed_chain(config: Config, v: Signature, start: Triple) -> list:
+    """The triple start and its images under each letter of the witness
+    word of the cycle v in stored order (`_witness_word`); SignChangeError,
+    a bug, unless the word's signature is v and the chain ends at start."""
+    word = _witness_word(v)
+    if signature_of(word) != v:
+        raise SignChangeError(f"the witness word of {v} has signature {signature_of(word)}")
+    chain = [start, *walk(config.homologies, start, word.letters)]
+    if chain[-1] != start:
+        raise SignChangeError(f"the chain of the witness word of {v} does not close")
+    return chain
+
+
 def classify(config: Config, v2_max: int) -> ClassLabel:
     """Class label of the configuration: the canonical primitive cycle with
-    an exactly verified witness, or the bounded no-cycle result.  The
-    witness word is `_witness_word` of the stored cycle, walked from the
-    cached test point."""
+    a witness whose chain from the cached test point closes exactly
+    (`_closed_chain`), or the bounded no-cycle result."""
     found = _search_cycle(config, v2_max)
     if found is None:
         return NoCycleUpTo(v2_max)
     canonical, stored = found
-    witness_word = _witness_word(stored)
-    witness_point = offline_test_point(config)
-    label = CycleLabel(canonical, witness_word, witness_point)
-    if not verify_label(config, label):
-        raise SignChangeError(f"witness for {canonical} failed re-verification")
-    return label
+    if gcd_vec(canonical) != 1:
+        raise SignChangeError(f"the cycle {canonical} is not primitive")
+    _closed_chain(config, stored, config.test_triple)
+    return CycleLabel(canonical, _witness_word(stored), offline_test_point(config))
 
 
 def verify_label(config: Config, label: ClassLabel) -> bool:
@@ -222,35 +234,36 @@ def format_label(label: ClassLabel) -> str:
     return f"no-cycle-upto {label.v2_bound}"
 
 
+def _diameter_config(weights) -> Config:
+    """The unit circle with the points x = (w - 1)/(w + 1) on its x-axis,
+    in the order of the positive weights w (the diameter fact)."""
+    return validate_config(UNIT_CIRCLE, tuple(Point.of((w - 1) / (w + 1), 0)
+                                              for w in map(Fraction, weights)))
+
+
 def realize_by_closing(v: Signature, c1x: Fraction, c2x: Fraction,
                        p0: Point) -> Config:
     """Construct an exact configuration on the x-axis of the unit circle
     with cycle v = (-k, k+1, -1) and first points c1x < c2x.
 
-    The third point is forced: x3 = (A - B)/(A + B) from the diameter fact
-    (module docstring).  A and B are positive, so x3 is inside, and
-    w3/w2 = (w2/w1)^k > 1, so it lies beyond the second point: valid input
-    never fails.  The witness word of v (`_witness_word`) must then fix the
-    off-axis circle point p0 exactly, and SignChangeError marks a bug."""
+    By the diameter fact (module docstring) the third point has the weight
+    w3 = w2^(k+1)/w1^k for w = (1 + c)/(1 - c).  It is positive, so the point
+    is inside, and w3/w2 = (w2/w1)^k > 1, so it lies beyond the second one:
+    valid input never fails.  The witness chain from the off-axis circle
+    point p0 must then close (`_closed_chain`); SignChangeError marks a bug."""
     v = tuple(v)
     if len(v) != 3 or not is_balanced(v) or v[2] != -1 or v[0] > -1:
-        raise RealizationError(
-            f"{v} must be balanced with v3 = -1 and v1 <= -1")
+        raise RealizationError(f"{v} must be balanced with v3 = -1 and v1 <= -1")
     if not (-1 < c1x < c2x < 1):
         raise RealizationError(f"need -1 < c1x < c2x < 1, got {c1x}, {c2x}")
     if quadric(conic(UNIT_CIRCLE), homogeneous(p0)) != 0:
         raise RealizationError(f"point {format_point(p0)} is not on the unit circle")
     if p0.y == 0:
         raise RealizationError("p0 must be off the x-axis")
-    c1x, c2x, k = Fraction(c1x), Fraction(c2x), -v[0]
-    n1, d1, n2, d2 = c1x.numerator, c1x.denominator, c2x.numerator, c2x.denominator
-    a = (d2 + n2) ** (k + 1) * (d1 - n1) ** k
-    b = (d2 - n2) ** (k + 1) * (d1 + n1) ** k
-    zero = Fraction(0)
-    config = validate_config(
-        UNIT_CIRCLE, (Point(c1x, zero), Point(c2x, zero), Point(Fraction(a - b, a + b), zero)))
-    if act(config, p0, _witness_word(v)) != p0:
-        raise SignChangeError(f"the witness word of {v} does not fix point {format_point(p0)}")
+    k = -v[0]
+    w1, w2 = ((1 + Fraction(c)) / (1 - Fraction(c)) for c in (c1x, c2x))
+    config = _diameter_config((w1, w2, w2 ** (k + 1) / w1 ** k))
+    _closed_chain(config, v, homogeneous(p0))
     return config
 
 
@@ -340,8 +353,7 @@ def realize_by_bisection(v: Signature, width_bound: Fraction) -> RealizationInte
     if v[1] < 0:
         v = (-v[0], -v[1], -v[2])
     if v[1] < 1 or v[0] > -1 or v[2] > -1:
-        raise RealizationError(
-            f"{v} must satisfy v2 >= 1 and v1, v3 <= -1 (up to negation)")
+        raise RealizationError(f"{v} must satisfy v2 >= 1 and v1, v3 <= -1 (up to negation)")
     width_bound = Fraction(width_bound)
     if width_bound <= 0:
         raise RealizationError(f"width bound must be positive, got {width_bound}")
@@ -350,8 +362,7 @@ def realize_by_bisection(v: Signature, width_bound: Fraction) -> RealizationInte
         if _residual_sign(v, lo, 1 << e) > 0 and _residual_sign(v, hi, 1 << e) < 0:
             break
     else:
-        raise SignChangeError(
-            f"no certified sign change near the endpoints for {v}")
+        raise SignChangeError(f"no certified sign change near the endpoints for {v}")
     p, q = width_bound.numerator, width_bound.denominator
     while (hi - lo) * q > p << e:
         mid, lo, hi, e = lo + hi, 2 * lo, 2 * hi, e + 1
@@ -372,22 +383,18 @@ def realize_by_bisection(v: Signature, width_bound: Fraction) -> RealizationInte
 
 
 def avoid_all_cycles(seed: int) -> Config:
-    """A configuration with no nonzero cycle at any bound: the points
+    """A configuration with no nonzero cycle at any bound: the points of
+    the weights w = 1/3, 1 and 2^j (`_diameter_config`), which are
     (-1/2, 0), (0, 0) and ((2^j - 1)/(2^j + 1), 0) of the unit circle, with
     j = |seed| + 1, so that different |seed| give different third points.
 
-    The three points have w = 1/3, 1 and 2^j, so by the diameter fact
-    (module docstring) lambda_12 = 3 and lambda_23 = 2^j.  The stored vector
-    (-k, k+m, -m) is a cycle exactly when lambda_12^k = lambda_23^m
-    (`action._cycle_ratio`), that is 3^k = 2^(jm), which no k, m >= 1
-    solve: the left side is odd and the right side even.  The decision
-    sees this on the denominators 3 and 2^j of tau_12 = 10/3 and
-    tau_23 = (4^j + 1)/2^j.
-    A |seed| above 4096 raises ValueError before 2^j is built.
-    """
+    By the diameter fact (module docstring) lambda_12 = 3 and
+    lambda_23 = 2^j.  The stored vector (-k, k+m, -m) is a cycle exactly
+    when lambda_12^k = lambda_23^m (`action._cycle_ratio`), that is
+    3^k = 2^(jm), which no k, m >= 1 solve: the left side is odd and the
+    right side even.  The decision sees this on the denominators 3 and 2^j
+    of tau_12 = 10/3 and tau_23 = (4^j + 1)/2^j.  A |seed| above 4096
+    raises ValueError before 2^j is built."""
     if abs(seed) > 4096:
         raise ValueError(f"|seed| {abs(seed)} exceeds the budget of 4096")
-    p = 1 << (abs(seed) + 1)
-    return validate_config(
-        UNIT_CIRCLE,
-        (Point.of(Fraction(-1, 2), 0), Point.of(0, 0), Point.of(Fraction(p - 1, p + 1), 0)))
+    return _diameter_config((Fraction(1, 3), 1, 1 << (abs(seed) + 1)))

@@ -127,7 +127,7 @@ def parse_config(text: str) -> Config:
         kind, args = fields[0], fields[1:]
         try:
             values = [parse_fraction(a) for a in args]
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ConfigParseError(lineno, f"malformed rational: {exc}") from exc
         if kind == "circle":
             if circle is not None:
@@ -144,6 +144,8 @@ def parse_config(text: str) -> Config:
                 raise ConfigParseError(lineno, "point needs x y")
             points.append(Point(values[0], values[1]))
         elif kind == "base":
+            if base is not None:
+                raise ConfigParseError(lineno, "second base line")
             if len(values) != 2:
                 raise ConfigParseError(lineno, "base needs x y")
             base = Point(values[0], values[1])

@@ -6,9 +6,9 @@ and assembles the document in a fixed order, so identical inputs give
 byte-identical output.  Orbit dots and cycle polygons arrive as canonical
 integer triples (X, Y, W) and each coordinate is drawn as X / W; orbit
 dots are drawn in the order the caller gives them, which is why they are
-taken as a sequence, not a set.  A cycle polygon walks the witness word
-that `classify` checks (`classify._witness_word`), so its triples stay
-near the size of the homologies.
+taken as a sequence, not a set.  A cycle polygon is the chain of the
+witness word that `classify` checks (`classify._closed_chain`), so its
+triples stay near the size of the homologies.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .action import Config, is_cycle, walk
-from .classify import SignChangeError, _witness_word
+from .action import Config, is_cycle
+from .classify import _closed_chain
 from .geometry import Triple
 from .words import Signature
 
@@ -82,23 +82,16 @@ def _chord_ends(config: Config) -> Optional[tuple]:
 
 
 def cycle_polygon(config: Config, v: Signature) -> list:
-    """The closed chain of a verified cycle, as canonical triples: the
-    deterministic off-line test point followed by its images under each
-    successive reversion of the cycle's witness word
-    (`classify._witness_word`; `geometry.affine` gives the point of each).
-    Refuses when v is not a nonzero cycle (`action.is_cycle`), and raises
-    SignChangeError, a bug, when the chain of a decided cycle does not
-    close."""
+    """The closed chain of a verified cycle from the off-line test point,
+    as canonical triples (`classify._closed_chain`; `geometry.affine` gives
+    the point of each).  Refuses when v is not a nonzero cycle
+    (`action.is_cycle`)."""
     v = tuple(v)
     if not any(v):
         raise UnverifiedCycle("the zero vector has no cycle polygon")
     if not is_cycle(config, v):
         raise UnverifiedCycle(f"{v} is not a cycle for this configuration")
-    start = config.test_triple
-    chain = [start, *walk(config.homologies, start, _witness_word(v).letters)]
-    if chain[-1] != start:
-        raise SignChangeError(f"the chain of the cycle {v} does not close")
-    return chain
+    return _closed_chain(config, v, config.test_triple)
 
 
 def render_svg(config: Config,

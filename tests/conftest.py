@@ -13,7 +13,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import pytest
 
-from reversions import action, svg
+from reversions import action
 from reversions.action import ActionError, Config, _test_triples, act, orbit
 from reversions.classify import (
     ConfigValidationError,
@@ -857,13 +857,15 @@ def powers_agree_is_cycle(config: Config, v: Signature) -> bool:
 @contextlib.contextmanager
 def no_reversion_steps():
     """A context in which `action.walk` (which `act` walks by),
-    `action.apply_homology` and the `walk` of `svg` raise, so that any
-    reversion step taken inside it fails the test."""
+    `action.apply_homology` and the `walk` of `classify` (which
+    `_closed_chain` walks by) raise, so that any reversion step taken
+    inside it fails the test."""
     def refuse(*args):
         raise AssertionError("a reversion step was taken")
 
     with pytest.MonkeyPatch.context() as patch:
-        for module, name in ((action, "walk"), (action, "apply_homology"), (svg, "walk")):
+        for module, name in ((action, "walk"), (action, "apply_homology"),
+                             (sys.modules["reversions.classify"], "walk")):
             patch.setattr(module, name, refuse)
         yield
 

@@ -43,6 +43,8 @@ from reversions.classify import (
     CycleLabel,
     NoCycleUpTo,
     RealizationError,
+    RealizationInterval,
+    SignChangeError,
     avoid_all_cycles,
     classify,
     default_base_point,
@@ -958,6 +960,7 @@ def test_cycle_decisions_read_no_homology(monkeypatch):
     # `classify` on cycle-free configurations and `decide_iso` of two of them
     # give their answers from the conic and the triples alone; `classify` of
     # a cycle decides it too, and raises only from the walk of its witness
+    # (`_closed_chain`)
     class HomologiesRead(Exception):
         pass
 
@@ -978,8 +981,8 @@ def test_cycle_decisions_read_no_homology(monkeypatch):
     assert _search_cycle(config, 8) == ((-1, 2, -1), (-1, 2, -1))
     with pytest.raises(HomologiesRead) as raised:
         classify(config, 8)
-    assert [entry.name for entry in raised.traceback][-4:] == \
-        ["classify", "verify_label", "act", "read"]
+    assert [entry.name for entry in raised.traceback][-3:] == \
+        ["classify", "_closed_chain", "read"]
 
 
 @pytest.mark.parametrize("k, m", [(1, 1), (2, 1), (1, 2), (3, 5), (7, 4), (12, 1), (1, 12)])
@@ -1123,3 +1126,102 @@ def test_cycle_ratio_on_a_thousand_doublings_is_fast():
     start = time.perf_counter()
     assert action_module._cycle_ratio(config, 4096) == (1001, 1000)
     assert time.perf_counter() - start < 1
+
+
+@pytest.fixture
+def sym_file(tmp_path, sym):
+    path = tmp_path / "sym.cfg"
+    path.write_text(serialize_config(sym), encoding="utf-8")
+    return str(path)
+
+
+def assert_cli_refuses(argv, message, capsys, svg=None):
+    """`main` exits 2 with the message as its one stderr line, prints
+    nothing and writes no picture."""
+    assert main(argv) == EXIT_INVALID
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert svg is None or not svg.exists()
+
+
+def test_closed_chain_refuses_a_witness_of_another_signature(sym, sym_file, tmp_path, capsys,
+                                                              monkeypatch):
+    # a `_witness_word` whose word lacks its last letter pair
+    witness_word = classify_module._witness_word
+    monkeypatch.setattr(classify_module, "_witness_word",
+                        lambda v: Word(witness_word(v).letters[:-2], 3))
+    svg = tmp_path / "c.svg"
+    sym_message = "the witness word of (-1, 2, -1) has signature (-1, 1, 0)"
+    closing_message = "the witness word of (-2, 3, -1) has signature (-1, 2, -1)"
+    for call, message in ((lambda: classify(sym, 8), sym_message),
+                          (lambda: cycle_polygon(sym, (-1, 2, -1)), sym_message),
+                          (lambda: search_closing_config((-2, 3, -1)), closing_message)):
+        with pytest.raises(SignChangeError) as err:
+            call()
+        assert str(err.value) == message
+    assert_cli_refuses(["classify", sym_file], sym_message, capsys)
+    assert_cli_refuses(["render", sym_file, "--svg", str(svg), "--cycle", "-1,2,-1"],
+                       sym_message, capsys, svg)
+    assert_cli_refuses(["realize", "--v", "-2,3,-1", "--closing"], closing_message, capsys)
+
+
+def test_closed_chain_refuses_a_chain_that_does_not_close(sym, sym_file, tmp_path, capsys,
+                                                           monkeypatch):
+    # (-2, 3, -1) is not a cycle of the symmetric points, so its witness
+    # chain does not close; the closing construction fails when its third
+    # point moves
+    svg = tmp_path / "c.svg"
+    message = "the chain of the witness word of (-2, 3, -1) does not close"
+    with pytest.raises(SignChangeError) as err:
+        classify_module._closed_chain(sym, (-2, 3, -1), sym.test_triple)
+    assert str(err.value) == message
+    monkeypatch.setattr(classify_module, "_search_cycle",
+                        lambda config, v2_max: ((-2, 3, -1), (-2, 3, -1)))
+    monkeypatch.setattr(sys.modules["reversions.svg"], "is_cycle", lambda config, v: True)
+    diameter_config = classify_module._diameter_config
+    monkeypatch.setattr(classify_module, "_diameter_config",
+                        lambda weights: diameter_config((*weights[:2], 2 * weights[2])))
+    for call in (lambda: classify(sym, 8), lambda: cycle_polygon(sym, (-2, 3, -1)),
+                 lambda: search_closing_config((-2, 3, -1))):
+        with pytest.raises(SignChangeError) as err:
+            call()
+        assert str(err.value) == message
+    assert_cli_refuses(["classify", sym_file], message, capsys)
+    assert_cli_refuses(["render", sym_file, "--svg", str(svg), "--cycle", "-2,3,-1"],
+                       message, capsys, svg)
+    assert_cli_refuses(["realize", "--v", "-2,3,-1", "--closing"], message, capsys)
+
+
+def test_classify_refuses_a_cycle_that_is_not_primitive(sym, sym_file, capsys, monkeypatch):
+    monkeypatch.setattr(classify_module, "_search_cycle",
+                        lambda config, v2_max: ((-2, 4, -2), (-2, 4, -2)))
+    message = "the cycle (-2, 4, -2) is not primitive"
+    with pytest.raises(SignChangeError) as err:
+        classify(sym, 8)
+    assert str(err.value) == message
+    assert_cli_refuses(["classify", sym_file], message, capsys)
+
+
+def test_bisection_refuses_a_residual_without_a_sign_change(capsys, monkeypatch):
+    monkeypatch.setattr(classify_module, "_residual_sign", lambda v, n, d: 1)
+    message = "no certified sign change near the endpoints for (-1, 2, -1)"
+    with pytest.raises(SignChangeError) as err:
+        realize_by_bisection((-1, 2, -1), Fraction(1, 1024))
+    assert str(err.value) == message
+    assert_cli_refuses(["realize", "--v", "1,-2,1", "--bisect"], message, capsys)
+
+
+def test_bisection_checks_the_endpoint_signs_of_an_exact_root(capsys, monkeypatch):
+    # the root of (-2, 3, -1) is left of 0, where the residual is negative;
+    # a residual that reads 0 there makes a false exact root, and the two
+    # endpoints around it are both negative
+    residual_sign = classify_module._residual_sign
+    monkeypatch.setattr(classify_module, "_residual_sign",
+                        lambda v, n, d: 0 if n == 0 else residual_sign(v, n, d))
+    message = "endpoint signs failed around the exact root 0 for (-2, 3, -1)"
+    with pytest.raises(SignChangeError) as err:
+        realize_by_bisection((-2, 3, -1), Fraction(1, 1024))
+    assert str(err.value) == message
+    assert_cli_refuses(["realize", "--v", "-2,3,-1", "--bisect"], message, capsys)
+    # the true exact root 0 of the symmetric cycle passes its endpoint check
+    assert realize_by_bisection((-1, 2, -1), Fraction(1, 1024)) == \
+        RealizationInterval((-1, 2, -1), Fraction(-1, 2048), Fraction(1, 2048))

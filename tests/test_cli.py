@@ -68,6 +68,9 @@ def test_parse_config_errors():
     assert err.value.line == 2
     with pytest.raises(ConfigParseError):
         parse_config("circle 0 0 1\ncircle 0 0 1\npoint 0 0\n")
+    with pytest.raises(ConfigParseError) as err:
+        parse_config("circle 0 0 1\nbase 1 0\nbase 1 0\npoint 0 0\n")
+    assert (err.value.line, str(err.value)) == (3, "line 3: second base line")
     with pytest.raises(ConfigParseError):
         parse_config("circle 0 0 1\nwiggle 1 2\n")
     with pytest.raises(ConfigParseError):
@@ -611,6 +614,7 @@ REFUSALS = {
     "point-off-circle": (["orbit", "{sym}", "--point", "1,1"],
                          "point 1 1 is not on the configuration circle"),
     "repeated-point": (["classify", "{repeated}"], "interior point 1/2 0 repeated"),
+    "second-base-line": (["classify", "{two_bases}"], "line 3: second base line"),
 }
 
 
@@ -618,7 +622,8 @@ REFUSALS = {
 def test_cli_refusals_name_what_is_wrong(case, tmp_path, capsys):
     files = {"sym": SYMMETRIC, "one": "circle 0 0 1\npoint 1/2 0\n",
              "zero": "circle 0 0 0\npoint 0 0\n",
-             "repeated": "circle 0 0 1\npoint 1/2 0\npoint 1/2 0\n"}
+             "repeated": "circle 0 0 1\npoint 1/2 0\npoint 1/2 0\n",
+             "two_bases": "circle 0 0 1\nbase 1 0\nbase 0 1\n" + SYMMETRIC.split("\n", 1)[1]}
     paths = {"missing": tmp_path / "missing.cfg", "svg": tmp_path / "out.svg"}
     for name, text in files.items():
         paths[name] = tmp_path / f"{name}.cfg"

@@ -127,6 +127,16 @@ def test_build_identity_table(sym):
         assert src == dst
 
 
+def test_build_refuses_a_table_that_verify_table_refuses(sym, monkeypatch):
+    # a `verify_table` that reports the first three source keys
+    monkeypatch.setattr(sys.modules["reversions.iso"], "verify_table",
+                        lambda table: tuple(src for src, _ in table.rows[:3]))
+    words = [Word.empty(3), Word((1,), 3), Word((2,), 3), Word((3,), 3)]
+    with pytest.raises(CollisionError) as err:
+        build_partial_iso(sym, sym, Isomorphic((-1, 2, -1)), words, 1)
+    assert str(err.value) == "triple check failed at endpoint-low, -1/2 0, 0 0"
+
+
 def test_build_table_scaled(sym):
     other = scaled_translated(sym, 2, 3, 1)
     verdict = decide_iso(sym, other, 8)
