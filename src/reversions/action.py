@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Tuple
@@ -33,6 +34,7 @@ from .geometry import (
     collinear_between,
     conic,
     format_point,
+    format_triple,
     homogeneous,
     homology,
     line_through,
@@ -66,25 +68,19 @@ class ConfigValidationError(ValueError):
         self.check = check
 
 
-def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
-    rn = math.isqrt(x.numerator)
-    rd = math.isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def default_base_point(circle: Circle) -> Point:
     """Easternmost point when the radius is rational; a rational point on a
     rational circle need not exist in general, so otherwise the caller must
     supply a base point explicitly."""
-    r = _rational_sqrt(circle.radius_sq)
-    if r is None:
+    r2 = circle.radius_sq
+    rn = math.isqrt(r2.numerator)
+    rd = math.isqrt(r2.denominator)
+    if rn * rn != r2.numerator or rd * rd != r2.denominator:
         raise ConfigValidationError(
             "base_point",
-            f"radius^2 = {circle.radius_sq} is not a rational square; "
+            f"radius^2 = {r2} is not a rational square; "
             "supply an explicit rational base point on the circle")
-    return Point(circle.center.x + r, circle.center.y)
+    return Point(circle.center.x + Fraction(rn, rd), circle.center.y)
 
 
 @dataclass(frozen=True)
@@ -110,13 +106,10 @@ class Config:
     which also tests the collinearity).
 
     Four derived values are built on first use and kept on the instance,
-    outside the fields that equality, hashing and repr see.  The decisions
-    (the checks, the cycle decision, the test-point stream, the hulls and
-    the start-point checks of `act` and `orbit`) read `conic`, the circle's
-    integer conic, and `triples`, the points' triples, which the checks
-    fill.  Only walks read `homologies`: `act`, `orbit`, tables and cycle
-    polygons.  `test_triple`, the first off-line test point, starts the
-    classification witness, cycle polygons and the first table seed.
+    outside the fields that equality, hashing and repr see.  Decisions read
+    `conic` and `triples`, which the checks fill; walks (`act`, `orbit`,
+    tables and cycle polygons) read `homologies`; and `test_triple` starts
+    the classification witness, cycle polygons and the first table seed.
     """
 
     circle: Circle
@@ -211,21 +204,28 @@ def walk(homologies: Sequence[Homology], x: Triple, letters) -> Iterator[Triple]
 def orbit(config: Config, c: Point, max_word_length: int) -> tuple:
     """All images of c under words of length <= the bound, as the distinct
     canonical triples (`geometry.homogeneous`) of their points, sorted by
-    exact (x, y); `geometry.affine` gives the point of each.
+    exact (x, y) with `sorted_triples`, which the CLI prints and draws with
+    no Point in between; `geometry.affine` gives the point of each.
 
     Orbits are infinite in general, so the enumeration is truncated by word
-    length rather than by point count.  The images are the ball of that
-    radius around c in the graph whose edges are the reversions, so the
-    search is breadth-first over canonical integer triples: each new point
-    is expanded once, by every letter except the one that first reached it,
-    which only leads back.  That is at most 2 |orbit| + 1 steps for three
-    points.  The triples are sorted by `sorted_triples` and returned as
-    they are: the CLI prints them with `format_triple` and `svg.render_svg`
-    draws them, with no Point in between.
+    length rather than by point count.  The search is breadth-first over
+    canonical integer triples: each new point is expanded once, by every
+    letter except the one that first reached it, which only leads back, so
+    three points take at most 2 |orbit| + 1 steps.
+
+    Each level can double the orbit and lengthen its coordinates, so a
+    point that `format_triple` cannot print, as one of its numbers has more
+    digits than `sys.get_int_max_str_digits()` allows (0 for no limit),
+    raises ActionError as soon as the search makes it.  A number below
+    2^(3N) has at most N digits, as 8^N < 10^N, so only a triple with a
+    longer coordinate is formatted to test it.
     """
     if max_word_length < 0:
         raise ActionError(f"negative word-length bound {max_word_length}")
     start = _on_circle_triple(config, c)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
+    bits = 3 * digits if digits else math.inf
+    _refuse_unprintable(start, digits)
     steps = list(enumerate(config.homologies, start=1))
     seen = {start}
     frontier = [(start, 0)]
@@ -236,10 +236,21 @@ def orbit(config: Config, c: Point, max_word_length: int) -> tuple:
                 if letter != first:
                     y = apply_homology(h, x)
                     if y not in seen:
+                        if y[0].bit_length() > bits or y[1].bit_length() > bits \
+                                or y[2].bit_length() > bits:
+                            _refuse_unprintable(y, digits)
                         seen.add(y)
                         nxt.append((y, letter))
         frontier = nxt
     return tuple(sorted_triples(seen))
+
+
+def _refuse_unprintable(x: Triple, digits: int) -> None:
+    try:
+        format_triple(x)
+    except ValueError as exc:
+        raise ActionError(f"an orbit coordinate has more than {digits} digits; "
+                          "lower the depth") from exc
 
 
 def _test_triples(config: Config) -> Iterator[Triple]:
@@ -380,16 +391,17 @@ def _cycle_ratio(config: Config, v2_max: int) -> Tuple[int, int]:
     the conic and triples), and the denominator of V_k is exactly q^k
     (`_lucas`), so q_12^k = q_23^m.  When both q exceed 1, their primitive solution
     (`_power_ratio`) is the only candidate, as the solutions are multiples
-    of it too, and one exact check of the numerators decides it.  When
-    only one is 1 there is no solution.  When both are 1, both V sequences
-    are integers and a merge finds the first equal pair (`_unit_ratio`).
+    of it too, and as it makes the denominators equal, one comparison of
+    the numerators q^k V_k decides it.  When only one is 1 there is no
+    solution.  When both are 1, both V sequences are integers and a merge
+    finds the first equal pair (`_unit_ratio`).
     """
     c1, c2, c3 = config.triples
     (p12, q12), (p23, q23) = _tau(config.conic, c1, c2), _tau(config.conic, c2, c3)
     if q12 == q23 == 1:
         return _unit_ratio(p12, p23, v2_max)
     k, m = _power_ratio(q12, q23)
-    if k and k + m <= v2_max and _lucas(p12, q12, k) * q23 ** m == _lucas(p23, q23, m) * q12 ** k:
+    if k and k + m <= v2_max and _lucas(p12, q12, k) == _lucas(p23, q23, m):
         return k, m
     return 0, 0
 

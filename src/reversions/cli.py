@@ -21,7 +21,7 @@ import os
 import re
 import stat
 import sys
-from typing import List, Optional
+from typing import Optional
 
 from .action import Config, is_cycle, orbit
 from .classify import (
@@ -71,7 +71,8 @@ EXIT_USAGE = 64
 # take a few milliseconds, on points -1/4, 0, 1/3 of the chord y = 1/3 as on
 # a diameter.  Large coordinates cost more: with w = (1+x)/(1-x) = 1, 2^600
 # and 2^1201 for points (x, 0), a 1.1 kB file, they take 0.07 s and 0.14 s.
-# `orbit --depth 60 --svg` from (0, 1) yields 5,491 points in about 0.1 s.
+# `orbit --depth 60 --svg` from (0, 1) yields 5,491 points in about 0.1 s,
+# and on -1/2, 1/(2^1200+1), 1/3 stops at a point it cannot print in 0.14 s.
 # A balanced vector's largest entry in absolute value (the middle entry of
 # a canonical vector) is half the length of its word.  `is-cycle` walks no
 # word and checks the primitive cycle (0.02 s at entry 4096 on the 2^600
@@ -112,50 +113,45 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# directive: (the names of its numbers, whether it is once only, their builder)
+_DIRECTIVES = {
+    "circle": ("cx cy r2", True, Circle.of),
+    "point": ("x y", False, Point),
+    "base": ("x y", True, Point),
+}
+
+
 def parse_config(text: str) -> Config:
     """Parse and validate a configuration file; diagnostics carry the line
     number of the offending line."""
-    circle: Optional[Circle] = None
-    circle_line = 0
-    points: List[Point] = []
-    base: Optional[Point] = None
+    read = {kind: [] for kind in _DIRECTIVES}  # (line number, value) per directive
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split()
-        kind, args = fields[0], fields[1:]
+        kind, *args = line.split()
         try:
             values = [parse_fraction(a) for a in args]
         except ValueError as exc:
             raise ConfigParseError(lineno, f"malformed rational: {exc}") from exc
-        if kind == "circle":
-            if circle is not None:
-                raise ConfigParseError(lineno, "second circle line")
-            if len(values) != 3:
-                raise ConfigParseError(lineno, "circle needs cx cy r2")
-            try:
-                circle = Circle(Point(values[0], values[1]), values[2])
-            except GeometryError as exc:
-                raise ConfigParseError(lineno, str(exc)) from exc
-            circle_line = lineno
-        elif kind == "point":
-            if len(values) != 2:
-                raise ConfigParseError(lineno, "point needs x y")
-            points.append(Point(values[0], values[1]))
-        elif kind == "base":
-            if base is not None:
-                raise ConfigParseError(lineno, "second base line")
-            if len(values) != 2:
-                raise ConfigParseError(lineno, "base needs x y")
-            base = Point(values[0], values[1])
-        else:
+        if kind not in _DIRECTIVES:
             raise ConfigParseError(lineno, f"unknown directive {kind!r}")
-    if circle is None:
+        names, once, build = _DIRECTIVES[kind]
+        if once and read[kind]:
+            raise ConfigParseError(lineno, f"second {kind} line")
+        if len(values) != len(names.split()):
+            raise ConfigParseError(lineno, f"{kind} needs {names}")
+        try:
+            read[kind].append((lineno, build(*values)))
+        except GeometryError as exc:
+            raise ConfigParseError(lineno, str(exc)) from exc
+    if not read["circle"]:
         raise ConfigParseError(1, "missing circle line")
+    [(circle_line, circle)] = read["circle"]
+    points = tuple(p for _, p in read["point"])
     if not 1 <= len(points) <= 3:
         raise ConfigParseError(circle_line, f"need 1 to 3 point lines, got {len(points)}")
-    return validate_config(circle, tuple(points), base)
+    return validate_config(circle, points, next((b for _, b in read["base"]), None))
 
 
 def serialize_config(config: Config) -> str:
@@ -182,20 +178,18 @@ def _parse_vector(flag: str, text: str, cap: int) -> tuple:
     """v1,v2,v3; a balanced vector has no entry beyond the budget in
     absolute value.  An unbalanced one is answered or refused without
     building its word, so it needs no budget."""
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"expected v1,v2,v3, got {text!r}")
-    v = tuple(int(p) for p in parts)
+    v = tuple(_comma_values(text, "v1,v2,v3", int))
     if is_balanced(v):
         _within_budget(f"{flag} entry", max(abs(x) for x in v), cap)
     return v
 
 
-def _parse_cli_point(text: str) -> Point:
+def _comma_values(text: str, names: str, parse) -> list:
+    """The parsed values of a flag like x,y, one for each of the names."""
     parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected x,y, got {text!r}")
-    return Point(parse_fraction(parts[0]), parse_fraction(parts[1]))
+    if len(parts) != len(names.split(",")):
+        raise ValueError(f"expected {names}, got {text!r}")
+    return [parse(p) for p in parts]
 
 
 def _parse_word_arg(text: str, alphabet: Optional[int]) -> Word:
@@ -335,19 +329,13 @@ def _write_svg(path: str, svg: str) -> None:
 
 def _cmd_orbit(args) -> int:
     depth = _within_budget("--depth", args.depth, MAX_DEPTH, least=0)
-    start = _parse_cli_point(args.point)
+    start = Point(*_comma_values(args.point, "x,y", parse_fraction))
     config = _load_config(args.file)
     points = orbit(config, start, depth)
-    # the text, then the picture, then the print, so that a command that
-    # fails leaves neither output
-    try:
-        text = "".join(format_triple(t) + "\n" for t in points)
-    except ValueError as exc:  # int-to-str past sys.get_int_max_str_digits()
-        raise ValueError(f"an orbit coordinate has more than {sys.get_int_max_str_digits()} "
-                         f"digits; lower --depth") from exc
+    # the picture first, so that a command that fails prints nothing
     if args.svg is not None:
         _write_svg(args.svg, render_svg(config, orbit_points=points))
-    sys.stdout.write(text)
+    sys.stdout.write("".join(format_triple(t) + "\n" for t in points))
     return EXIT_OK
 
 
@@ -370,7 +358,7 @@ def _cmd_render(args) -> int:
     if args.orbit_depth is not None:
         if not args.point:
             raise ValueError("--orbit-depth needs --point")
-        start = _parse_cli_point(args.point)
+        start = Point(*_comma_values(args.point, "x,y", parse_fraction))
     elif args.point is not None:
         raise ValueError("--point needs --orbit-depth")
     config = _load_config(args.file)

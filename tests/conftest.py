@@ -78,6 +78,24 @@ def pt(x, y):
     return Point(Fraction(x), Fraction(y))
 
 
+# Points -1/2, 1/(2^1200 + 1), 1/3 of the unit circle, a 411-byte file:
+# the orbit of (0, 1) prints to depth 10, and in level 11 a coordinate
+# outgrows Python's default limit of 4300 digits for int-to-str.
+BIG_ORBIT_TEXT = f"circle 0 0 1\npoint -1/2 0\npoint 1/{2 ** 1200 + 1} 0\npoint 1/3 0\n"
+
+
+@contextlib.contextmanager
+def int_max_str_digits(digits: int) -> Iterator[None]:
+    """Python's int-to-str digit limit set to `digits` (0 for none) inside
+    the block, and restored after it."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 class TangentDirection(GeometryError):
     """The requested chord direction is tangent, so the second intersection
     coincides with the base point."""

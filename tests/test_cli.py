@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import reversions
-from conftest import PERFBENCH, pt
+from conftest import BIG_ORBIT_TEXT, PERFBENCH, fraction_orbit, int_max_str_digits, pt
 from reversions import cli
 from reversions.classify import search_closing_config, validate_config
 from reversions.cli import (
@@ -31,7 +31,7 @@ from reversions.cli import (
     parse_config,
     serialize_config,
 )
-from reversions.geometry import Circle, UNIT_CIRCLE
+from reversions.geometry import Circle, UNIT_CIRCLE, format_point
 
 SYMMETRIC = "circle 0 0 1\npoint -1/2 0\npoint 0 0\npoint 1/2 0\n"
 
@@ -77,6 +77,42 @@ def test_parse_config_errors():
         parse_config("circle 0 0 1\n" + "point 0 0\n" * 0)
     with pytest.raises(ConfigParseError):
         parse_config(SYMMETRIC + "point 1/4 0\n")  # four points
+
+
+# Each refusal of the file grammar with its line number.  A line's
+# rationals are read first, then its directive, then whether it repeats a
+# once-only directive, then its arity, then the circle's own check.
+GRAMMAR_REFUSALS = [
+    ("circle 0 0\npoint 0 0\n", 1, "circle needs cx cy r2"),
+    ("circle 0 0 1 2\npoint 0 0\n", 1, "circle needs cx cy r2"),
+    ("circle 0 0 1\npoint 0\n", 2, "point needs x y"),
+    ("circle 0 0 1\n# c\npoint 0 0 0\n", 3, "point needs x y"),
+    ("circle 0 0 1\npoint 0 0\nbase 1\n", 3, "base needs x y"),
+    ("circle 0 0 1\n\ncircle 0 0 1\npoint 0 0\n", 3, "second circle line"),
+    ("circle 0 0 1\ncircle 1\n", 2, "second circle line"),
+    ("circle 0 0 1\ncircle 0 0 -1\n", 2, "second circle line"),
+    ("circle 0 0 1\nbase 1 0\nbase 2\n", 3, "second base line"),
+    ("# c\ncircle 0 0 1\nwiggle 1 2\n", 3, "unknown directive 'wiggle'"),
+    ("circle 0 0 1\nwiggle 1/0\n", 2, "malformed rational: zero denominator in '1/0'"),
+    ("circle 0 0 1\npoint 1/0 0\n", 2, "malformed rational: zero denominator in '1/0'"),
+    ("circle 0 0 1\npoint x 0\n", 2,
+     "malformed rational: invalid literal for int() with base 10: 'x'"),
+    ("circle 0 0 1/0\npoint 0 0\n", 1, "malformed rational: zero denominator in '1/0'"),
+    ("circle 0 0 -1\npoint 0 0\n", 1, "squared radius must be positive, got -1"),
+    ("point 0 0\n", 1, "missing circle line"),
+    ("\n# x\npoint 0 0\n", 1, "missing circle line"),
+    ("", 1, "missing circle line"),
+    ("# a\ncircle 0 0 1\n" + "point 0 0\n" * 4, 2, "need 1 to 3 point lines, got 4"),
+    ("point 0 0\n" * 4 + "circle 0 0 1\n", 5, "need 1 to 3 point lines, got 4"),
+    ("circle 0 0 1\n", 1, "need 1 to 3 point lines, got 0"),
+]
+
+
+@pytest.mark.parametrize("text, line, message", GRAMMAR_REFUSALS)
+def test_parse_config_refusal(text, line, message):
+    with pytest.raises(ConfigParseError) as err:
+        parse_config(text)
+    assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
 
 
 def test_serialize_round_trip_corpus():
@@ -383,9 +419,9 @@ def test_cli_refused_picture_leaves_the_file_unchanged(sym_file, tmp_path, capsy
 def test_cli_orbit_that_cannot_print_writes_no_picture(tmp_path, capsys):
     # the orbit's coordinates outgrow Python's int-to-str digit limit, here
     # lowered so that two levels reach it: the command fails, naming the
-    # limit and --depth, before it writes the picture or prints a line
+    # limit and the depth, before it writes the picture or prints a line
     path = tmp_path / "big.cfg"
-    path.write_text(f"circle 0 0 1\npoint -1/2 0\npoint 1/{2 ** 1200 + 1} 0\npoint 1/3 0\n")
+    path.write_text(BIG_ORBIT_TEXT)
     svg = tmp_path / "o.svg"
     argv = ["orbit", str(path), "--point", "0,1", "--depth", "2", "--svg", str(svg)]
     limit = sys.get_int_max_str_digits()
@@ -401,7 +437,35 @@ def test_cli_orbit_that_cannot_print_writes_no_picture(tmp_path, capsys):
     assert svg.read_bytes() == OLD_PICTURE
     for code, out, err in (new, old):
         assert (code, out) == (EXIT_INVALID, "")
-        assert err == "error: an orbit coordinate has more than 640 digits; lower --depth\n"
+        assert err == "error: an orbit coordinate has more than 640 digits; lower the depth\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "big.cfg", "--point", "0,1", "--depth", "60", "--svg", "o.svg"],
+    ["render", "big.cfg", "--svg", "o.svg", "--point", "0,1", "--orbit-depth", "60"],
+])
+def test_cli_orbit_past_the_digit_limit_exits_2(argv, tmp_path, monkeypatch, capsys):
+    # the search stops in level 11, where a coordinate first has more than
+    # the default 4300 digits, not after all 60 levels
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.cfg").write_text(BIG_ORBIT_TEXT)
+    with int_max_str_digits(4300):
+        code, out, err = run(argv, capsys)
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == "error: an orbit coordinate has more than 4300 digits; lower the depth\n"
+    assert not (tmp_path / "o.svg").exists()
+
+
+def test_cli_orbit_of_large_coordinates_prints_whole(tmp_path, capsys):
+    path = tmp_path / "big.cfg"
+    path.write_text(BIG_ORBIT_TEXT)
+    with int_max_str_digits(4300):
+        code, out, err = run(["orbit", str(path), "--point", "0,1", "--depth", "8"], capsys)
+    want = sorted(fraction_orbit(parse_config(BIG_ORBIT_TEXT), pt(0, 1), 8),
+                  key=lambda p: (p.x, p.y))
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines() == [format_point(p) for p in want]
+    assert len(want) == 109
 
 
 def _library_errors() -> dict:

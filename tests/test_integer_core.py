@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    BIG_ORBIT_TEXT,
     act_build_partial_iso,
     along,
     act_is_cycle,
@@ -22,6 +23,7 @@ from conftest import (
     fraction_reversion,
     fresh,
     in_open_disk,
+    int_max_str_digits,
     no_reversion_steps,
     on_circle,
     outcome,
@@ -30,8 +32,9 @@ from conftest import (
     sub,
 )
 from reversions import action, iso
-from reversions.action import Config, act, is_cycle, offline_test_point, orbit
+from reversions.action import ActionError, Config, act, is_cycle, offline_test_point, orbit
 from reversions.classify import _witness_word
+from reversions.cli import parse_config
 from reversions.geometry import (
     Circle,
     NotInterior,
@@ -149,6 +152,40 @@ def test_orbit_expands_each_point_once(monkeypatch):
     got = orbit(config, pt(0, 1), 10)
     assert set(map(affine, got)) == fraction_orbit(config, pt(0, 1), 10)
     assert len(steps) <= 2 * len(got) + 1
+
+
+def test_orbit_stops_in_the_level_that_cannot_print(monkeypatch):
+    config = parse_config(BIG_ORBIT_TEXT)
+    start = pt(0, 1)
+    with int_max_str_digits(0):
+        whole = orbit(config, start, 11)
+    steps = []
+
+    def counted(h, x):
+        steps.append(x)
+        return apply_homology(h, x)
+
+    monkeypatch.setattr(action, "apply_homology", counted)
+    with int_max_str_digits(4300):
+        assert len(orbit(config, start, 10)) == 166
+        printable = len(steps)
+        steps.clear()
+        with pytest.raises(ActionError) as err:
+            orbit(config, start, 60)
+    assert str(err.value) == "an orbit coordinate has more than 4300 digits; lower the depth"
+    # the search stops in level 11 of 60, the first with a point past the
+    # limit: past the steps of depth 10, within those of depth 11
+    assert printable < len(steps) <= 2 * len(whole) + 1
+
+
+def test_orbit_refuses_a_start_point_that_cannot_print():
+    r = 10 ** 700
+    config = Config(Circle.of(0, 0, r * r), (pt(0, 0),), None)
+    with int_max_str_digits(701):
+        assert orbit(config, pt(r, 0), 1) == ((-r, 0, 1), (r, 0, 1))
+    with int_max_str_digits(700), pytest.raises(ActionError) as err:
+        orbit(config, pt(r, 0), 0)
+    assert str(err.value) == "an orbit coordinate has more than 700 digits; lower the depth"
 
 
 def fraction_key(t):
