@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Tuple
@@ -34,7 +33,6 @@ from .geometry import (
     collinear_between,
     conic,
     format_point,
-    format_triple,
     homogeneous,
     homology,
     line_through,
@@ -58,6 +56,11 @@ __all__ = [
 
 class ActionError(ValueError):
     pass
+
+
+# The largest bit length of an orbit coordinate (`orbit`).
+MAX_ORBIT_BITS = 14_284
+_TOO_MANY_BITS = f"an orbit coordinate has more than {MAX_ORBIT_BITS} bits; lower the depth"
 
 
 class ConfigValidationError(ValueError):
@@ -213,19 +216,20 @@ def orbit(config: Config, c: Point, max_word_length: int) -> tuple:
     letter except the one that first reached it, which only leads back, so
     three points take at most 2 |orbit| + 1 steps.
 
-    Each level can double the orbit and lengthen its coordinates, so a
-    point that `format_triple` cannot print, as one of its numbers has more
-    digits than `sys.get_int_max_str_digits()` allows (0 for no limit),
-    raises ActionError as soon as the search makes it.  A number below
-    2^(3N) has at most N digits, as 8^N < 10^N, so only a triple with a
-    longer coordinate is formatted to test it.
+    Each level can double the orbit and lengthen its coordinates, so the
+    start point, or any point the search makes, with a coordinate of more
+    than MAX_ORBIT_BITS bits raises ActionError as soon as it is found.
+    The budget is the library's own, whatever Python's int-to-str digit
+    limit is: at 14,284 bits every number has at most 4,300 digits, the
+    default limit, as 2^14284 - 1 has 4,300 digits and 10^4300 has 14,285
+    bits, so every orbit it allows prints under the default limit.
     """
     if max_word_length < 0:
         raise ActionError(f"negative word-length bound {max_word_length}")
     start = _on_circle_triple(config, c)
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
-    bits = 3 * digits if digits else math.inf
-    _refuse_unprintable(start, digits)
+    bits = MAX_ORBIT_BITS
+    if max(t.bit_length() for t in start) > bits:
+        raise ActionError(_TOO_MANY_BITS)
     steps = list(enumerate(config.homologies, start=1))
     seen = {start}
     frontier = [(start, 0)]
@@ -238,19 +242,11 @@ def orbit(config: Config, c: Point, max_word_length: int) -> tuple:
                     if y not in seen:
                         if y[0].bit_length() > bits or y[1].bit_length() > bits \
                                 or y[2].bit_length() > bits:
-                            _refuse_unprintable(y, digits)
+                            raise ActionError(_TOO_MANY_BITS)
                         seen.add(y)
                         nxt.append((y, letter))
         frontier = nxt
     return tuple(sorted_triples(seen))
-
-
-def _refuse_unprintable(x: Triple, digits: int) -> None:
-    try:
-        format_triple(x)
-    except ValueError as exc:
-        raise ActionError(f"an orbit coordinate has more than {digits} digits; "
-                          "lower the depth") from exc
 
 
 def _test_triples(config: Config) -> Iterator[Triple]:

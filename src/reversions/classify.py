@@ -36,7 +36,6 @@ from .action import (
     Config,
     ConfigValidationError,
     _cycle_ratio,
-    act,
     default_base_point,
     offline_test_point,
     walk,
@@ -74,7 +73,6 @@ __all__ = [
     "validate_config",
     "default_base_point",
     "classify",
-    "verify_label",
     "format_label",
     "realize_by_closing",
     "search_closing_config",
@@ -212,20 +210,6 @@ def classify(config: Config, v2_max: int) -> ClassLabel:
         raise SignChangeError(f"the cycle {canonical} is not primitive")
     _closed_chain(config, stored, config.test_triple)
     return CycleLabel(canonical, _witness_word(stored), offline_test_point(config))
-
-
-def verify_label(config: Config, label: ClassLabel) -> bool:
-    """Re-check everything a label claims; True also for bounded no-cycle
-    labels (they claim only the search result)."""
-    if isinstance(label, NoCycleUpTo):
-        return label.v2_bound >= 1
-    v = label.vector
-    if not (len(v) == 3 and is_balanced(v) and v[1] >= 1 and v[0] <= v[2] <= -1
-            and gcd_vec(v) == 1):
-        return False
-    if signature_of(label.witness_word) not in (v, pi13(v)):
-        return False
-    return act(config, label.witness_point, label.witness_word) == label.witness_point
 
 
 def format_label(label: ClassLabel) -> str:

@@ -71,8 +71,9 @@ EXIT_USAGE = 64
 # take a few milliseconds, on points -1/4, 0, 1/3 of the chord y = 1/3 as on
 # a diameter.  Large coordinates cost more: with w = (1+x)/(1-x) = 1, 2^600
 # and 2^1201 for points (x, 0), a 1.1 kB file, they take 0.07 s and 0.14 s.
-# `orbit --depth 60 --svg` from (0, 1) yields 5,491 points in about 0.1 s,
-# and on -1/2, 1/(2^1200+1), 1/3 stops at a point it cannot print in 0.14 s.
+# `orbit --depth 60 --svg` from (0, 1) yields 5,491 points in about 0.1 s; on
+# -1/2, 1/(2^1200+1), 1/3 it stops in level 11, past `action.MAX_ORBIT_BITS`
+# bits a coordinate whatever PYTHONINTMAXSTRDIGITS says, in about 0.15 s.
 # A balanced vector's largest entry in absolute value (the middle entry of
 # a canonical vector) is half the length of its word.  `is-cycle` walks no
 # word and checks the primitive cycle (0.02 s at entry 4096 on the 2^600
@@ -332,10 +333,11 @@ def _cmd_orbit(args) -> int:
     start = Point(*_comma_values(args.point, "x,y", parse_fraction))
     config = _load_config(args.file)
     points = orbit(config, start, depth)
-    # the picture first, so that a command that fails prints nothing
+    # format, draw, print: a failure (a lowered digit limit, say) leaves no output
+    text = "".join(format_triple(t) + "\n" for t in points)
     if args.svg is not None:
         _write_svg(args.svg, render_svg(config, orbit_points=points))
-    sys.stdout.write("".join(format_triple(t) + "\n" for t in points))
+    sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -61,7 +61,6 @@ __all__ = [
     "decide_iso",
     "build_partial_iso",
     "verify_table",
-    "serialize_table",
     "format_verdict",
 ]
 
@@ -273,9 +272,12 @@ def build_partial_iso(s: Config, r: Config, verdict: IsoVerdict,
 
 
 def _between_rows(config: Config, row_of: Dict[Key, int]) -> Set[tuple]:
-    """The row triples (i, j, k), i < k, whose keys on this side have key
-    j strictly between keys i and k, from the two sources of betweenness;
-    raises VerdictError when a key is outside the premise.
+    """The row triples (i, j, k) whose keys on this side have key j
+    strictly between keys i and k, from the two sources of betweenness;
+    raises VerdictError when a key is outside the premise.  A hull triple
+    is listed with i < k, as a mirrored table lists the target's hull rows
+    in reverse; a chord is found from each of its ends, so its triple is
+    listed in both orders on both sides.
 
     The interior points are on one line, strictly inside the circle and in
     hull order (`Config` checks all three), and every other table key must
@@ -306,7 +308,7 @@ def _between_rows(config: Config, row_of: Dict[Key, int]) -> Set[tuple]:
         for h, j in chords:
             i = row_of.get(apply_homology(h, p))
             if i is not None:
-                found.add((min(i, k), j, max(i, k)))
+                found.add((i, j, k))
     return found
 
 
@@ -343,14 +345,6 @@ def verify_table(table: PartialIsoTable) -> Optional[tuple]:
         return None
     i, j, k = min(mismatch)
     return (rows[i][0], rows[j][0], rows[k][0])
-
-
-def serialize_table(table: PartialIsoTable) -> str:
-    """Header naming the permutation, then one tab-separated row per pair."""
-    lines = ["sigma\t" + " ".join(str(x) for x in table.sigma)]
-    for src, dst in table.rows:
-        lines.append(f"{_key_str(src)}\t->\t{_key_str(dst)}")
-    return "\n".join(lines) + "\n"
 
 
 def _key_str(key: Key) -> str:

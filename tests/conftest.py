@@ -16,7 +16,9 @@ import pytest
 from reversions import action
 from reversions.action import ActionError, Config, _test_triples, act, orbit
 from reversions.classify import (
+    ClassLabel,
     ConfigValidationError,
+    NoCycleUpTo,
     RealizationError,
     RealizationInterval,
     SignChangeError,
@@ -50,6 +52,7 @@ from reversions.iso import (
     IsoVerdict,
     PartialIsoTable,
     VerdictError,
+    _key_str,
     format_verdict,
     verify_table,
 )
@@ -64,6 +67,7 @@ from reversions.words import (
     letters_from_str,
     pi13,
     reduce_letters,
+    signature_of,
     word_from_signature,
 )
 
@@ -79,8 +83,9 @@ def pt(x, y):
 
 
 # Points -1/2, 1/(2^1200 + 1), 1/3 of the unit circle, a 411-byte file:
-# the orbit of (0, 1) prints to depth 10, and in level 11 a coordinate
-# outgrows Python's default limit of 4300 digits for int-to-str.
+# the orbit of (0, 1) has coordinates of at most 12,006 bits to depth 10,
+# and in level 11 one outgrows `action.MAX_ORBIT_BITS` (14,284 bits) and
+# Python's default limit of 4300 digits for int-to-str.
 BIG_ORBIT_TEXT = f"circle 0 0 1\npoint -1/2 0\npoint 1/{2 ** 1200 + 1} 0\npoint 1/3 0\n"
 
 
@@ -819,6 +824,30 @@ def cubic_verify_table(table: PartialIsoTable) -> Optional[tuple]:
             if _triple_between(a, x, b, src_pos) != _triple_between(fa, fx, fb, dst_pos):
                 return tuple(table.rows[m][0] for m in (i, j, k))
     return None
+
+
+def serialize_table(table: PartialIsoTable) -> str:
+    """A table as text: a header naming the permutation, then one
+    tab-separated row per pair, each key as `CollisionError` messages
+    print it."""
+    lines = ["sigma\t" + " ".join(str(x) for x in table.sigma)]
+    for src, dst in table.rows:
+        lines.append(f"{_key_str(src)}\t->\t{_key_str(dst)}")
+    return "\n".join(lines) + "\n"
+
+
+def verify_label(config: Config, label: ClassLabel) -> bool:
+    """Re-check everything a label claims, through `act`; True also for
+    bounded no-cycle labels (they claim only the search result)."""
+    if isinstance(label, NoCycleUpTo):
+        return label.v2_bound >= 1
+    v = label.vector
+    if not (len(v) == 3 and is_balanced(v) and v[1] >= 1 and v[0] <= v[2] <= -1
+            and gcd_vec(v) == 1):
+        return False
+    if signature_of(label.witness_word) not in (v, pi13(v)):
+        return False
+    return act(config, label.witness_point, label.witness_word) == label.witness_point
 
 
 def act_is_cycle(config: Config, v: Signature) -> bool:

@@ -34,6 +34,7 @@ from conftest import (
     third_point_residual,
     trace_tau,
     translated_config,
+    verify_label,
 )
 from reversions.action import ActionError, Config, act, is_cycle, walk
 from reversions.cli import EXIT_INVALID, EXIT_OK, MAX_BOUND, main, parse_config, serialize_config
@@ -54,7 +55,6 @@ from reversions.classify import (
     realize_by_closing,
     search_closing_config,
     validate_config,
-    verify_label,
 )
 from reversions.geometry import Circle, NotInterior, Point, UNIT_CIRCLE, conic, homogeneous
 from reversions.iso import ConditionallyIsomorphic, Isomorphic, build_partial_iso, decide_iso
@@ -999,6 +999,19 @@ def test_witness_word_interleaves_the_stored_cycle(k, m):
         label = classify(config, k + m)
         assert signature_of(label.witness_word) == stored
         assert label.witness_word == classify_module._witness_word(stored)
+
+
+@pytest.mark.parametrize("v, pairs", [
+    ((-1, 2, -1), "21 23"),
+    ((-2, 3, -1), "21 23 21"),
+    ((-1, 3, -2), "21 23 23"),
+    ((-3, 5, -2), "21 23 21 23 21"),
+])
+def test_witness_word_draws_a_tie_as_2_1(v, pairs):
+    # Bresenham from d = 0 takes (2,1) while d <= 0, so a tie, the first
+    # pair included, goes to (2,1)
+    letters = tuple(int(c) for c in pairs.replace(" ", ""))
+    assert classify_module._witness_word(v) == Word(letters, 3)
 
 
 def test_witness_walk_stays_near_the_homology_size():

@@ -14,7 +14,7 @@ import pytest
 
 import reversions
 from conftest import BIG_ORBIT_TEXT, PERFBENCH, fraction_orbit, int_max_str_digits, pt
-from reversions import cli
+from reversions import action, cli
 from reversions.classify import search_closing_config, validate_config
 from reversions.cli import (
     ConfigParseError,
@@ -417,27 +417,40 @@ def test_cli_refused_picture_leaves_the_file_unchanged(sym_file, tmp_path, capsy
 
 
 def test_cli_orbit_that_cannot_print_writes_no_picture(tmp_path, capsys):
-    # the orbit's coordinates outgrow Python's int-to-str digit limit, here
-    # lowered so that two levels reach it: the command fails, naming the
-    # limit and the depth, before it writes the picture or prints a line
+    # Python's int-to-str digit limit, lowered so that level 1 reaches it,
+    # refuses the text, not the orbit, which is within the library's bit
+    # budget: the command formats its text before it writes the picture,
+    # so it fails before it writes the picture or prints a line
     path = tmp_path / "big.cfg"
     path.write_text(BIG_ORBIT_TEXT)
     svg = tmp_path / "o.svg"
     argv = ["orbit", str(path), "--point", "0,1", "--depth", "2", "--svg", str(svg)]
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
+    with int_max_str_digits(640):
+        assert len(action.orbit(parse_config(BIG_ORBIT_TEXT), pt(0, 1), 2)) == 10
         new = run(argv, capsys)
         exists = svg.exists()
         svg.write_bytes(OLD_PICTURE)
         old = run(argv, capsys)
-    finally:
-        sys.set_int_max_str_digits(limit)
     assert not exists
     assert svg.read_bytes() == OLD_PICTURE
     for code, out, err in (new, old):
         assert (code, out) == (EXIT_INVALID, "")
-        assert err == "error: an orbit coordinate has more than 640 digits; lower the depth\n"
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "for integer string conversion" in err
+
+
+def test_cli_render_draws_an_orbit_that_cannot_print(tmp_path, capsys):
+    # a picture prints no integer, so a lowered digit limit leaves it alone
+    (tmp_path / "big.cfg").write_text(BIG_ORBIT_TEXT)
+    svg = tmp_path / "o.svg"
+    argv = ["render", str(tmp_path / "big.cfg"), "--svg", str(svg),
+            "--point", "0,1", "--orbit-depth", "2"]
+    assert run(argv, capsys) == (EXIT_OK, "", "")
+    want = svg.read_bytes()
+    svg.unlink()
+    with int_max_str_digits(640):
+        assert run(argv, capsys) == (EXIT_OK, "", "")
+    assert svg.read_bytes() == want
 
 
 @pytest.mark.parametrize("argv", [
@@ -446,14 +459,35 @@ def test_cli_orbit_that_cannot_print_writes_no_picture(tmp_path, capsys):
 ])
 def test_cli_orbit_past_the_digit_limit_exits_2(argv, tmp_path, monkeypatch, capsys):
     # the search stops in level 11, where a coordinate first has more than
-    # the default 4300 digits, not after all 60 levels
+    # 14,284 bits (and more than the default 4300 digits), not after all
+    # 60 levels, whatever the digit limit is
     monkeypatch.chdir(tmp_path)
     (tmp_path / "big.cfg").write_text(BIG_ORBIT_TEXT)
-    with int_max_str_digits(4300):
-        code, out, err = run(argv, capsys)
-    assert (code, out) == (EXIT_INVALID, "")
-    assert err == "error: an orbit coordinate has more than 4300 digits; lower the depth\n"
-    assert not (tmp_path / "o.svg").exists()
+    for digits in (4300, 0, 100000):
+        with int_max_str_digits(digits):
+            code, out, err = run(argv, capsys)
+        assert (code, out) == (EXIT_INVALID, ""), digits
+        assert err == "error: an orbit coordinate has more than 14284 bits; lower the depth\n"
+        assert not (tmp_path / "o.svg").exists()
+
+
+def fresh_process_env() -> dict:
+    """The environment of a `python -m reversions` process that imports
+    this package."""
+    src = str(Path(reversions.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_cli_orbit_budget_ignores_the_digit_limit_of_the_environment(tmp_path):
+    # a one-shot run with the digit limit switched off stops at the budget
+    (tmp_path / "big.cfg").write_text(BIG_ORBIT_TEXT)
+    env = dict(fresh_process_env(), PYTHONINTMAXSTRDIGITS="0")
+    got = subprocess.run([sys.executable, "-m", "reversions", "orbit", "big.cfg",
+                          "--point", "0,1", "--depth", "60"], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=60)
+    assert (got.returncode, got.stdout, got.stderr) == (
+        EXIT_INVALID, "", "error: an orbit coordinate has more than 14284 bits; lower the depth\n")
 
 
 def test_cli_orbit_of_large_coordinates_prints_whole(tmp_path, capsys):
@@ -524,9 +558,7 @@ def test_cli_in_process_calls_match_fresh_process(sym_file, tmp_path, monkeypatc
     # call, a usage error included, must leave nothing behind that changes
     # a later one
     monkeypatch.setenv("COLUMNS", "80")
-    src = str(Path(__import__("reversions").__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = fresh_process_env()
     calls = [
         ["classify", sym_file, "--bound", "4"],
         ["classify", "--frob", sym_file],

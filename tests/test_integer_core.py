@@ -154,38 +154,49 @@ def test_orbit_expands_each_point_once(monkeypatch):
     assert len(steps) <= 2 * len(got) + 1
 
 
-def test_orbit_stops_in_the_level_that_cannot_print(monkeypatch):
+BIT_BUDGET_MESSAGE = "an orbit coordinate has more than 14284 bits; lower the depth"
+
+
+def test_orbit_stops_in_the_level_past_the_bit_budget(monkeypatch):
     config = parse_config(BIG_ORBIT_TEXT)
     start = pt(0, 1)
-    with int_max_str_digits(0):
+    with monkeypatch.context() as m:
+        m.setattr(action, "MAX_ORBIT_BITS", 10 ** 6)
         whole = orbit(config, start, 11)
     steps = []
 
     def counted(h, x):
+        # a search past level 11 fails here, by its steps, not by a clock
+        assert len(steps) < 2 * len(whole) + 1, "the search went past level 11"
         steps.append(x)
         return apply_homology(h, x)
 
     monkeypatch.setattr(action, "apply_homology", counted)
-    with int_max_str_digits(4300):
-        assert len(orbit(config, start, 10)) == 166
-        printable = len(steps)
+    assert len(orbit(config, start, 10)) == 166
+    within = len(steps)
+    # the budget is the library's own: the search stops in level 11 of 60,
+    # the first with a coordinate past 14,284 bits, whatever the digit limit
+    for digits in (4300, 0, 100000):
         steps.clear()
-        with pytest.raises(ActionError) as err:
+        with int_max_str_digits(digits), pytest.raises(ActionError) as err:
             orbit(config, start, 60)
-    assert str(err.value) == "an orbit coordinate has more than 4300 digits; lower the depth"
-    # the search stops in level 11 of 60, the first with a point past the
-    # limit: past the steps of depth 10, within those of depth 11
-    assert printable < len(steps) <= 2 * len(whole) + 1
+        assert str(err.value) == BIT_BUDGET_MESSAGE
+        assert within < len(steps) <= 2 * len(whole) + 1, digits
 
 
-def test_orbit_refuses_a_start_point_that_cannot_print():
-    r = 10 ** 700
+def test_orbit_refuses_a_start_point_past_the_bit_budget():
+    # 14,284 bits is the most whose numbers all print in 4300 digits,
+    # Python's default limit: 2^14284 - 1 has 4300 digits, 10^4300 has 4301
+    assert action.MAX_ORBIT_BITS == 14_284
+    assert 10 ** 4299 <= 2 ** 14_284 - 1 < 10 ** 4300 and (10 ** 4300).bit_length() == 14_285
+    r = 2 ** 14_284 - 1
     config = Config(Circle.of(0, 0, r * r), (pt(0, 0),), None)
-    with int_max_str_digits(701):
-        assert orbit(config, pt(r, 0), 1) == ((-r, 0, 1), (r, 0, 1))
-    with int_max_str_digits(700), pytest.raises(ActionError) as err:
+    assert orbit(config, pt(r, 0), 1) == ((-r, 0, 1), (r, 0, 1))
+    r += 1
+    config = Config(Circle.of(0, 0, r * r), (pt(0, 0),), None)
+    with pytest.raises(ActionError) as err:
         orbit(config, pt(r, 0), 0)
-    assert str(err.value) == "an orbit coordinate has more than 700 digits; lower the depth"
+    assert str(err.value) == BIT_BUDGET_MESSAGE
 
 
 def fraction_key(t):

@@ -17,6 +17,7 @@ from conftest import (
     outcome,
     pt,
     rand_word,
+    serialize_table,
     stab_contains,
     symmetric_config,
     translated_config,
@@ -42,7 +43,6 @@ from reversions.iso import (
     build_partial_iso,
     decide_iso,
     format_verdict,
-    serialize_table,
     verify_table,
 )
 from reversions.words import Word, apply_letter_permutation, enumerate_words
@@ -294,6 +294,22 @@ def test_l2_counterexample_regression():
     # the map is the identity off the chord ends, so the action-isomorphism
     # and stabilizer conditions hold vacuously; the hull betweenness
     # condition is what rejects it
+
+
+def test_verify_table_names_a_broken_chord_by_its_first_end(sym):
+    # the last two circle points trade targets, which breaks the chord from
+    # (0, -1) through (1/2, 0) to (4/5, 3/5), rows 5, 3 and 8: each side
+    # finds a chord from both of its ends, so the mismatch holds it in both
+    # orders and the triple names its ends in row order
+    words = [Word.empty(3), Word((1,), 3), Word((2,), 3), Word((3,), 3), Word((1, 2), 3)]
+    table = build_partial_iso(sym, sym, Isomorphic((-1, 2, -1)), words, 1)
+    rows = list(table.rows)
+    assert [src for src, _ in rows[5:]] == [(0, -1, 1), (-4, 3, 5), (0, 1, 1), (4, 3, 5),
+                                            (4, -3, 5)]
+    rows[8], rows[9] = (rows[8][0], rows[9][1]), (rows[9][0], rows[8][1])
+    broken = dataclasses.replace(table, rows=tuple(rows))
+    assert verify_table(broken) == ((0, -1, 1), (1, 0, 2), (4, 3, 5))
+    assert cubic_verify_table(broken) is not None
 
 
 def cross_seed_pair(forward: bool) -> tuple:
