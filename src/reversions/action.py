@@ -60,7 +60,6 @@ class ActionError(ValueError):
 
 # The largest bit length of an orbit coordinate (`orbit`).
 MAX_ORBIT_BITS = 14_284
-_TOO_MANY_BITS = f"an orbit coordinate has more than {MAX_ORBIT_BITS} bits; lower the depth"
 
 
 class ConfigValidationError(ValueError):
@@ -204,6 +203,14 @@ def walk(homologies: Sequence[Homology], x: Triple, letters) -> Iterator[Triple]
         yield x
 
 
+def _refuse_past_budget(t: Triple) -> None:
+    """Raise ActionError if a coordinate of the orbit point t has more than
+    MAX_ORBIT_BITS bits (`orbit`)."""
+    bits = MAX_ORBIT_BITS
+    if t[0].bit_length() > bits or t[1].bit_length() > bits or t[2].bit_length() > bits:
+        raise ActionError(f"an orbit coordinate has more than {bits} bits; lower the depth")
+
+
 def orbit(config: Config, c: Point, max_word_length: int) -> tuple:
     """All images of c under words of length <= the bound, as the distinct
     canonical triples (`geometry.homogeneous`) of their points, sorted by
@@ -227,9 +234,7 @@ def orbit(config: Config, c: Point, max_word_length: int) -> tuple:
     if max_word_length < 0:
         raise ActionError(f"negative word-length bound {max_word_length}")
     start = _on_circle_triple(config, c)
-    bits = MAX_ORBIT_BITS
-    if max(t.bit_length() for t in start) > bits:
-        raise ActionError(_TOO_MANY_BITS)
+    _refuse_past_budget(start)
     steps = list(enumerate(config.homologies, start=1))
     seen = {start}
     frontier = [(start, 0)]
@@ -240,9 +245,7 @@ def orbit(config: Config, c: Point, max_word_length: int) -> tuple:
                 if letter != first:
                     y = apply_homology(h, x)
                     if y not in seen:
-                        if y[0].bit_length() > bits or y[1].bit_length() > bits \
-                                or y[2].bit_length() > bits:
-                            raise ActionError(_TOO_MANY_BITS)
+                        _refuse_past_budget(y)
                         seen.add(y)
                         nxt.append((y, letter))
         frontier = nxt

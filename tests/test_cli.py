@@ -471,25 +471,6 @@ def test_cli_orbit_past_the_digit_limit_exits_2(argv, tmp_path, monkeypatch, cap
         assert not (tmp_path / "o.svg").exists()
 
 
-def fresh_process_env() -> dict:
-    """The environment of a `python -m reversions` process that imports
-    this package."""
-    src = str(Path(reversions.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-
-def test_cli_orbit_budget_ignores_the_digit_limit_of_the_environment(tmp_path):
-    # a one-shot run with the digit limit switched off stops at the budget
-    (tmp_path / "big.cfg").write_text(BIG_ORBIT_TEXT)
-    env = dict(fresh_process_env(), PYTHONINTMAXSTRDIGITS="0")
-    got = subprocess.run([sys.executable, "-m", "reversions", "orbit", "big.cfg",
-                          "--point", "0,1", "--depth", "60"], env=env, cwd=tmp_path,
-                         capture_output=True, text=True, timeout=60)
-    assert (got.returncode, got.stdout, got.stderr) == (
-        EXIT_INVALID, "", "error: an orbit coordinate has more than 14284 bits; lower the depth\n")
-
-
 def test_cli_orbit_of_large_coordinates_prints_whole(tmp_path, capsys):
     path = tmp_path / "big.cfg"
     path.write_text(BIG_ORBIT_TEXT)
@@ -558,7 +539,9 @@ def test_cli_in_process_calls_match_fresh_process(sym_file, tmp_path, monkeypatc
     # call, a usage error included, must leave nothing behind that changes
     # a later one
     monkeypatch.setenv("COLUMNS", "80")
-    env = fresh_process_env()
+    src = str(Path(__import__("reversions").__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     calls = [
         ["classify", sym_file, "--bound", "4"],
         ["classify", "--frob", sym_file],
