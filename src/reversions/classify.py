@@ -8,7 +8,8 @@ primitive, stored as (-k, k+m, -m), is decided exactly with no
 reversion step by `action._cycle_ratio`, which `action.is_cycle` reads
 too.  The label stays bounded: `NoCycleUpTo(B)` when there is no cycle
 or its middle entry exceeds B.  Every walk of a cycle is the checked
-chain of its witness word (`_closed_chain`).
+chain of its witness word from the configuration's off-line test point
+(`_closed_chain`).
 
 The diameter fact: write w = (1 + x)/(1 - x) for the point (x, 0) of
 the unit circle.  In the Beltrami-Klein model that point lies at signed
@@ -44,13 +45,8 @@ from .geometry import (
     Circle,
     NotInterior,
     Point,
-    Triple,
     UNIT_CIRCLE,
-    conic,
-    format_point,
     format_triple,
-    homogeneous,
-    quadric,
 )
 from .words import (
     Signature,
@@ -185,13 +181,15 @@ def _witness_word(v: Signature) -> Word:
     return Word(tuple(letters), 3)
 
 
-def _closed_chain(config: Config, v: Signature, start: Triple) -> list:
-    """The triple start and its images under each letter of the witness
-    word of the cycle v in stored order (`_witness_word`); SignChangeError,
-    a bug, unless the word's signature is v and the chain ends at start."""
+def _closed_chain(config: Config, v: Signature) -> list:
+    """The test point's triple and its images under each letter of the
+    witness word of the cycle v in stored order (`_witness_word`);
+    SignChangeError, a bug, unless the word's signature is v and the chain
+    ends at the test point."""
     word = _witness_word(v)
     if signature_of(word) != v:
         raise SignChangeError(f"the witness word of {v} has signature {signature_of(word)}")
+    start = config.test_triple
     chain = [start, *walk(config.homologies, start, word.letters)]
     if chain[-1] != start:
         raise SignChangeError(f"the chain of the witness word of {v} does not close")
@@ -208,7 +206,7 @@ def classify(config: Config, v2_max: int) -> ClassLabel:
     canonical, stored = found
     if gcd_vec(canonical) != 1:
         raise SignChangeError(f"the cycle {canonical} is not primitive")
-    _closed_chain(config, stored, config.test_triple)
+    _closed_chain(config, stored)
     return CycleLabel(canonical, _witness_word(stored), offline_test_point(config))
 
 
@@ -225,36 +223,31 @@ def _diameter_config(weights) -> Config:
                                               for w in map(Fraction, weights)))
 
 
-def realize_by_closing(v: Signature, c1x: Fraction, c2x: Fraction,
-                       p0: Point) -> Config:
+def realize_by_closing(v: Signature, c1x: Fraction, c2x: Fraction) -> Config:
     """Construct an exact configuration on the x-axis of the unit circle
     with cycle v = (-k, k+1, -1) and first points c1x < c2x.
 
     By the diameter fact (module docstring) the third point has the weight
     w3 = w2^(k+1)/w1^k for w = (1 + c)/(1 - c).  It is positive, so the point
     is inside, and w3/w2 = (w2/w1)^k > 1, so it lies beyond the second one:
-    valid input never fails.  The witness chain from the off-axis circle
-    point p0 must then close (`_closed_chain`); SignChangeError marks a bug."""
+    valid input never fails.  The witness chain from the test point must
+    then close (`_closed_chain`); SignChangeError marks a bug."""
     v = tuple(v)
     if len(v) != 3 or not is_balanced(v) or v[2] != -1 or v[0] > -1:
         raise RealizationError(f"{v} must be balanced with v3 = -1 and v1 <= -1")
     if not (-1 < c1x < c2x < 1):
         raise RealizationError(f"need -1 < c1x < c2x < 1, got {c1x}, {c2x}")
-    if quadric(conic(UNIT_CIRCLE), homogeneous(p0)) != 0:
-        raise RealizationError(f"point {format_point(p0)} is not on the unit circle")
-    if p0.y == 0:
-        raise RealizationError("p0 must be off the x-axis")
     k = -v[0]
     w1, w2 = ((1 + Fraction(c)) / (1 - Fraction(c)) for c in (c1x, c2x))
     config = _diameter_config((w1, w2, w2 ** (k + 1) / w1 ** k))
-    _closed_chain(config, v, homogeneous(p0))
+    _closed_chain(config, v)
     return config
 
 
 def search_closing_config(v: Signature) -> Config:
-    """The closing construction with c1 = (-1/2, 0), c2 = (0, 0) and
-    p0 = (0, 1), which succeeds for every valid v (`realize_by_closing`)."""
-    return realize_by_closing(v, Fraction(-1, 2), Fraction(0), Point.of(0, 1))
+    """The closing construction with c1 = (-1/2, 0) and c2 = (0, 0), which
+    succeeds for every valid v (`realize_by_closing`)."""
+    return realize_by_closing(v, Fraction(-1, 2), Fraction(0))
 
 
 def _residual_pair(v: Signature, n: int, d: int) -> Tuple[int, int]:

@@ -178,11 +178,11 @@ def _stored_vector(config: Config, vector: tuple) -> tuple:
 
 def _mirrored(s: Config, r: Config, vector: Optional[tuple]) -> bool:
     """Whether the hull matching must reverse the target's line order: when
-    three points carry the cycle vector in mirrored stored orders, only the
-    1<->3 swap respects the stabilizers; the identity works in the trivial
-    classes."""
-    return (len(s.points) == 3 and vector is not None
-            and _stored_vector(s, vector) != _stored_vector(r, vector))
+    the three points of each side carry the cycle vector in mirrored stored
+    orders, only the 1<->3 swap respects the stabilizers; the identity works
+    in the trivial classes.  A vector on other than three points is refused
+    (`classify._search_cycle`)."""
+    return vector is not None and _stored_vector(s, vector) != _stored_vector(r, vector)
 
 
 def _images(homologies: tuple, x: Triple, words: Sequence[Word]) -> List[Triple]:

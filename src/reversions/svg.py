@@ -91,7 +91,7 @@ def cycle_polygon(config: Config, v: Signature) -> list:
         raise UnverifiedCycle("the zero vector has no cycle polygon")
     if not is_cycle(config, v):
         raise UnverifiedCycle(f"{v} is not a cycle for this configuration")
-    return _closed_chain(config, v, config.test_triple)
+    return _closed_chain(config, v)
 
 
 def render_svg(config: Config,

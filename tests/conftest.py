@@ -901,19 +901,32 @@ def powers_agree_is_cycle(config: Config, v: Signature) -> bool:
         linear_lucas(p12, q12, a) * q23 ** b == linear_lucas(p23, q23, b) * q12 ** a
 
 
+def rebind_everywhere(patch: pytest.MonkeyPatch, original, replacement) -> List[str]:
+    """Rebind, through `patch`, every name that holds `original` in every
+    `reversions` module to `replacement`, as `perfbench/spans.py` wraps
+    its functions, so that no namespace keeps calling the original; the
+    names of the modules patched, in `sys.modules` order."""
+    patched = []
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "reversions" or module_name.startswith("reversions."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    patch.setattr(module, attr, replacement)
+                    patched.append(module_name)
+    return patched
+
+
 @contextlib.contextmanager
 def no_reversion_steps():
-    """A context in which `action.walk` (which `act` walks by),
-    `action.apply_homology` and the `walk` of `classify` (which
-    `_closed_chain` walks by) raise, so that any reversion step taken
-    inside it fails the test."""
+    """A context in which `walk` (which `act` and `_closed_chain` walk
+    by) and `apply_homology` raise in every namespace that holds them, so
+    that any reversion step taken inside it fails the test."""
     def refuse(*args):
         raise AssertionError("a reversion step was taken")
 
     with pytest.MonkeyPatch.context() as patch:
-        for module, name in ((action, "walk"), (action, "apply_homology"),
-                             (sys.modules["reversions.classify"], "walk")):
-            patch.setattr(module, name, refuse)
+        for original in (action.walk, apply_homology):
+            rebind_everywhere(patch, original, refuse)
         yield
 
 

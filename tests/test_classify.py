@@ -30,6 +30,7 @@ from conftest import (
     primitive_candidates,
     powers_agree_is_cycle,
     pt,
+    rebind_everywhere,
     scan_search_cycle,
     third_point_residual,
     trace_tau,
@@ -56,7 +57,16 @@ from reversions.classify import (
     search_closing_config,
     validate_config,
 )
-from reversions.geometry import Circle, NotInterior, Point, UNIT_CIRCLE, conic, homogeneous
+from reversions.geometry import (
+    Circle,
+    NotInterior,
+    Point,
+    UNIT_CIRCLE,
+    apply_homology,
+    conic,
+    homogeneous,
+    homology,
+)
 from reversions.iso import ConditionallyIsomorphic, Isomorphic, build_partial_iso, decide_iso
 from reversions.svg import cycle_polygon
 from reversions.words import Word, gcd_vec, is_balanced, pi13, signature_of
@@ -230,7 +240,7 @@ def test_canonical_label_unique(sym):
 
 
 def test_realize_by_closing_example():
-    config = realize_by_closing((-1, 2, -1), Fraction(-1, 2), Fraction(0), pt(0, 1))
+    config = realize_by_closing((-1, 2, -1), Fraction(-1, 2), Fraction(0))
     assert config is not None
     assert config.points[2] == pt("1/2", 0)
     assert is_cycle(config, (-1, 2, -1))
@@ -238,11 +248,9 @@ def test_realize_by_closing_example():
 
 def test_realize_by_closing_preconditions():
     with pytest.raises(RealizationError):
-        realize_by_closing((-1, 2, -1), Fraction(-1, 2), Fraction(0), pt(1, 0))
+        realize_by_closing((-1, 2, -2), Fraction(-1, 2), Fraction(0))
     with pytest.raises(RealizationError):
-        realize_by_closing((-1, 2, -2), Fraction(-1, 2), Fraction(0), pt(0, 1))
-    with pytest.raises(RealizationError):
-        realize_by_closing((-1, 2, -1), Fraction(1, 2), Fraction(0), pt(0, 1))
+        realize_by_closing((-1, 2, -1), Fraction(1, 2), Fraction(0))
 
 
 def test_search_closing_corpus():
@@ -263,16 +271,21 @@ def test_search_closing_config_matches_the_grid_oracle():
 
 def test_search_closing_config_steps_only_through_its_check(monkeypatch):
     # the third point is in closed form, (3^k - 1)/(3^k + 1) at the default
-    # points, so the only homology steps are the 2n letters of the check
+    # points, so the only homology steps are the 2n letters of the check,
+    # which walks from the built configuration's test point: (0, -1) at
+    # the default points, whose base is (1, 0)
     steps = []
-    action = sys.modules["reversions.action"]
-    step = action.apply_homology
-    monkeypatch.setattr(action, "apply_homology", lambda h, x: steps.append(x) or step(h, x))
+    rebind_everywhere(monkeypatch, apply_homology,
+                      lambda h, x: steps.append(x) or apply_homology(h, x))
     for n in range(2, 65):
+        v = (-(n - 1), n, -1)
         steps.clear()
-        config = search_closing_config((-(n - 1), n, -1))
-        assert len(steps) == 2 * n
+        config = search_closing_config(v)
+        assert len(steps) == 2 * n and steps[0] == config.test_triple == (0, -1, 1)
         assert config.points[2] == pt(Fraction(3 ** (n - 1) - 1, 3 ** (n - 1) + 1), 0)
+        steps.clear()
+        config = realize_by_closing(v, Fraction(-1, 3), Fraction(1, 5))
+        assert len(steps) == 2 * n and steps[0] == config.test_triple
 
 
 def unit_circle_point(t: Fraction) -> Point:
@@ -291,27 +304,27 @@ abscissas = st.fractions(Fraction(-19, 20), Fraction(19, 20), max_denominator=20
 @example(k=1, cs=[Fraction(-1, 2), Fraction(0)], t=Fraction(-1))
 @example(k=12, cs=[Fraction(9, 10), Fraction(19, 20)], t=Fraction(1, 9))
 def test_realize_by_closing_never_fails_and_matches_the_oracle(k, cs, t):
+    # the oracle closes the chain from any off-axis circle point (the
+    # porism), and its third point is the closed form's
     v = (-k, k + 1, -1)
-    p0 = unit_circle_point(t)
-    config = realize_by_closing(v, cs[0], cs[1], p0)
-    assert config == fraction_realize_by_closing(v, cs[0], cs[1], p0)
+    config = realize_by_closing(v, cs[0], cs[1])
+    assert config == fraction_realize_by_closing(v, cs[0], cs[1], unit_circle_point(t))
     assert is_cycle(config, v)
 
 
 @pytest.mark.parametrize("args", [
-    ((-1, 2, -2), Fraction(-1, 2), Fraction(0), pt(0, 1)),
-    ((1, -2, 1), Fraction(-1, 2), Fraction(0), pt(0, 1)),
-    ((-1, 3, -1), Fraction(-1, 2), Fraction(0), pt(0, 1)),
-    ((-1, 1), Fraction(-1, 2), Fraction(0), pt(0, 1)),
-    ((-1, 2, -1), Fraction(1, 2), Fraction(0), pt(0, 1)),
-    ((-1, 2, -1), Fraction(-1), Fraction(0), pt(0, 1)),
-    ((-1, 2, -1), Fraction(0), Fraction(1), pt(0, 1)),
-    ((-1, 2, -1), Fraction(-1, 2), Fraction(0), pt(1, 1)),
-    ((-1, 2, -1), Fraction(-1, 2), Fraction(0), pt(-1, 0)),
+    ((-1, 2, -2), Fraction(-1, 2), Fraction(0)),
+    ((1, -2, 1), Fraction(-1, 2), Fraction(0)),
+    ((-1, 3, -1), Fraction(-1, 2), Fraction(0)),
+    ((-1, 1), Fraction(-1, 2), Fraction(0)),
+    ((-1, 2, -1), Fraction(1, 2), Fraction(0)),
+    ((-1, 2, -1), Fraction(-1), Fraction(0)),
+    ((-1, 2, -1), Fraction(0), Fraction(1)),
 ])
 def test_realize_by_closing_refusals_match_the_oracle(args):
+    # the oracle's start point is on the circle and off the axis
     got = outcome(realize_by_closing, *args)
-    assert got == outcome(fraction_realize_by_closing, *args)
+    assert got == outcome(fraction_realize_by_closing, *args, pt(0, 1))
     assert got[0] is RealizationError
 
 
@@ -426,10 +439,8 @@ def test_bisection_makes_no_homology_step(monkeypatch):
             return f(*args)
         return step
 
-    for module in [m for name, m in sys.modules.items() if name.startswith("reversions")]:
-        for name in ("homology", "apply_homology"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for name, original in (("homology", homology), ("apply_homology", apply_homology)):
+        rebind_everywhere(monkeypatch, original, counted(name, original))
     assert realize_by_bisection((-2, 3, -1), width) == expected
     assert steps == []
 
@@ -936,10 +947,7 @@ def test_every_cycle_question_reads_the_one_primitive(monkeypatch):
     def stub(*args):
         raise Decided
 
-    original = action_module._cycle_ratio
-    for name, module in list(sys.modules.items()):
-        if name.startswith("reversions.") and vars(module).get("_cycle_ratio") is original:
-            monkeypatch.setattr(module, "_cycle_ratio", stub)
+    rebind_everywhere(monkeypatch, action_module._cycle_ratio, stub)
     config = validate_config(UNIT_CIRCLE, (pt("-1/2", 0), pt(0, 0), pt("1/2", 0)))
     word = Word((2, 1, 2, 3), 3)
     for question in (lambda: is_cycle(config, (-1, 2, -1)),
@@ -1115,10 +1123,7 @@ def test_cycle_walks_build_no_normal_form_word(tmp_path, capsys, monkeypatch):
 
     words_module = sys.modules["reversions.words"]
     for name in ("word_from_signature", "canonical_word"):
-        original = getattr(words_module, name)
-        for module_name, module in list(sys.modules.items()):
-            if module_name.split(".")[0] == "reversions" and vars(module).get(name) is original:
-                monkeypatch.setattr(module, name, refuse)
+        rebind_everywhere(monkeypatch, getattr(words_module, name), refuse)
     with pytest.raises(AssertionError, match="normal-form word"):
         words_module.canonical_word((-1, 2, -1))
     assert answers() == expected
@@ -1185,7 +1190,7 @@ def test_closed_chain_refuses_a_chain_that_does_not_close(sym, sym_file, tmp_pat
     svg = tmp_path / "c.svg"
     message = "the chain of the witness word of (-2, 3, -1) does not close"
     with pytest.raises(SignChangeError) as err:
-        classify_module._closed_chain(sym, (-2, 3, -1), sym.test_triple)
+        classify_module._closed_chain(sym, (-2, 3, -1))
     assert str(err.value) == message
     monkeypatch.setattr(classify_module, "_search_cycle",
                         lambda config, v2_max: ((-2, 3, -1), (-2, 3, -1)))

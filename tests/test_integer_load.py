@@ -6,7 +6,6 @@ the same check name and message, the off-line test-point stream must give the po
 Fraction predicate."""
 
 import itertools
-import sys
 from fractions import Fraction
 
 import pytest
@@ -20,6 +19,7 @@ from conftest import (
     offset_between,
     norm_sq,
     pt,
+    rebind_everywhere,
     sub,
 )
 from reversions import action, geometry
@@ -197,17 +197,13 @@ def test_stream_skips_the_tangent_and_the_interior_line():
         ("base_point", "base point 1 1 is not on the circle")
 
 
-FORBIDDEN = ("in_open_disk", "on_circle", "collinear", "is_between", "rational_circle_point")
-
-
 def test_load_path_needs_no_fraction_predicate(monkeypatch):
+    # `geometry.is_between` is the library's one Fraction predicate; the
+    # others are the oracles' own, in tests/conftest.py
     def forbidden(*args):
         raise AssertionError("a Fraction predicate ran on the integer load path")
 
-    # the package exports the function `classify` under the module's name
-    for module in (action, sys.modules["reversions.classify"], geometry):
-        for name in FORBIDDEN:
-            monkeypatch.setattr(module, name, forbidden, raising=False)
+    assert "reversions.geometry" in rebind_everywhere(monkeypatch, geometry.is_between, forbidden)
     for text in (SYMMETRIC_TEXT, SYMMETRIC_TEXT + "base 3/5 -4/5\n",
                  "circle 0 0 1\npoint 1/3 1/7\n", "circle 0 0 2\npoint 0 0\npoint 1/2 1/2\nbase 1 1\n"):
         config = parse_config(text)

@@ -17,13 +17,14 @@ from conftest import (
     outcome,
     pt,
     rand_word,
+    rebind_everywhere,
     serialize_table,
     stab_contains,
     symmetric_config,
     translated_config,
 )
 from reversions import geometry
-from reversions.action import act
+from reversions.action import act, walk
 from reversions.classify import (
     ConfigValidationError,
     avoid_all_cycles,
@@ -179,7 +180,7 @@ def test_mirrored_table_orientation_walks_no_word(monkeypatch):
     def no_walk(*args):
         raise AssertionError("a word was walked")
 
-    monkeypatch.setattr(sys.modules["reversions.action"], "walk", no_walk)
+    rebind_everywhere(monkeypatch, walk, no_walk)
     with pytest.raises(AssertionError, match="a word was walked"):
         act(base, affine(base.test_triple), words[-1])
     table = build_partial_iso(base, mirrored, verdict, words, 1)
@@ -234,6 +235,19 @@ def test_build_table_mixed_l_errors(sym):
         with pytest.raises(VerdictError) as built:
             build_partial_iso(s, r, Isomorphic(None), [Word.empty(len(s.points))], 1)
         assert str(built.value) == str(decided.value)
+
+
+def test_build_table_refuses_a_vector_on_two_points():
+    # a cycle vector needs three points: these two-point configurations are
+    # isomorphic with no vector, and a table for a vector is refused
+    s = validate_config(UNIT_CIRCLE, (pt("-1/2", 0), pt(0, 0)))
+    r = validate_config(UNIT_CIRCLE, (pt(0, 0), pt("1/3", 0)))
+    words = list(enumerate_words(2, 2))
+    assert decide_iso(s, r, 8) == Isomorphic(None)
+    table = build_partial_iso(s, r, Isomorphic(None), words, 1)
+    assert len(table.rows) == 9 and verify_table(table) is None
+    with pytest.raises(ConfigValidationError, match="^cycle search needs three points$"):
+        build_partial_iso(s, r, Isomorphic((-1, 2, -1)), words, 1)
 
 
 def test_stabilizer_matching(sym):
@@ -542,10 +556,7 @@ def test_verify_table_builds_no_conic_and_no_homology(monkeypatch):
         raise AssertionError("a conic or a homology was built")
 
     for name in ("conic", "homology"):
-        original = getattr(geometry, name)
-        for module_name, module in list(sys.modules.items()):
-            if module_name.split(".")[0] == "reversions" and vars(module).get(name) is original:
-                monkeypatch.setattr(module, name, refuse)
+        rebind_everywhere(monkeypatch, getattr(geometry, name), refuse)
     with pytest.raises(AssertionError, match="was built"):
         geometry.conic(UNIT_CIRCLE)
     assert [outcome(verify_table, table) for table in cases] == expected
@@ -585,10 +596,7 @@ def test_build_partial_iso_makes_no_affine_call(monkeypatch):
         calls.append(h)
         return original(h)
 
-    patched = [name for name, module in list(sys.modules.items())
-               if name.startswith("reversions") and getattr(module, "affine", None) is original]
-    for name in patched:
-        monkeypatch.setattr(sys.modules[name], "affine", counted)
+    patched = rebind_everywhere(monkeypatch, original, counted)
     assert "reversions.geometry" in patched and "reversions.action" in patched
     for s, r, verdict, words, seeds in cases:
         table = build_partial_iso(fresh(s), fresh(r), verdict, words, seeds)

@@ -67,6 +67,40 @@ MUTANTS = (
            "found = {(min(i, k), j, max(i, k)) for i, j, k in itertools.combinations(ranked, 3)}",
            "found = set(itertools.combinations(ranked, 3))",
            ("tests/test_iso.py::test_build_table_mirrored_storage",)),
+    Mutant("between-rows-accepts-a-token-off-the-hull", "src/reversions/iso.py",
+           "        if not isinstance(p, tuple):\n"
+           "            raise VerdictError(f\"table token {_key_str(p)} is not on the hull\")\n",
+           "",
+           ("tests/test_iso.py::test_verify_table_premise_mutants",)),
+    Mutant("stored-vector-searches-any-vector", "src/reversions/iso.py",
+           "found = _search_cycle(config, vector[1]) \\\n"
+           "        if len(vector) == 3 and vector[1] >= 1 else None",
+           "found = _search_cycle(config, vector[1])",
+           ("tests/test_iso.py::test_build_table_refuses_a_vector_other_than_the_label",)),
+    Mutant("unit-ratio-advances-b-on-a-tie", "src/reversions/action.py",
+           "elif b < a:", "elif b <= a:",
+           ("tests/test_classify.py::test_irrational_chord_ends_reach_the_chain_search",)),
+    Mutant("is-cycle-decides-more-than-three-points", "src/reversions/action.py",
+           "    if config.alphabet > 3 and any(v):\n"
+           "        raise ActionError(f\"the cycle test decides at most three points, "
+           "not {config.alphabet}\")\n",
+           "",
+           ("tests/test_action.py::test_is_cycle_refuses_more_than_three_points",)),
+    Mutant("test-triples-keep-the-tangent", "src/reversions/action.py",
+           "        if n == 0:\n            continue\n", "",
+           ("tests/test_integer_load.py::test_validate_config_agrees_with_fraction_oracle",)),
+    Mutant("build-partial-iso-lets-targets-collide", "src/reversions/iso.py",
+           "if first != src:", "if False:",
+           ("tests/test_iso.py::"
+            "test_build_partial_iso_agrees_with_act_oracle_on_perfbench_pairs",)),
+    Mutant("stored-vector-walks-the-witness", "src/reversions/iso.py",
+           "    return found[1]\n",
+           "    from .words import signature_of\n"
+           "    return signature_of(classify(config, vector[1]).witness_word)\n",
+           ("tests/test_iso.py::test_mirrored_table_orientation_walks_no_word",)),
+    Mutant("mirrored-skips-a-vector-on-two-points", "src/reversions/iso.py",
+           "return vector is not None and", "return len(s.points) == 3 and vector is not None and",
+           ("tests/test_iso.py::test_build_table_refuses_a_vector_on_two_points",)),
 )
 
 
