@@ -77,11 +77,6 @@ __all__ = [
     "avoid_all_cycles",
 ]
 
-# The first inward shift of the bisection endpoints from -1/2 and 1/2 is
-# 2^-BISECTION_SHIFT_BITS.
-BISECTION_SHIFT_BITS = 10
-
-
 class RealizationError(ValueError):
     """A constructor was called outside its precondition."""
 
@@ -312,12 +307,15 @@ def realize_by_bisection(v: Signature, width_bound: Fraction) -> RealizationInte
     """Isolate the middle-point abscissa realizing v between (-1/2, 0) and
     (1/2, 0) by exact bisection.
 
-    The residual is positive just right of -1/2 and negative just left of
-    1/2 (the configuration degenerates at the exact endpoints, so they are
-    shifted inward by 2^-BISECTION_SHIFT_BITS, halving the shift if the
-    sign pattern is not yet visible).  There is at most one root in the
-    family, so the certified enclosure is unique.  An exact root hit ends
-    with a recentred interval whose endpoint signs are still verified.
+    The bracket is the exact ends.  With v = (-k, k+m, -m), the residual
+    pair of `_residual_pair` has alpha/beta = 3^(4m) > 1 at -1/2 and
+    3^(-4k) < 1 at 1/2, so the residual is positive at -1/2 and negative
+    at 1/2 for every k, m >= 1.  There is at most one root in the family,
+    so the certified enclosure is unique: after ceil(log2(1/width))
+    halvings it is the aligned dyadic cell of [-1/2, 1/2] that holds the
+    root.  An exact root hit (the root is 0, the first midpoint, exactly
+    when k = m) ends with a recentred interval whose endpoint signs are
+    still verified.
 
     The residual at each point is signed by one evaluation of the
     polynomial pair of `_residual_pair`.  The endpoints are integer
@@ -329,17 +327,12 @@ def realize_by_bisection(v: Signature, width_bound: Fraction) -> RealizationInte
         raise RealizationError(f"{v} must be a balanced 3-vector")
     if v[1] < 0:
         v = (-v[0], -v[1], -v[2])
-    if v[1] < 1 or v[0] > -1 or v[2] > -1:
+    if v[0] > -1 or v[2] > -1:
         raise RealizationError(f"{v} must satisfy v2 >= 1 and v1, v3 <= -1 (up to negation)")
     width_bound = Fraction(width_bound)
     if width_bound <= 0:
         raise RealizationError(f"width bound must be positive, got {width_bound}")
-    for e in range(BISECTION_SHIFT_BITS, BISECTION_SHIFT_BITS + 24):
-        lo, hi = 1 - (1 << (e - 1)), (1 << (e - 1)) - 1  # -1/2 + 2^-e, 1/2 - 2^-e
-        if _residual_sign(v, lo, 1 << e) > 0 and _residual_sign(v, hi, 1 << e) < 0:
-            break
-    else:
-        raise SignChangeError(f"no certified sign change near the endpoints for {v}")
+    lo, hi, e = -1, 1, 1  # -1/2 and 1/2 over 2^e
     p, q = width_bound.numerator, width_bound.denominator
     while (hi - lo) * q > p << e:
         mid, lo, hi, e = lo + hi, 2 * lo, 2 * hi, e + 1

@@ -285,7 +285,7 @@ def _cmd_realize(args) -> int:
         sys.stdout.write(serialize_config(search_closing_config(v)))
         return EXIT_OK
     width = parse_fraction(args.width)
-    # ceil(log2(1/width)) halvings take an interval below 1 to the width; an
+    # ceil(log2(1/width)) halvings take [-1/2, 1/2] to the width; an
     # unbalanced vector is refused before any
     if width > 0 and is_balanced(v):
         halvings = ((width.denominator - 1) // width.numerator).bit_length()

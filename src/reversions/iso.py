@@ -206,7 +206,8 @@ def _orbit_seeds(config: Config, words: Sequence[Word], count: int) -> List[Trip
     """Deterministic off-line points, as triples, whose sampled images (the
     point and its images under the sampled words) are pairwise disjoint, so
     no table source comes from two seeds; one seed needs no images and is
-    the cached test point."""
+    the cached test point.  The stream of `_test_triples` never ends, so
+    the loop leaves only by its return."""
     if count == 1:
         return [config.test_triple]
     seeds: List[Triple] = []
@@ -219,7 +220,6 @@ def _orbit_seeds(config: Config, words: Sequence[Word], count: int) -> List[Trip
         seeds.append(x)
         if len(seeds) == count:
             return seeds
-    raise CollisionError("seed stream exhausted")  # pragma: no cover
 
 
 def build_partial_iso(s: Config, r: Config, verdict: IsoVerdict,

@@ -211,7 +211,7 @@ def canonical_word(v: Signature) -> Word:
         raise ValueError(f"need a 3-vector, got {len(v)} entries")
     if not is_balanced(v):
         raise ValueError(f"{v} is not balanced")
-    if v[1] < 1 or v[0] > -1 or v[2] > -1:
+    if v[0] > -1 or v[2] > -1:
         raise ValueError(f"{v} must satisfy v2 >= 1 and v1, v3 <= -1")
     return word_from_signature(v)
 

@@ -601,8 +601,9 @@ def chain_middle_point_residual(v: Signature, a: Fraction) -> Fraction:
 
 
 def fraction_realize_by_bisection(v: Signature, width_bound: Fraction) -> RealizationInterval:
-    """Reference for `classify.realize_by_bisection`: the same search on
-    Fraction endpoints, with one `chain_middle_point_residual` per point."""
+    """Reference for `classify.realize_by_bisection`: the same bisection of
+    [-1/2, 1/2] on Fraction endpoints, with one `chain_middle_point_residual`
+    per point."""
     v = tuple(v)
     if len(v) != 3 or not is_balanced(v):
         raise RealizationError(f"{v} must be a balanced 3-vector")
@@ -614,17 +615,10 @@ def fraction_realize_by_bisection(v: Signature, width_bound: Fraction) -> Realiz
     width_bound = Fraction(width_bound)
     if width_bound <= 0:
         raise RealizationError(f"width bound must be positive, got {width_bound}")
-    half = Fraction(1, 2)
-    delta = Fraction(1, 1024)
-    for _ in range(24):
-        lo, hi = -half + delta, half - delta
-        flo, fhi = chain_middle_point_residual(v, lo), chain_middle_point_residual(v, hi)
-        if flo > 0 and fhi < 0:
-            break
-        delta /= 2
-    else:
-        raise SignChangeError(
-            f"no certified sign change near the endpoints for {v}")
+    # the chain's homologies are defined where the middle point meets an end
+    lo, hi = Fraction(-1, 2), Fraction(1, 2)
+    if not chain_middle_point_residual(v, lo) > 0 > chain_middle_point_residual(v, hi):
+        raise SignChangeError(f"no sign change between the ends -1/2 and 1/2 for {v}")
     while hi - lo > width_bound:
         mid = (lo + hi) / 2
         fmid = chain_middle_point_residual(v, mid)

@@ -348,6 +348,33 @@ def test_bisection_certificates():
     assert interval.a_lo > Fraction(-1, 2) and interval.a_hi < Fraction(1, 2)
 
 
+def test_bisection_brackets_at_the_exact_ends():
+    # alpha/beta is 3^(4m) at -1/2 and 3^(-4k) at 1/2 (`_residual_pair`), and
+    # the chain oracle, whose homologies stay defined there, agrees in sign
+    half = Fraction(1, 2)
+    for k in range(1, 13):
+        for m in range(1, 13):
+            v, r, s = (-k, k + m, -m), 3 ** (4 * m), 3 ** (4 * k)
+            assert middle_point_residual(v, -half) == Fraction(r - 1, r + 1), v
+            assert middle_point_residual(v, half) == Fraction(1 - s, 1 + s), v
+            assert chain_middle_point_residual(v, -half) > 0 > \
+                chain_middle_point_residual(v, half), v
+
+
+def test_bisection_stops_at_exactly_a_power_of_two_width():
+    # a width 2^-h takes h halvings of [-1/2, 1/2] to the aligned dyadic
+    # cell that holds the root, on either side of 0 and for either sign of v
+    for h in (0, 1, 2, 7, 20, 64):
+        width = Fraction(1, 2 ** h)
+        for v in ((-2, 3, -1), (-1, 3, -2), (2, -3, 1), (1, -3, 2), (-5, 12, -7)):
+            interval = realize_by_bisection(v, width)
+            assert interval.a_hi - interval.a_lo == width, (v, h)
+            assert ((interval.a_lo + Fraction(1, 2)) / width).denominator == 1, (v, h)
+            w = interval.vector
+            assert middle_point_residual(w, interval.a_lo) > 0 > \
+                middle_point_residual(w, interval.a_hi), (v, h)
+
+
 def test_bisection_accepts_negated_vector():
     a = realize_by_bisection((-2, 3, -1), Fraction(1, 1024))
     b = realize_by_bisection((2, -3, 1), Fraction(1, 1024))
@@ -1217,15 +1244,6 @@ def test_classify_refuses_a_cycle_that_is_not_primitive(sym, sym_file, capsys, m
         classify(sym, 8)
     assert str(err.value) == message
     assert_cli_refuses(["classify", sym_file], message, capsys)
-
-
-def test_bisection_refuses_a_residual_without_a_sign_change(capsys, monkeypatch):
-    monkeypatch.setattr(classify_module, "_residual_sign", lambda v, n, d: 1)
-    message = "no certified sign change near the endpoints for (-1, 2, -1)"
-    with pytest.raises(SignChangeError) as err:
-        realize_by_bisection((-1, 2, -1), Fraction(1, 1024))
-    assert str(err.value) == message
-    assert_cli_refuses(["realize", "--v", "1,-2,1", "--bisect"], message, capsys)
 
 
 def test_bisection_checks_the_endpoint_signs_of_an_exact_root(capsys, monkeypatch):

@@ -782,3 +782,13 @@ def test_render_single_point_has_no_line():
     from reversions.svg import render_svg
     config = validate_config(UNIT_CIRCLE, (pt("1/3", "1/7"),))
     assert "<line" not in render_svg(config)
+
+
+def test_render_draws_the_interior_line_from_two_points(tmp_path):
+    # one point fixes no line; two fix the chord, drawn once
+    for points, lines in ((["1/3 1/7"], 0), (["1/3 1/7", "-1/2 0"], 1)):
+        cfg, svg = tmp_path / f"{lines}.cfg", tmp_path / f"{lines}.svg"
+        cfg.write_text("circle 0 0 1\n" + "".join(f"point {p}\n" for p in points),
+                       encoding="utf-8")
+        assert main(["render", str(cfg), "--svg", str(svg)]) == EXIT_OK
+        assert svg.read_text(encoding="utf-8").count("<line") == lines

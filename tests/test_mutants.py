@@ -1,7 +1,8 @@
-"""The mutation suite's list (`tools/mutants.py`) stays in step with the
-tree: every mutant's old text occurs exactly once in its file under `src/`,
-changes it, and names tests that exist.  Running the mutants themselves is
-the CI step `Mutants`."""
+"""The mutation suite's lists (`tools/mutants.py`) stay in step with the
+tree: every mutant's and every equivalent mutant's old text occurs exactly
+once in its file under `src/` and changes it; every mutant names tests that
+exist, and every equivalent gives its reason.  Running the mutants
+themselves is the CI step `Mutants`."""
 
 import ast
 import importlib.util
@@ -18,12 +19,13 @@ def load_mutants():
 
 
 def test_every_old_text_occurs_once_in_src():
-    mutants = load_mutants().MUTANTS
+    module = load_mutants()
+    mutants = (*module.MUTANTS, *module.EQUIVALENTS)
     assert len({m.name for m in mutants}) == len(mutants)
     for m in mutants:
         assert m.path.startswith("src/reversions/"), m.name
         assert (ROOT / m.path).read_text(encoding="utf-8").count(m.old) == 1, m.name
-        assert m.new != m.old and m.tests, m.name
+        assert m.new != m.old and m[-1], m.name  # its tests, or an equivalent's reason
 
 
 def test_every_mutant_names_tests_that_exist():

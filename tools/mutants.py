@@ -13,6 +13,10 @@ must first pass on the unchanged copy.  One line per mutant says whether
 its tests caught it.  The exit status is 1 when a test fails on the
 unchanged copy, a mutant survived or its old text does not occur exactly
 once, else 0.
+
+Equivalent mutants, which no test can catch as they change no behaviour,
+are listed apart with the reason, and are not run; their old text must
+still occur exactly once, so that the list cannot go stale.
 """
 
 from __future__ import annotations
@@ -37,6 +41,14 @@ class Mutant(NamedTuple):
     old: str  # occurs exactly once in the file
     new: str
     tests: Tuple[str, ...]  # pytest node ids relative to the root
+
+
+class Equivalent(NamedTuple):
+    name: str
+    path: str  # relative to the root of the tree
+    old: str  # occurs exactly once in the file
+    new: str
+    reason: str
 
 
 MUTANTS = (
@@ -101,6 +113,32 @@ MUTANTS = (
     Mutant("mirrored-skips-a-vector-on-two-points", "src/reversions/iso.py",
            "return vector is not None and", "return len(s.points) == 3 and vector is not None and",
            ("tests/test_iso.py::test_build_table_refuses_a_vector_on_two_points",)),
+    Mutant("bisection-brackets-at-the-quarters", "src/reversions/classify.py",
+           "lo, hi, e = -1, 1, 1", "lo, hi, e = -1, 1, 2",
+           ("tests/test_classify.py::test_bisection_stops_at_exactly_a_power_of_two_width",)),
+    Mutant("bisection-halves-once-past-the-width", "src/reversions/classify.py",
+           "while (hi - lo) * q > p << e:", "while (hi - lo) * q >= p << e:",
+           ("tests/test_classify.py::test_bisection_stops_at_exactly_a_power_of_two_width",)),
+    Mutant("chord-needs-three-points", "src/reversions/svg.py",
+           "if len(config.points) < 2:", "if len(config.points) <= 2:",
+           ("tests/test_cli.py::test_render_draws_the_interior_line_from_two_points",)),
+)
+
+EQUIVALENTS = (
+    Equivalent("power-ratio-divides-on-a-tie", "src/reversions/action.py",
+               "if x > y:", "if x >= y:",
+               "it runs only while x != y"),
+    Equivalent("witness-word-negates-v2-zero", "src/reversions/classify.py",
+               "if v[1] < 0:\n        return _witness_word(",
+               "if v[1] <= 0:\n        return _witness_word(",
+               "v1 v3 > 0 and balance force v2 != 0"),
+    Equivalent("exact-root-refuses-a-root-at-its-low-end", "src/reversions/classify.py",
+               "_residual_sign(v, a_lo.numerator, a_lo.denominator) <= 0",
+               "_residual_sign(v, a_lo.numerator, a_lo.denominator) < 0",
+               "the root is unique, so neither endpoint is a root"),
+    Equivalent("format-triple-negates-w-zero", "src/reversions/geometry.py",
+               "if w < 0:", "if w <= 0:",
+               "W = 0 raises the same ZeroDivisionError either way"),
 )
 
 
@@ -116,13 +154,20 @@ def _pytest(tree: Path, tests) -> subprocess.CompletedProcess:
                           timeout=TIMEOUT_S)
 
 
-def _caught(tree: Path, mutant: Mutant) -> Tuple[bool, str]:
-    """Whether the mutant's tests fail in the tree, and how."""
-    path = tree / mutant.path
-    text = path.read_text(encoding="utf-8")
+def _text(tree: Path, mutant) -> str:
+    """The text of the mutant's file; SystemExit unless its old text occurs
+    there exactly once."""
+    text = (tree / mutant.path).read_text(encoding="utf-8")
     if text.count(mutant.old) != 1:
         raise SystemExit(f"{mutant.name}: the old text occurs {text.count(mutant.old)} times "
                          f"in {mutant.path}, not once")
+    return text
+
+
+def _caught(tree: Path, mutant: Mutant) -> Tuple[bool, str]:
+    """Whether the mutant's tests fail in the tree, and how."""
+    path = tree / mutant.path
+    text = _text(tree, mutant)
     path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
     try:
         done = _pytest(tree, mutant.tests)
@@ -139,6 +184,8 @@ def _caught(tree: Path, mutant: Mutant) -> Tuple[bool, str]:
 
 
 def main() -> int:
+    for equivalent in EQUIVALENTS:
+        _text(ROOT, equivalent)
     survivors = []
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         tree = Path(tmp) / "tree"
@@ -155,7 +202,8 @@ def main() -> int:
                   f"({time.perf_counter() - start:.1f} s)", flush=True)
             if not caught:
                 survivors.append(mutant.name)
-    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants caught")
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants caught; "
+          f"{len(EQUIVALENTS)} equivalent mutants listed")
     return 1 if survivors else 0
 
 
